@@ -1,10 +1,24 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_2p) for odd p >= 3.
 
-An element is a rational-coefficient residue modulo the 2p-th cyclotomic
-polynomial, which is irreducible over Q, so every nonzero element is
-invertible (by the extended Euclidean algorithm; no factoring needed).
-The residue class of x, written A below, is a primitive 2p-th root of
-unity: A^(2p) = 1 and A^p = -1.
+An element is an integer coefficient vector over one positive common
+denominator, kept canonical: the vector is reduced modulo the monic integer
+2p-th cyclotomic polynomial Phi_2p, and the gcd of all numerators and the
+denominator is 1.  Equality and hashing compare these tuples directly, and
+multiplication and reduction use integer arithmetic only.  The residue
+class of x, written A below, is a primitive 2p-th root of unity:
+A^(2p) = 1 and A^p = -1.
+
+Phi_2p is irreducible over Q, so every nonzero element is invertible.
+General inverses run the extended Euclidean algorithm against Phi_2p (no
+factoring needed); it also serves the tests as the oracle for the closed
+form below.  A difference of two roots with an even exponent gap
+u - v = 2a, p not dividing a, inverts without Euclid:
+
+    1/(A^u - A^v) = A^-v (sum_{k=1..p-1} k A^(2ak)) / p,
+
+since z = A^(2a) satisfies z^p = 1 and z != 1, so (z - 1) sum k z^k = p.
+The quantum denominators of the curve evaluations in the skein module all
+have this shape.
 
 Identities that should hold for all roots of unity at once are first
 expressed as integer Laurent polynomials in A (LaurentPolynomial) and only
@@ -14,13 +28,14 @@ then specialized into a concrete field.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 from .exact import RationalLike, _q
 
-_IntPoly = tuple[int, ...]  # ascending coefficients, no trailing zeros
+_IntPoly = tuple[int, ...]  # ascending integer coefficients
 
 
 def _int_poly_divide(num: Sequence[int], den: Sequence[int]) -> _IntPoly:
@@ -73,7 +88,7 @@ def cyclotomic_field(p: int) -> CyclotomicField:
 class CyclotomicField:
     """Q(zeta_2p), represented as Q[x] modulo the 2p-th cyclotomic polynomial."""
 
-    __slots__ = ("p", "modulus", "degree", "_gen_powers")
+    __slots__ = ("p", "modulus", "degree", "_modulus_tail")
 
     def __init__(self, p: int):
         if p < 3 or p % 2 == 0:
@@ -81,36 +96,36 @@ class CyclotomicField:
         self.p = p
         self.modulus: _IntPoly = cyclotomic_int_coeffs(2 * p)
         self.degree: int = len(self.modulus) - 1
-        self._gen_powers = self._build_gen_powers()
-        # structural sanity of the residue class of x
-        minus_one = tuple([Fraction(-1)] + [Fraction(0)] * (self.degree - 1))
-        if self._gen_powers[p] != minus_one:
-            raise AssertionError("residue class of x is not a primitive 2p-th root")
+        self._modulus_tail = tuple(
+            (i, c) for i, c in enumerate(self.modulus[:-1]) if c
+        )
+        # reduction folds x^p to -1, which needs Phi_2p to divide x^p + 1
+        _int_poly_divide((1,) + (0,) * (p - 1) + (1,), self.modulus)
 
-    def _reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, coeffs: Sequence[int]) -> _IntPoly:
+        """Residue of an integer coefficient list modulo Phi_2p, padded to
+        length `degree`.  Phi_2p divides x^p + 1, so x^p is first folded
+        to -1; long division by the monic Phi_2p finishes the job."""
+        p, degree = self.p, self.degree
         out = list(coeffs)
-        for k in range(len(out) - 1, self.degree - 1, -1):
+        for k in range(len(out) - 1, p - 1, -1):
+            out[k - p] -= out[k]
+        del out[p:]
+        for k in range(len(out) - 1, degree - 1, -1):
             lead = out[k]
             if lead:
-                offset = k - self.degree
-                for i in range(self.degree):
-                    out[offset + i] -= lead * self.modulus[i]
-                out[k] = Fraction(0)
-        out = out[: self.degree]
-        out += [Fraction(0)] * (self.degree - len(out))
+                offset = k - degree
+                for i, c in self._modulus_tail:
+                    out[offset + i] -= lead * c
+        del out[degree:]
+        out += [0] * (degree - len(out))
         return tuple(out)
 
-    def _build_gen_powers(self) -> tuple[tuple[Fraction, ...], ...]:
-        powers = []
-        current = [Fraction(1)] + [Fraction(0)] * (self.degree - 1)
-        for _ in range(2 * self.p):
-            powers.append(tuple(current))
-            current = list(self._reduce([Fraction(0)] + current))
-        return tuple(powers)
-
     def element(self, coefficients: Sequence[RationalLike]) -> CyclotomicElement:
-        reduced = self._reduce([_q(c) for c in coefficients])
-        return CyclotomicElement(self, reduced)
+        values = [_q(c) for c in coefficients]
+        denominator = math.lcm(*(c.denominator for c in values))
+        numerators = [c.numerator * (denominator // c.denominator) for c in values]
+        return CyclotomicElement(self, self._reduce(numerators), denominator)
 
     def zero(self) -> CyclotomicElement:
         return self.element(())
@@ -127,7 +142,34 @@ class CyclotomicField:
 
     def gen_power(self, k: int) -> CyclotomicElement:
         """A^k for any integer k (negative exponents use A^(2p) = 1)."""
-        return CyclotomicElement(self, self._gen_powers[k % (2 * self.p)])
+        return self.power_sum({k: 1})
+
+    def power_sum(self, terms: Mapping[int, int]) -> CyclotomicElement:
+        """The element sum c A^e over the items (e, c) of terms, for any
+        integer exponents e and integer coefficients c."""
+        period = 2 * self.p
+        coeffs = [0] * period
+        for e, c in terms.items():
+            coeffs[e % period] += c
+        return CyclotomicElement(self, self._reduce(coeffs))
+
+    def root_difference_inverse(self, u: int, v: int) -> CyclotomicElement:
+        """1/(A^u - A^v) in closed form, for an even exponent gap u - v = 2a.
+
+        z = A^(2a) satisfies z^p = 1, and z != 1 exactly when p does not
+        divide a; then (z - 1) sum_{k=1..p-1} k z^k = p, so
+        1/(A^u - A^v) = A^-v (sum_{k=1..p-1} k A^(2ak)) / p.
+        Raises ZeroDivisionError when p divides a (A^u - A^v is zero) and
+        ValueError for an odd gap, where the identity does not apply.
+        """
+        if (u - v) % 2:
+            raise ValueError(f"exponent gap {u} - ({v}) is odd")
+        p = self.p
+        a = (u - v) // 2
+        if a % p == 0:
+            raise ZeroDivisionError(f"A^{u} - A^{v} vanishes at p={p}")
+        numerator = self.power_sum({2 * a * k - v: k for k in range(1, p)})
+        return numerator * Fraction(1, p)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicField):
@@ -164,13 +206,29 @@ def _poly_divmod(
 
 
 class CyclotomicElement:
-    """An element of Q(zeta_2p), stored as a reduced coefficient tuple."""
+    """An element of Q(zeta_2p): integer numerators, already reduced modulo
+    Phi_2p, over one positive denominator, divided through by their common
+    gcd on construction so that equal elements have equal tuples."""
 
-    __slots__ = ("field", "coefficients")
+    __slots__ = ("field", "numerators", "denominator")
 
-    def __init__(self, field: CyclotomicField, coefficients: tuple[Fraction, ...]):
+    def __init__(
+        self, field: CyclotomicField, numerators: _IntPoly, denominator: int = 1
+    ):
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
+        common = math.gcd(denominator, *numerators)
+        if common != 1:
+            numerators = tuple(n // common for n in numerators)
+            denominator //= common
         self.field = field
-        self.coefficients = coefficients
+        self.numerators = numerators
+        self.denominator = denominator
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """Rational coefficients in the power basis 1, A, ..., A^(degree-1)."""
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def _coerce(self, other: object) -> CyclotomicElement | None:
         if isinstance(other, CyclotomicElement):
@@ -182,7 +240,7 @@ class CyclotomicElement:
         return None
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.coefficients)
+        return any(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CyclotomicElement) and other.field != self.field:
@@ -190,21 +248,32 @@ class CyclotomicElement:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self.coefficients == coerced.coefficients
+        return (self.numerators, self.denominator) == (
+            coerced.numerators,
+            coerced.denominator,
+        )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.coefficients))
+        if not any(self.numerators[1:]):  # equal to a rational: hash like it
+            return hash(Fraction(self.numerators[0], self.denominator))
+        return hash((self.field.p, self.numerators, self.denominator))
 
     def __neg__(self) -> CyclotomicElement:
-        return CyclotomicElement(self.field, tuple(-c for c in self.coefficients))
+        return CyclotomicElement(
+            self.field, tuple(-n for n in self.numerators), self.denominator
+        )
 
     def __add__(self, other: object) -> CyclotomicElement:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
+        denominator = math.lcm(self.denominator, coerced.denominator)
+        s = denominator // self.denominator
+        t = denominator // coerced.denominator
         return CyclotomicElement(
             self.field,
-            tuple(a + b for a, b in zip(self.coefficients, coerced.coefficients)),
+            tuple(a * s + b * t for a, b in zip(self.numerators, coerced.numerators)),
+            denominator,
         )
 
     __radd__ = __add__
@@ -219,18 +288,31 @@ class CyclotomicElement:
         return (-self) + other
 
     def __mul__(self, other: object) -> CyclotomicElement:
+        if isinstance(other, (int, Fraction)):
+            scalar = _q(other)
+            return CyclotomicElement(
+                self.field,
+                tuple(n * scalar.numerator for n in self.numerators),
+                self.denominator * scalar.denominator,
+            )
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        a, b = self.coefficients, coerced.coefficients
-        out = [Fraction(0)] * (2 * self.field.degree - 1)
+        a, b = self.numerators, coerced.numerators
+        if a.count(0) > b.count(0):  # loop over the sparser factor
+            a, b = b, a
+        out = [0] * (2 * self.field.degree - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
             for j, y in enumerate(b):
-                if y != 0:
+                if y:
                     out[i + j] += x * y
-        return CyclotomicElement(self.field, self.field._reduce(out))
+        return CyclotomicElement(
+            self.field,
+            self.field._reduce(out),
+            self.denominator * coerced.denominator,
+        )
 
     __rmul__ = __mul__
 
@@ -239,8 +321,9 @@ class CyclotomicElement:
         against the (irreducible) modulus."""
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        # r0 = self, r1 = modulus; track u with u * self = r (mod modulus)
-        r0 = list(self.coefficients)
+        # invert the numerator vector; the denominator multiplies back in.
+        # r0 = numerators, r1 = modulus; track u with u * r0 = r (mod modulus)
+        r0 = [Fraction(n) for n in self.numerators]
         r1 = [Fraction(c) for c in self.field.modulus]
         u0: list[Fraction] = [Fraction(1)]
         u1: list[Fraction] = []
@@ -265,10 +348,8 @@ class CyclotomicElement:
             r0.pop()
         if len(r0) != 1:
             raise ArithmeticError("modulus is not coprime to the element")
-        scale = Fraction(1) / r0[0]
-        return CyclotomicElement(
-            self.field, self.field._reduce([c * scale for c in u0])
-        )
+        scale = self.denominator / r0[0]
+        return self.field.element([c * scale for c in u0])
 
     def __truediv__(self, other: object) -> CyclotomicElement:
         coerced = self._coerce(other)
@@ -372,10 +453,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def specialize(self, field: CyclotomicField) -> CyclotomicElement:
-        total = field.zero()
-        for e, c in self.terms.items():
-            total = total + field.gen_power(e) * c
-        return total
+        return field.power_sum(self.terms)
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*A^{e}" for e, c in sorted(self.terms.items()))

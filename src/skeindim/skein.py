@@ -270,8 +270,13 @@ def eval_nonseparating_curve(
     the second exponent of the odd denominator to -(2i+1) for audit
     comparison (that variant does not match the m = 1 closed form).
 
-    Raises VanishingDenominator when a summation index makes a quantum
-    denominator vanish (the color is too large for the level).
+    Every denominator A^u - A^v has an even exponent gap, so each summand
+    is built from the closed-form root-difference inverse of the field,
+    without a general (Euclidean) inverse.
+
+    Raises VanishingDenominator for a color above p - 2 (the colors that
+    `dimension` rejects), before any summand is built; no quantum
+    denominator vanishes at colors 0..p-2.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -280,22 +285,24 @@ def eval_nonseparating_curve(
     from .verlinde import dimension  # deferred to avoid a module cycle
 
     p = field.p
-    prefactor = field.from_rational(Fraction((-p) ** (g - 1)))
+    if m > p - 2:
+        raise VanishingDenominator(
+            f"vanishing quantum denominator at p={p}, color {m} "
+            f"(colors run 0..{p - 2})"
+        )
+    prefactor = (-p) ** (g - 1)
 
-    def summand(denominator: CyclotomicElement) -> CyclotomicElement:
-        if not denominator:
-            raise VanishingDenominator(
-                f"vanishing quantum denominator at p={p}, color {m}"
-            )
-        return prefactor * (denominator ** (2 * g - 2)).inverse()
+    def summand(u: int, v: int) -> CyclotomicElement:
+        # the gap (u - v)/2 lies in 1..m+1 <= p-1, so p never divides it
+        return prefactor * field.root_difference_inverse(u, v) ** (2 * g - 2)
 
     if m % 2 == 0:
         total = field.from_rational(dimension(g, p, 0))
         for i in range(1, m // 2 + 1):
-            total = total - summand(field.gen_power(2 * i) - field.gen_power(-2 * i))
+            total = total - summand(2 * i, -2 * i)
         return total
     total = field.zero()
     for i in range(1, (m + 1) // 2 + 1):
         low = -(2 * i + 1) if alternate_form else -(2 * i - 1)
-        total = total + summand(field.gen_power(2 * i - 1) - field.gen_power(low))
+        total = total + summand(2 * i - 1, low)
     return total

@@ -124,6 +124,15 @@ def test_eval_curve_vanishing_denominator_is_usage_error(capsys):
     assert "vanishing" in json.loads(err.strip())["error"]
 
 
+def test_eval_curve_color_above_range_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "eval-curve", "--genus", "2", "--p", "7", "--color", "6"
+    )
+    assert code == 2
+    assert out == ""
+    assert "vanishing quantum denominator" in json.loads(err.strip())["error"]
+
+
 def test_verify_bernoulli_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "bernoulli")
     assert code == 0

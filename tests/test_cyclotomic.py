@@ -70,6 +70,15 @@ def test_gen_power_handles_negative_exponents():
     assert field.gen_power(-3) * field.gen_power(3) == field.one()
 
 
+@pytest.mark.parametrize("p", [9, 15, 31])
+def test_power_sum_folds_exponents(p):
+    field = cyclotomic_field(p)
+    a = field.gen()
+    # exponents that agree modulo 2p accumulate; A^p = -1 cancels A^0
+    assert field.power_sum({1: 2, 1 + 2 * p: 3, -1: -1}) == a * 5 - a ** (-1)
+    assert field.power_sum({0: 4, p: 4}) == field.zero()
+
+
 def test_inverse_round_trip():
     field = cyclotomic_field(5)
     x = field.gen() + field.from_rational(Fraction(2, 3))
@@ -128,3 +137,45 @@ def test_laurent_specialization_matches_field_arithmetic():
     # [3] = (A^6 - A^-6)/(A^2 - A^-2) computed by honest field division
     direct = (a**6 - a ** (-6)) / (a**2 - a ** (-2))
     assert quantum_integer_laurent(3).specialize(field) == direct
+
+
+@pytest.mark.parametrize("p", ODD_P)
+def test_root_difference_inverse_matches_euclid(p):
+    field = cyclotomic_field(p)
+    for u in range(2 * p):
+        for v in range(-3, 4):
+            if (u - v) % 2:
+                continue
+            if ((u - v) // 2) % p == 0:
+                with pytest.raises(ZeroDivisionError):
+                    field.root_difference_inverse(u, v)
+                continue
+            euclid = (field.gen_power(u) - field.gen_power(v)).inverse()
+            assert field.root_difference_inverse(u, v) == euclid
+
+
+def test_root_difference_inverse_rejects_odd_gap():
+    with pytest.raises(ValueError):
+        cyclotomic_field(7).root_difference_inverse(3, 0)
+
+
+def test_rational_elements_hash_like_the_rational():
+    field = cyclotomic_field(7)
+    for value in [0, 3, -5, Fraction(2, 3), Fraction(-7, 4)]:
+        element = field.from_rational(value)
+        assert element == value
+        assert hash(element) == hash(value)
+    assert {field.from_rational(3): "three"}[3] == "three"
+
+
+def test_equal_elements_hash_equal():
+    field = cyclotomic_field(9)
+    a = field.gen()
+    x = (a + 1) * (a - 1)
+    y = a**2 - 1
+    assert x == y and hash(x) == hash(y)
+    # the same element reached with a common factor cancelled
+    z = (a * Fraction(6, 4) + Fraction(1, 2)) * 2
+    w = field.element([1, 3])
+    assert z == w and hash(z) == hash(w)
+    assert (a / 3) * 3 == a and hash((a / 3) * 3) == hash(a)

@@ -8,6 +8,7 @@ roots of unity double-check the exact field identities.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -232,6 +233,55 @@ def test_curve_vanishing_denominator():
     # at p = 5 the even color 10 hits index i = 5 = p
     with pytest.raises(VanishingDenominator):
         eval_nonseparating_curve(2, 10, cyclotomic_field(5))
+
+
+@functools.lru_cache(maxsize=None)
+def _summand_by_euclid(g, p, u, v):
+    field = cyclotomic_field(p)
+    prefactor = field.from_rational(Fraction((-p) ** (g - 1)))
+    denominator = field.gen_power(u) - field.gen_power(v)
+    assert denominator
+    return prefactor * (denominator ** (2 * g - 2)).inverse()
+
+
+def _curve_by_euclid(g, m, field, alternate_form):
+    """The curve evaluation with every summand inverted by the general
+    (Euclidean) inverse instead of the closed form; summands are memoised
+    because colors share them."""
+    from skeindim.verlinde import dimension
+
+    p = field.p
+    if m % 2 == 0:
+        total = field.from_rational(dimension(g, p, 0))
+        for i in range(1, m // 2 + 1):
+            total = total - _summand_by_euclid(g, p, 2 * i, -2 * i)
+        return total
+    total = field.zero()
+    for i in range(1, (m + 1) // 2 + 1):
+        low = -(2 * i + 1) if alternate_form else -(2 * i - 1)
+        total = total + _summand_by_euclid(g, p, 2 * i - 1, low)
+    return total
+
+
+@pytest.mark.parametrize("p", ODD_P)
+def test_curve_matches_euclid_route(p):
+    field = cyclotomic_field(p)
+    for g in (1, 2, 3):
+        for m in range(p - 1):
+            for alternate_form in (False, True):
+                expected = _curve_by_euclid(g, m, field, alternate_form)
+                assert eval_nonseparating_curve(g, m, field, alternate_form) == expected
+
+
+@pytest.mark.parametrize("p", ODD_P)
+def test_curve_rejects_colors_above_p_minus_two(p):
+    field = cyclotomic_field(p)
+    for m in range(p - 1, p + 3):
+        with pytest.raises(VanishingDenominator, match="vanishing quantum denominator"):
+            eval_nonseparating_curve(2, m, field)
+    # an even color above the range used to sum to a plausible-looking value
+    with pytest.raises(VanishingDenominator):
+        eval_nonseparating_curve(2, 6, cyclotomic_field(7))
 
 
 def test_alternate_form_flag_changes_odd_case():
