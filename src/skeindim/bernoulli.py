@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import BivariatePolynomial, TruncatedSeries, UnivariatePolynomial, binomial
+from .exact import UnivariatePolynomial, binomial
 
 
 class FaulhaberInconsistency(ArithmeticError):
@@ -47,27 +47,18 @@ class BernoulliTable:
 
 @lru_cache(maxsize=None)
 def bernoulli_numbers(max_index: int) -> BernoulliTable:
-    """B_0..B_max_index by exact series inversion.
-
-    (e^t - 1)/t has coefficient 1/(k+1)! at t^k and constant term 1, so its
-    series inverse is t/(e^t - 1) = sum_k B_k t^k / k!.
+    """B_0..B_max_index by the recurrence
+    B_n = -1/(n+1) * sum_{k<n} binom(n+1, k) B_k,  B_0 = 1,
+    which is sum_{k<=n} binom(n+1, k) B_k = 0, the coefficient of t^(n+1)
+    in (e^t - 1) * t/(e^t - 1) = t.
     """
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
-    variables = ("x", "y")
-    forward = TruncatedSeries.build(
-        max_index,
-        variables,
-        lambda k: BivariatePolynomial.constant(
-            Fraction(1, math.factorial(k + 1)), variables
-        ),
-    )
-    inverse = forward.inverse()
-    values = tuple(
-        inverse.coefficient(k).coefficient(0, 0) * math.factorial(k)
-        for k in range(max_index + 1)
-    )
-    return BernoulliTable(values)
+    values = [Fraction(1)]
+    for n in range(1, max_index + 1):
+        acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
+        values.append(-acc / (n + 1))
+    return BernoulliTable(tuple(values))
 
 
 def bernoulli_number(k: int) -> Fraction:

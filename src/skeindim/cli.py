@@ -57,14 +57,21 @@ def _check_failure(message: str) -> int:
     return EXIT_CHECK_FAILURE
 
 
+class _OutputError(Exception):
+    """The --output path could not be written."""
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
         return
     if not os.path.isabs(output):
         output = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), output)
-    with open(output, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    try:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise _OutputError(f"cannot write output: {exc}") from exc
 
 
 def _json_text(payload: dict) -> str:
@@ -353,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutputError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,21 @@
 """Exact arithmetic kernel: rationals, polynomials, truncated power series,
 and exact matrix rank.
 
-Every scalar in this module is a `fractions.Fraction`; no floating point
-enters any computation.  Polynomials keep canonical forms (no stored zero
+Every stored scalar is a `fractions.Fraction`; no floating point enters
+any computation.  Polynomials keep canonical forms (no stored zero
 coefficients, stripped trailing zeros), so structural predicates such as
 "degree exactly n" or "only even powers of p" are decided exactly.
+
+Two kernels run on integers over one common denominator (the lcm L of the
+coefficient denominators) and build Fractions only at the end:
+
+  evaluation     BivariatePolynomial(a/b, c/d) is the integer
+                 sum L*coeff a^i b^(n-i) c^j d^(m-j), by homogenized Horner
+                 (second variable inside, first outside), over L b^n d^m.
+  substitution   substitute_affine replaces the second variable by
+                 (alpha*first + beta + gamma*new)/delta with Horner's rule
+                 in that variable; substitute_half (c = (p-1)/2 - s) is
+                 its special case.
 
 Representations:
 
@@ -73,6 +84,20 @@ def _format_terms(terms: Sequence[tuple[Fraction, str]]) -> str:
     return " ".join(parts)
 
 
+def _power(base, exponent: int, one):
+    """base^exponent by square-and-multiply, starting from `one`."""
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class UnivariatePolynomial:
     """Dense univariate polynomial over the rationals.
 
@@ -138,6 +163,9 @@ class UnivariatePolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant polynomial equals its value, so it must hash like it.
+        if len(self._coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self._coeffs)
 
     def __neg__(self) -> UnivariatePolynomial:
@@ -159,7 +187,7 @@ class UnivariatePolynomial:
     __radd__ = __add__
 
     def __sub__(self, other: Union[UnivariatePolynomial, RationalLike]) -> UnivariatePolynomial:
-        return self + (-other if isinstance(other, UnivariatePolynomial) else -_q(other))
+        return self + (-other)
 
     def __rsub__(self, other: RationalLike) -> UnivariatePolynomial:
         return (-self) + other
@@ -186,18 +214,7 @@ class UnivariatePolynomial:
         return self * (Fraction(1) / _q(scalar))
 
     def __pow__(self, exponent: int) -> UnivariatePolynomial:
-        if exponent < 0:
-            raise ValueError("polynomial exponent must be nonnegative")
-        result = UnivariatePolynomial.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, UnivariatePolynomial.constant(1))
 
     def __call__(
         self, point: Union[RationalLike, UnivariatePolynomial]
@@ -310,6 +327,9 @@ class BivariatePolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant polynomial equals its value, so it must hash like it.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self.coefficient(0, 0))
         return hash((self._vars, frozenset(self._terms.items())))
 
     def _check_compatible(self, other: BivariatePolynomial) -> None:
@@ -333,8 +353,6 @@ class BivariatePolynomial:
     __radd__ = __add__
 
     def __sub__(self, other: Union[BivariatePolynomial, RationalLike]) -> BivariatePolynomial:
-        if isinstance(other, (int, Fraction)):
-            other = BivariatePolynomial.constant(other, self._vars)
         return self + (-other)
 
     def __rsub__(self, other: RationalLike) -> BivariatePolynomial:
@@ -343,8 +361,6 @@ class BivariatePolynomial:
     def __mul__(self, other: Union[BivariatePolynomial, RationalLike]) -> BivariatePolynomial:
         if isinstance(other, (int, Fraction)):
             scalar = _q(other)
-            if scalar == 0:
-                return BivariatePolynomial.zero(self._vars)
             return BivariatePolynomial(
                 {k: v * scalar for k, v in self._terms.items()}, self._vars
             )
@@ -364,25 +380,20 @@ class BivariatePolynomial:
         return self * (Fraction(1) / _q(scalar))
 
     def __pow__(self, exponent: int) -> BivariatePolynomial:
-        if exponent < 0:
-            raise ValueError("polynomial exponent must be nonnegative")
-        result = BivariatePolynomial.constant(1, self._vars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, BivariatePolynomial.constant(1, self._vars))
 
     def __call__(self, first: RationalLike, second: RationalLike) -> Fraction:
+        """Value at (a/b, c/d): the integer numerator
+        sum L*coeff a^i b^(n-i) c^j d^(m-j) by homogenized Horner (second
+        variable inside, first outside) over one denominator L b^n d^m."""
         x, y = _q(first), _q(second)
-        total = Fraction(0)
-        for (i, j), coeff in self._terms.items():
-            total += coeff * x**i * y**j
-        return total
+        if not self._terms:
+            return Fraction(0)
+        scale, rows = _integer_rows(self._terms)
+        inner = [_horner(row, y.numerator, y.denominator) for row in rows]
+        total = _horner(inner, x.numerator, x.denominator)
+        n, m = len(rows) - 1, len(rows[0]) - 1
+        return Fraction(total, scale * x.denominator**n * y.denominator**m)
 
     def homogeneous_part(self, n: int) -> BivariatePolynomial:
         """Sum of the terms of total degree exactly n."""
@@ -400,13 +411,10 @@ class BivariatePolynomial:
         buckets: dict[int, dict[int, Fraction]] = {}
         for (i, j), coeff in self._terms.items():
             buckets.setdefault(i, {})[j] = coeff
-        out: dict[int, UnivariatePolynomial] = {}
-        for i, bucket in buckets.items():
-            coeffs = [Fraction(0)] * (max(bucket) + 1)
-            for j, coeff in bucket.items():
-                coeffs[j] = coeff
-            out[i] = UnivariatePolynomial(coeffs)
-        return out
+        return {
+            i: UnivariatePolynomial(bucket.get(j, 0) for j in range(max(bucket) + 1))
+            for i, bucket in buckets.items()
+        }
 
     def divide_by_first_power(self, k: int) -> BivariatePolynomial:
         """Exact division by first^k; fails if some term has a lower power."""
@@ -420,24 +428,6 @@ class BivariatePolynomial:
                 )
             out[(i - k, j)] = coeff
         return BivariatePolynomial(out, self._vars)
-
-    def substitute_second(
-        self, replacement: BivariatePolynomial
-    ) -> BivariatePolynomial:
-        """Substitute the second variable by a polynomial (in the target's
-        variable pair); the first variable maps to the target's first."""
-        target_vars = replacement.variables
-        power_cache: list[BivariatePolynomial] = [
-            BivariatePolynomial.constant(1, target_vars)
-        ]
-        max_j = max((j for _, j in self._terms), default=0)
-        while len(power_cache) <= max_j:
-            power_cache.append(power_cache[-1] * replacement)
-        result = BivariatePolynomial.zero(target_vars)
-        for (i, j), coeff in self._terms.items():
-            term = BivariatePolynomial({(i, 0): coeff}, target_vars)
-            result = result + term * power_cache[j]
-        return result
 
     def render(self) -> str:
         v1, v2 = self._vars
@@ -459,6 +449,63 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.render()}; vars={self._vars})"
 
 
+def _integer_rows(
+    terms: Mapping[tuple[int, int], Fraction]
+) -> tuple[int, list[list[int]]]:
+    """(L, rows) with L the lcm of the coefficient denominators and
+    rows[i][j] = L * coeff(i, j), dense over 0..max i by 0..max j."""
+    scale = math.lcm(*[coeff.denominator for coeff in terms.values()])
+    width = max(j for _, j in terms) + 1
+    rows = [[0] * width for _ in range(max(i for i, _ in terms) + 1)]
+    for (i, j), coeff in terms.items():
+        rows[i][j] = coeff.numerator * (scale // coeff.denominator)
+    return scale, rows
+
+
+def _horner(values: list[int], num: int, den: int) -> int:
+    """sum_k values[k] num^k den^(n-k) with n = len(values) - 1."""
+    total = 0
+    den_power = 1
+    for value in reversed(values):
+        total = total * num + value * den_power
+        den_power *= den
+    return total
+
+
+def substitute_affine(
+    poly: BivariatePolynomial,
+    alpha: int,
+    beta: int,
+    gamma: int,
+    delta: int,
+    new_second: str,
+) -> BivariatePolynomial:
+    """Exact substitution second <- (alpha*first + beta + gamma*new) / delta,
+    into the variable pair (first, new).
+
+    Horner's rule in the second variable builds the integer numerator
+    sum_j L*q_j delta^(n-j) (alpha*first + beta + gamma*new)^j, with q_j the
+    coefficient of second^j and L the lcm of all coefficient denominators;
+    the one division by L delta^n comes last.
+    """
+    target = (poly.variables[0], new_second)
+    if not poly:
+        return BivariatePolynomial.zero(target)
+    scale, rows = _integer_rows(poly._terms)
+    n = len(rows[0]) - 1
+    acc: dict[tuple[int, int], int] = {}
+    for j in range(n, -1, -1):
+        step = {(i, 0): row[j] * delta ** (n - j) for i, row in enumerate(rows) if row[j]}
+        for (i, k), value in acc.items():
+            for key, factor in (((i + 1, k), alpha), ((i, k), beta), ((i, k + 1), gamma)):
+                if factor:
+                    step[key] = step.get(key, 0) + value * factor
+        acc = step
+    return BivariatePolynomial(
+        {key: Fraction(value, scale * delta**n) for key, value in acc.items()}, target
+    )
+
+
 def substitute_half(
     poly: BivariatePolynomial, new_second: str = "s"
 ) -> BivariatePolynomial:
@@ -468,11 +515,7 @@ def substitute_half(
     via c = (p - 1)/2 - s.  The first variable is fixed; the result lives in
     the variable pair (first, new_second).
     """
-    target = (poly.variables[0], new_second)
-    replacement = BivariatePolynomial(
-        {(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 2), (0, 1): -1}, target
-    )
-    return poly.substitute_second(replacement)
+    return substitute_affine(poly, 1, -1, -2, 2, new_second)
 
 
 def binomial_poly_in_c(g: int, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
@@ -518,9 +561,9 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int, variables: tuple[str, str] = ("p", "c")) -> TruncatedSeries:
-        coeffs = [BivariatePolynomial.constant(1, variables)]
-        coeffs += [BivariatePolynomial.zero(variables) for _ in range(order)]
-        return cls(order, coeffs)
+        return cls.build(
+            order, variables, lambda k: BivariatePolynomial.constant(int(k == 0), variables)
+        )
 
     @classmethod
     def build(
@@ -573,18 +616,7 @@ class TruncatedSeries:
         return TruncatedSeries(self._order, out)
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
-        if exponent < 0:
-            raise ValueError("series exponent must be nonnegative; invert first")
-        result = TruncatedSeries.one(self._order, self.variables)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, TruncatedSeries.one(self._order, self.variables))
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse through the truncation order.

@@ -11,9 +11,20 @@ where R(p, c) is the t^(2g-2) coefficient of the product
 
     [2pt/(e^(2pt)-1)] * s((2c+1) t) * s(t)^-(2g-1),      s(t) = sinh(t)/t.
 
-All series are exact truncations; the division by p present in the naive
-residue expression is eliminated algebraically above, so the whole
-computation stays inside the polynomial ring.
+Only that one coefficient is computed, as a finite sum over
+a + b + 2k = 2g - 2 (b even):
+
+    R = sum e_a p^a (2c+1)^b / (b+1)! * S_k,
+
+with e_a = 2^a B_a / a! from the scalar inverse of sum x^k/(k+1)! and
+S = s(t)^-(2g-1) = sum S_k t^(2k) from J.C.P. Miller's power recurrence
+on the scalar series s; no bivariate series is ever multiplied.  R is
+collected in (p, u) with u = 2c + 1 and moved to (p, c) by one affine
+Horner substitution.  The division by p present in the naive residue
+expression is eliminated algebraically above, so the whole computation
+stays inside the polynomial ring.  The e_a are built here rather than
+taken from `bernoulli_numbers`, so the leading-term check against the
+Bernoulli closed form stays independent.
 
 Two completely independent routes to the same numbers exist and are cross
 checked: the residue polynomial evaluated at integers, and the fusion-rule
@@ -31,9 +42,9 @@ from functools import lru_cache
 from .bernoulli import bernoulli_numbers
 from .exact import (
     BivariatePolynomial,
-    TruncatedSeries,
     UnivariatePolynomial,
     binomial_poly_in_c,
+    substitute_affine,
     substitute_half,
 )
 
@@ -55,47 +66,51 @@ class IntegralityError(ArithmeticError):
     an internal-bug signal, not a user error."""
 
 
-def _sinh_over_t(order: int) -> TruncatedSeries:
-    def term(k: int) -> BivariatePolynomial:
-        if k % 2 == 0:
-            return BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), PC)
-        return BivariatePolynomial.zero(PC)
+def _series_power(coefficients: list[Fraction], alpha: int) -> list[Fraction]:
+    """f^alpha for a scalar series f with f_0 = 1, through the last given
+    coefficient.
 
-    return TruncatedSeries.build(order, PC, term)
-
-
-def _exponential_kernel(order: int) -> TruncatedSeries:
-    """2pt/(e^(2pt) - 1): series inverse of sum_k (2p)^k t^k/(k+1)!."""
-    forward = TruncatedSeries.build(
-        order,
-        PC,
-        lambda k: BivariatePolynomial({(k, 0): Fraction(2**k, math.factorial(k + 1))}, PC),
-    )
-    return forward.inverse()
-
-
-def _odd_width_kernel(order: int) -> TruncatedSeries:
-    """s((2c+1) t): even series with t^(2k) coefficient (2c+1)^(2k)/(2k+1)!."""
-    two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
-    powers = [BivariatePolynomial.constant(1, PC)]
-    while len(powers) <= order:
-        powers.append(powers[-1] * two_c_plus_one)
-
-    def term(k: int) -> BivariatePolynomial:
-        if k % 2 == 0:
-            return powers[k] / Fraction(math.factorial(k + 1))
-        return BivariatePolynomial.zero(PC)
-
-    return TruncatedSeries.build(order, PC, term)
+    J.C.P. Miller's recurrence: h_0 = 1 and
+    m h_m = sum_{k=1..m} ((alpha+1) k - m) f_k h_(m-k).  At alpha = -1 it
+    is the plain series inverse.
+    """
+    power = [Fraction(1)]
+    for m in range(1, len(coefficients)):
+        acc = sum(
+            ((alpha + 1) * k - m) * coefficients[k] * power[m - k]
+            for k in range(1, m + 1)
+        )
+        power.append(acc / m)
+    return power
 
 
 def _residue_coefficient_at(g: int, order: int) -> BivariatePolynomial:
-    product = (
-        _exponential_kernel(order)
-        * _odd_width_kernel(order)
-        * (_sinh_over_t(order).inverse() ** (2 * g - 1))
+    """t^(2g-2) coefficient of the kernel product in (p, u), u = 2c + 1,
+    every kernel truncated at t^order.
+
+    The three kernels are e_a p^a t^a with e_a = 2^a B_a / a! (scalar
+    inverse of sum x^k/(k+1)!, scaled by 2^a), u^b t^b / (b+1)! for even
+    b, and S_k t^(2k) with S = s(t)^-(2g-1) a series in x = t^2.  The
+    coefficient is the finite sum over a + b + 2k = 2g - 2.
+    """
+    target = 2 * g - 2
+    inverse = _series_power(
+        [Fraction(1, math.factorial(k + 1)) for k in range(order + 1)], -1
     )
-    return product.coefficient(2 * g - 2)
+    half = order // 2
+    sinh_power = _series_power(
+        [Fraction(1, math.factorial(2 * k + 1)) for k in range(half + 1)], -(2 * g - 1)
+    )
+    terms: dict[tuple[int, int], Fraction] = {}
+    for a in range(min(order, target) + 1):
+        e_a = 2**a * inverse[a]
+        if not e_a:
+            continue
+        for b in range(0, min(order, target - a) + 1, 2):
+            k, odd = divmod(target - a - b, 2)
+            if not odd and k <= half:
+                terms[(a, b)] = e_a * sinh_power[k] / math.factorial(b + 1)
+    return BivariatePolynomial(terms, ("p", "u"))
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +118,15 @@ def _residue_part(g: int) -> BivariatePolynomial:
     """R(p, c), the t^(2g-2) coefficient of the kernel product.
 
     Built at truncation order 2g-2 and rebuilt with one guard term; the
-    guard must not change the extracted coefficient.
+    guard must not change the extracted coefficient.  The two builds are
+    compared in (p, u); the agreed one moves to (p, c) by u = 2c + 1.
     """
     target_order = 2 * g - 2
     value = _residue_coefficient_at(g, target_order)
     guarded = _residue_coefficient_at(g, target_order + 1)
     if value != guarded:
         raise AssertionError("series truncation guard tripped in residue extraction")
-    return value
+    return substitute_affine(value, 0, 1, 2, 1, "c")
 
 
 def _formula_parts(g: int) -> tuple[BivariatePolynomial, BivariatePolynomial]:
@@ -363,19 +379,17 @@ def fusion_table(p: int) -> FusionTable:
 def _fusion_vector(g: int, p: int) -> tuple[int, ...]:
     """Odd-color dimensions (D_g at s = 1..d) by the fusion recursion.
 
-    Values grow beyond 64 bits quickly; Python integers keep this exact.
-    The cache is filled on first use and only read afterwards, so shared
-    concurrent use is safe.
+    Iterates D_(g+1)[s] = sum_y K[s][y] D_g[y] from D_1 = (1..d), without
+    recursion, so any genus is reachable.  Values grow beyond 64 bits
+    quickly; Python integers keep this exact.  The cache is filled on
+    first use and only read afterwards, so shared concurrent use is safe.
     """
     d = _check_level(p)
-    if g == 1:
-        return tuple(range(1, d + 1))
-    table = fusion_table(p)
-    previous = _fusion_vector(g - 1, p)
-    return tuple(
-        sum(table.value(s, y) * previous[y - 1] for y in range(1, d + 1))
-        for s in range(1, d + 1)
-    )
+    entries = fusion_table(p).entries
+    vector = tuple(range(1, d + 1))
+    for _ in range(g - 1):
+        vector = tuple(sum(k * v for k, v in zip(row, vector)) for row in entries)
+    return vector
 
 
 def fusion_dimension(g: int, p: int, s: int) -> int:

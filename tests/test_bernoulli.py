@@ -44,6 +44,28 @@ def test_odd_values_vanish_and_even_do_not():
         assert table[k] != 0
 
 
+def test_numbers_match_series_inversion():
+    # independent route: t/(e^t - 1) as the series inverse of
+    # sum_k t^k/(k+1)!, coefficient k times k!
+    order = 60
+    variables = ("x", "y")
+    inverse = TruncatedSeries.build(
+        order,
+        variables,
+        lambda k: BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), variables),
+    ).inverse()
+    table = bernoulli_numbers(order)
+    for k in range(order + 1):
+        assert table[k] == inverse.coefficient(k).coefficient(0, 0) * math.factorial(k)
+
+
+def test_large_index_value():
+    # B_40 as printed in standard tables
+    assert bernoulli_number(40) == Fraction(
+        -261082718496449122051, 13530
+    )
+
+
 def test_polynomial_small_degrees():
     assert bernoulli_polynomial(0) == UnivariatePolynomial([1])
     assert bernoulli_polynomial(1) == UnivariatePolynomial([Fraction(-1, 2), 1])

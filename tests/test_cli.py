@@ -177,6 +177,26 @@ def test_certify_output_file(tmp_path, monkeypatch, capsys):
     assert payload["genus"] == 1
 
 
+def test_certify_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "cert.json"
+    code, out, err = run_cli(
+        capsys, "certify", "--genus", "2", "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write output" in json.loads(err.strip())["error"]
+    assert not target.exists()
+
+
+def test_table_output_to_directory_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "table", "--genus", "1", "--p", "3", "--color", "0",
+        "--output", str(tmp_path),
+    )
+    assert code == 2
+    assert "error" in json.loads(err.strip())
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--genus", "1:2", "--p", "3:7", "--color", "0:2"

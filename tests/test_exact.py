@@ -21,6 +21,7 @@ from skeindim.exact import (
     UnivariatePolynomial,
     binomial,
     binomial_poly_in_c,
+    substitute_affine,
     substitute_half,
 )
 
@@ -303,6 +304,120 @@ def small_bipolys(draw):
 def test_substitute_half_is_ring_homomorphism(a, b):
     assert substitute_half(a * b) == substitute_half(a) * substitute_half(b)
     assert substitute_half(a + b) == substitute_half(a) + substitute_half(b)
+
+
+def _power_cache_substitute(poly, replacement):
+    """The earlier route: expand every term against cached powers of the
+    replacement polynomial, one BivariatePolynomial product per term."""
+    target = replacement.variables
+    powers = [BivariatePolynomial.constant(1, target)]
+    max_j = max(poly.exponents(1), default=0)
+    while len(powers) <= max_j:
+        powers.append(powers[-1] * replacement)
+    result = BivariatePolynomial.zero(target)
+    for (i, j), coeff in poly.terms():
+        result = result + BivariatePolynomial({(i, 0): coeff}, target) * powers[j]
+    return result
+
+
+HALF_REPLACEMENT = bipoly(
+    {(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 2), (0, 1): -1}, ("p", "s")
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_bipolys())
+def test_substitute_half_matches_power_cache_route(poly):
+    assert substitute_half(poly) == _power_cache_substitute(poly, HALF_REPLACEMENT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_bipolys(),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-4, max_value=4).filter(bool),
+)
+def test_substitute_affine_matches_power_cache_route(poly, alpha, beta, gamma, delta):
+    replacement = bipoly(
+        {(1, 0): Fraction(alpha, delta), (0, 0): Fraction(beta, delta),
+         (0, 1): Fraction(gamma, delta)},
+        ("p", "u"),
+    )
+    assert substitute_affine(poly, alpha, beta, gamma, delta, "u") == (
+        _power_cache_substitute(poly, replacement)
+    )
+
+
+def test_substitute_affine_zero_and_bad_denominator():
+    assert substitute_affine(bipoly({}), 1, 2, 3, 4, "s") == bipoly({}, ("p", "s"))
+    with pytest.raises(ZeroDivisionError):
+        substitute_affine(bipoly({(0, 1): 1}), 1, 0, 1, 0, "s")
+
+
+# -------------------------------------------------------------- evaluation
+
+
+def _naive_value(poly, x, y):
+    return sum(
+        (coeff * Fraction(x) ** i * Fraction(y) ** j for (i, j), coeff in poly.terms()),
+        Fraction(0),
+    )
+
+
+points = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_bipolys(), points, points)
+def test_call_matches_termwise_sum(poly, x, y):
+    value = poly(x, y)
+    assert isinstance(value, Fraction)
+    assert value == _naive_value(poly, x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(0, 0), (-3, 2), (Fraction(7, 2), Fraction(-5, 3)), (Fraction(-1, 4), 0), (13, 6)],
+)
+def test_call_at_negative_and_fractional_points(x, y):
+    poly = bipoly(
+        {(3, 1): Fraction(1, 12), (0, 2): Fraction(-2, 9), (2, 0): 5, (0, 0): Fraction(-1, 7)}
+    )
+    assert poly(x, y) == _naive_value(poly, x, y)
+
+
+def test_call_zero_and_constant_polynomials():
+    assert bipoly({})(Fraction(3, 5), -2) == 0
+    assert isinstance(bipoly({})(1, 1), Fraction)
+    assert bipoly({(0, 0): Fraction(-2, 3)})(Fraction(9, 4), Fraction(-1, 8)) == Fraction(-2, 3)
+
+
+# ------------------------------------------------------------ hash contract
+
+
+@pytest.mark.parametrize("value", [0, 3, -7, Fraction(5, 2)])
+def test_constant_polynomials_hash_like_their_value(value):
+    uni = UnivariatePolynomial.constant(value)
+    bi = BivariatePolynomial.constant(value, PC)
+    assert uni == value and bi == value
+    assert hash(uni) == hash(value) and hash(bi) == hash(value)
+    assert len({value, uni, bi}) == 1
+
+
+def test_zero_polynomials_hash_like_zero():
+    assert hash(UnivariatePolynomial.zero()) == hash(0)
+    assert hash(BivariatePolynomial.zero(PC)) == hash(0)
+    assert {0: "zero"}[UnivariatePolynomial.zero()] == "zero"
+    assert {0: "zero"}[BivariatePolynomial.zero(("x", "y"))] == "zero"
+
+
+def test_nonconstant_polynomial_hashes_stay_structural():
+    a = UnivariatePolynomial((1, 2))
+    b = BivariatePolynomial({(1, 0): 1, (0, 0): 2}, PC)
+    assert hash(a) == hash(UnivariatePolynomial((1, 2)))
+    assert hash(b) == hash(BivariatePolynomial({(0, 0): 2, (1, 0): 1}, PC))
 
 
 # ------------------------------------------------------------ field axioms

@@ -7,13 +7,16 @@ expanded by hand from the defining series product.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number
-from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
+from skeindim.exact import BivariatePolynomial, TruncatedSeries, UnivariatePolynomial
 from skeindim.verlinde import (
+    _residue_coefficient_at,
+    _residue_part,
     CrosscheckReport,
     IntegralityError,
     decompose,
@@ -302,3 +305,88 @@ def test_crosscheck_genus_one():
 
 def test_crosscheck_through_genus_three():
     assert oracle_crosscheck(3, 13).ok
+
+
+# ------------------------------------------ residue: earlier series route
+
+
+def _series_route_residue(g):
+    """R(p, c) as the t^(2g-2) coefficient of the full bivariate series
+    product [2pt/(e^(2pt)-1)] s((2c+1)t) s(t)^-(2g-1), the earlier route."""
+    order = 2 * g - 2
+    exponential = TruncatedSeries.build(
+        order, PC,
+        lambda k: BivariatePolynomial({(k, 0): Fraction(2**k, math.factorial(k + 1))}, PC),
+    ).inverse()
+    two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
+    width = TruncatedSeries.build(
+        order, PC,
+        lambda k: two_c_plus_one**k / math.factorial(k + 1)
+        if k % 2 == 0 else BivariatePolynomial.zero(PC),
+    )
+    sinh = TruncatedSeries.build(
+        order, PC,
+        lambda k: BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), PC)
+        if k % 2 == 0 else BivariatePolynomial.zero(PC),
+    )
+    product = exponential * width * (sinh.inverse() ** (2 * g - 1))
+    return product.coefficient(order)
+
+
+def _series_route_polynomial(g):
+    half_sign = Fraction((-1) ** g, 2)
+    two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
+    p = BivariatePolynomial.first(PC)
+    c = BivariatePolynomial.second(PC)
+    binom = BivariatePolynomial.constant(1, PC)
+    for t in range(2 * g - 2):
+        binom = binom * (c + (g - 1 - t))
+    binom = binom / math.factorial(2 * g - 2)
+    return (
+        p ** (g - 1) * (Fraction(4) ** (1 - g) * half_sign) * two_c_plus_one
+        * _series_route_residue(g)
+        - p**g * half_sign * binom
+    )
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_residue_matches_series_route(g):
+    assert _residue_part(g) == _series_route_residue(g)
+    assert verlinde_polynomial(g) == _series_route_polynomial(g)
+
+
+@pytest.mark.parametrize("g", [2, 3, 6])
+def test_residue_guard_sees_a_short_truncation(g):
+    full = _residue_coefficient_at(g, 2 * g - 2)
+    assert _residue_coefficient_at(g, 2 * g - 1) == full
+    assert _residue_coefficient_at(g, 2 * g - 3) != full
+
+
+# ------------------------------------------------ fusion: iteration depth
+
+
+def _fusion_matrix_power_route(g, p):
+    """D_g at s = 1..d as K^(g-1) applied to (1..d), K^(g-1) built by
+    square-and-multiply of the integer fusion matrix."""
+    d = (p - 1) // 2
+    table = fusion_table(p).entries
+
+    def matmul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+    result = [[int(i == j) for j in range(d)] for i in range(d)]
+    base, e = [list(row) for row in table], g - 1
+    while e:
+        if e & 1:
+            result = matmul(result, base)
+        base = matmul(base, base)
+        e >>= 1
+    return tuple(sum(result[s][y] * (y + 1) for y in range(d)) for s in range(d))
+
+
+@pytest.mark.parametrize("g, p", [(1, 5), (2, 5), (7, 5), (40, 5), (1500, 5), (1200, 7)])
+def test_fusion_deep_genus_matches_matrix_power(g, p):
+    # genus 1500 overflowed the recursion limit when each genus recursed
+    # into the one below
+    expected = _fusion_matrix_power_route(g, p)
+    assert tuple(fusion_dimension(g, p, s) for s in range(1, (p + 1) // 2)) == expected
