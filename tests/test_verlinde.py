@@ -13,7 +13,12 @@ from fractions import Fraction
 import pytest
 
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number
-from skeindim.exact import BivariatePolynomial, TruncatedSeries, UnivariatePolynomial
+from skeindim.exact import (
+    BivariatePolynomial,
+    TruncatedSeries,
+    UnivariatePolynomial,
+    binomial_poly_in_c,
+)
 from skeindim.verlinde import (
     _residue_coefficient_at,
     _residue_part,
@@ -337,15 +342,10 @@ def _series_route_polynomial(g):
     half_sign = Fraction((-1) ** g, 2)
     two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
     p = BivariatePolynomial.first(PC)
-    c = BivariatePolynomial.second(PC)
-    binom = BivariatePolynomial.constant(1, PC)
-    for t in range(2 * g - 2):
-        binom = binom * (c + (g - 1 - t))
-    binom = binom / math.factorial(2 * g - 2)
     return (
         p ** (g - 1) * (Fraction(4) ** (1 - g) * half_sign) * two_c_plus_one
         * _series_route_residue(g)
-        - p**g * half_sign * binom
+        - p**g * half_sign * binomial_poly_in_c(g)
     )
 
 
