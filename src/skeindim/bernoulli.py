@@ -8,6 +8,10 @@ The alternative B_1 = +1/2 convention is deliberately not supported; the
 sign shows up in every downstream identity (half-value identity, Faulhaber
 sums, leading-term coefficients), so a convention slip would surface as a
 cascade of exact-equality failures.
+
+The numbers live in one module-level table that the recurrence extends on
+demand; each call returns a slice of it, so a table of any length costs
+only the numbers not yet computed.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import UnivariatePolynomial, binomial
 
@@ -45,20 +48,30 @@ class BernoulliTable:
         return len(self.values)
 
 
-@lru_cache(maxsize=None)
+#: B_0, B_1, ... as far as any call has needed.  Calls replace it with a
+#: longer tuple and never change one in place, so a racing call can only
+#: redo work.
+_NUMBERS: tuple[Fraction, ...] = (Fraction(1),)
+
+
 def bernoulli_numbers(max_index: int) -> BernoulliTable:
     """B_0..B_max_index by the recurrence
     B_n = -1/(n+1) * sum_{k<n} binom(n+1, k) B_k,  B_0 = 1,
     which is sum_{k<=n} binom(n+1, k) B_k = 0, the coefficient of t^(n+1)
-    in (e^t - 1) * t/(e^t - 1) = t.
+    in (e^t - 1) * t/(e^t - 1) = t.  The one module-level table grows to
+    max_index on demand, and the result is a slice of it.
     """
+    global _NUMBERS
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
-    values = [Fraction(1)]
-    for n in range(1, max_index + 1):
-        acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
-        values.append(-acc / (n + 1))
-    return BernoulliTable(tuple(values))
+    numbers = _NUMBERS
+    if len(numbers) <= max_index:
+        values = list(numbers)
+        for n in range(len(values), max_index + 1):
+            acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
+            values.append(-acc / (n + 1))
+        numbers = _NUMBERS = tuple(values)
+    return BernoulliTable(numbers[: max_index + 1])
 
 
 def bernoulli_number(k: int) -> Fraction:

@@ -17,8 +17,9 @@ u - v = 2a, p not dividing a, inverts without Euclid:
     1/(A^u - A^v) = A^-v (sum_{k=1..p-1} k A^(2ak)) / p,
 
 since z = A^(2a) satisfies z^p = 1 and z != 1, so (z - 1) sum k z^k = p.
-The quantum denominators of the curve evaluations in the skein module all
-have this shape.
+The quantum denominators of the skein module all have this shape: the
+curve evaluations, D^2 = -p/(A^2 - A^-2)^2 and both flat-curve closed
+forms, so no `verify` or `certify` check runs Euclid.
 
 Identities that should hold for all roots of unity at once are first
 expressed as integer Laurent polynomials in A (LaurentPolynomial) and only
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
-from .exact import RationalLike, _q
+from .exact import RationalLike, _power, _q, _scaled
 
 _IntPoly = tuple[int, ...]  # ascending integer coefficients
 
@@ -122,9 +123,7 @@ class CyclotomicField:
         return tuple(out)
 
     def element(self, coefficients: Sequence[RationalLike]) -> CyclotomicElement:
-        values = [_q(c) for c in coefficients]
-        denominator = math.lcm(*(c.denominator for c in values))
-        numerators = [c.numerator * (denominator // c.denominator) for c in values]
+        denominator, numerators = _scaled([_q(c) for c in coefficients])
         return CyclotomicElement(self, self._reduce(numerators), denominator)
 
     def zero(self) -> CyclotomicElement:
@@ -365,15 +364,7 @@ class CyclotomicElement:
 
     def __pow__(self, exponent: int) -> CyclotomicElement:
         base = self if exponent >= 0 else self.inverse()
-        e = abs(exponent)
-        result = self.field.one()
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(base, abs(exponent), self.field.one())
 
     def embed(self, s: int = 1) -> complex:
         """Numerical image under A -> exp(i pi s / p); s must be coprime

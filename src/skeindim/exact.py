@@ -11,7 +11,8 @@ coefficient denominators) and build Fractions only at the end:
 
   evaluation     BivariatePolynomial(a/b, c/d) is the integer
                  sum L*coeff a^i b^(n-i) c^j d^(m-j), by homogenized Horner
-                 (second variable inside, first outside), over L b^n d^m.
+                 (second variable inside, first outside), over L b^n d^m;
+                 UnivariatePolynomial(a/b) is the same rule in one variable.
   substitution   substitute_affine replaces the second variable by
                  (alpha*first + beta + gamma*new)/delta with Horner's rule
                  in that variable; substitute_half (c = (p-1)/2 - s) is
@@ -49,6 +50,13 @@ def _q(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _scaled(values: Sequence[Fraction]):
+    """The pair (L, [L*v for v in values]) of an int and a list of ints,
+    with L the lcm of the denominators."""
+    scale = math.lcm(*[v.denominator for v in values])
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def binomial(n: int, k: int) -> Fraction:
@@ -121,10 +129,6 @@ class UnivariatePolynomial:
     @classmethod
     def constant(cls, value: RationalLike) -> UnivariatePolynomial:
         return cls((value,))
-
-    @classmethod
-    def variable(cls) -> UnivariatePolynomial:
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, degree: int, coefficient: RationalLike = 1) -> UnivariatePolynomial:
@@ -226,10 +230,9 @@ class UnivariatePolynomial:
                 acc = acc * point + c
             return acc
         x = _q(point)
-        value = Fraction(0)
-        for c in reversed(self._coeffs):
-            value = value * x + c
-        return value
+        scale, values = _scaled(self._coeffs or (0,))
+        total = _horner(values, x.numerator, x.denominator)
+        return Fraction(total, scale * x.denominator ** (len(values) - 1))
 
     def render(self, var: str = "x") -> str:
         terms = []
@@ -665,14 +668,8 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self._entries[0])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._entries[i][j]
-
     def rank(self) -> int:
-        m = []
-        for row in self._entries:
-            scale = math.lcm(*(x.denominator for x in row))
-            m.append([int(x * scale) for x in row])
+        m = [_scaled(row)[1] for row in self._entries]
         n_rows, n_cols = len(m), len(m[0])
         rank = 0
         prev_pivot = 1

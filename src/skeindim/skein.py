@@ -12,14 +12,21 @@ constant satisfies D^2 = -p/(A^2 - A^-2)^2.  Only D^2 is ever used here
 (products of circles have odd first Betti number, so the choice of square
 root never enters).
 
+Products in this algebra convert to z-powers, multiply, and convert back,
+on integers over one lcm denominator: Clenshaw's rule for sum c_i e_i and
+Horner's rule with z e_i = e_(i+1) + e_(i-1) for the way back, so no
+table is stored and no recursion depth grows with the index.
+
 Evaluations of curves in a surface times a circle land in Q(zeta_2p) and
-are computed exactly through the cyclotomic module.
+are computed exactly through the cyclotomic module.  Every quantum
+denominator they need, D^2 and both flat-curve closed forms included, is
+a root difference A^u - A^v with an even exponent gap, inverted by the
+field's closed form R(u, v) = 1/(A^u - A^v) rather than extended Euclid.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -29,7 +36,7 @@ from .cyclotomic import (
     cyclotomic_field,
     quantum_integer_laurent,
 )
-from .exact import RationalLike, _q
+from .exact import RationalLike, _q, _scaled
 
 
 class VanishingDenominator(ZeroDivisionError):
@@ -59,51 +66,40 @@ def omega_coefficients(p: int) -> tuple[CyclotomicElement, ...]:
 
 
 def d_squared(field: CyclotomicField) -> CyclotomicElement:
-    """The squared normalization constant -p/(A^2 - A^-2)^2."""
-    delta = field.gen_power(2) - field.gen_power(-2)
-    return field.from_rational(-field.p) * (delta * delta).inverse()
+    """The squared normalization constant -p/(A^2 - A^-2)^2, from the
+    closed-form inverse of A^2 - A^-2."""
+    inverse = field.root_difference_inverse(2, -2)
+    return inverse * inverse * -field.p
 
 
 # ------------------------------------------------------- annulus algebra
 
 
-@lru_cache(maxsize=None)
-def _e_in_z(i: int) -> tuple[Fraction, ...]:
-    """e_i expanded in powers of z (integer coefficients)."""
-    if i == 0:
-        return (Fraction(1),)
-    if i == 1:
-        return (Fraction(0), Fraction(1))
-    prev, prev2 = _e_in_z(i - 1), _e_in_z(i - 2)
-    out = [Fraction(0)] * (i + 1)
-    for k, c in enumerate(prev):
-        out[k + 1] += c
-    for k, c in enumerate(prev2):
-        out[k] -= c
-    return tuple(out)
+def _e_to_z(values: list[int]) -> list[int]:
+    """z-power coefficients of sum values[i] e_i, by Clenshaw's rule
+    b_i = values[i] + z b_(i+1) - b_(i+2); the sum is b_0."""
+    later: list[int] = []  # b_(i+1)
+    last: list[int] = []  # b_(i+2)
+    for value in reversed(values):
+        later, last = [a - b for a, b in zip([value, *later], [*last, 0, 0])], later
+    return later
 
 
-@lru_cache(maxsize=None)
-def _z_power_in_e(k: int) -> tuple[Fraction, ...]:
-    """z^k expanded in the e-basis, via z e_i = e_{i+1} + e_{i-1}."""
-    if k == 0:
-        return (Fraction(1),)
-    prev = _z_power_in_e(k - 1)
-    out = [Fraction(0)] * (k + 1)
-    for i, c in enumerate(prev):
-        if c == 0:
-            continue
-        out[i + 1] += c
-        if i >= 1:
-            out[i - 1] += c
-    return tuple(out)
+def _z_to_e(values: list[int]) -> list[int]:
+    """e-basis coefficients of sum values[k] z^k, by Horner's rule with
+    z e_i = e_(i+1) + e_(i-1) (and z e_0 = e_1)."""
+    acc: list[int] = []
+    for value in reversed(values):
+        acc = [a + b for a, b in zip([value, *acc], [*acc[1:], 0, 0])]
+    return acc
 
 
 class AnnulusSkein:
     """A skein in the solid torus written in the e-basis.
 
     Multiplication converts to the z-power basis, multiplies there, and
-    converts back; the two conversions are mutually inverse.
+    converts back; the two conversions are mutually inverse.  All three
+    steps run on integers over the lcm of the coefficient denominators.
     """
 
     __slots__ = ("_coeffs",)
@@ -126,37 +122,16 @@ class AnnulusSkein:
 
     @classmethod
     def from_z_coefficients(cls, z_coefficients: Iterable[RationalLike]) -> AnnulusSkein:
-        total: dict[int, Fraction] = {}
-        for k, c in enumerate(z_coefficients):
-            c = _q(c)
-            if c == 0:
-                continue
-            for i, w in enumerate(_z_power_in_e(k)):
-                if w != 0:
-                    total[i] = total.get(i, Fraction(0)) + c * w
-        size = max(total, default=-1) + 1
-        out = [Fraction(0)] * size
-        for i, c in total.items():
-            out[i] = c
-        return cls(out)
+        scale, values = _scaled([_q(c) for c in z_coefficients])
+        return cls(Fraction(c, scale) for c in _z_to_e(values))
 
     @property
     def e_coefficients(self) -> tuple[Fraction, ...]:
         return self._coeffs
 
     def to_z_coefficients(self) -> tuple[Fraction, ...]:
-        total: dict[int, Fraction] = {}
-        for i, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            for k, w in enumerate(_e_in_z(i)):
-                if w != 0:
-                    total[k] = total.get(k, Fraction(0)) + c * w
-        size = max(total, default=-1) + 1
-        out = [Fraction(0)] * size
-        for k, c in total.items():
-            out[k] = c
-        return tuple(out)
+        scale, values = _scaled(self._coeffs)
+        return tuple(Fraction(c, scale) for c in _e_to_z(values))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -184,16 +159,17 @@ class AnnulusSkein:
             return AnnulusSkein(c * scalar for c in self._coeffs)
         if not isinstance(other, AnnulusSkein):
             return NotImplemented
-        za, zb = self.to_z_coefficients(), other.to_z_coefficients()
-        if not za or not zb:
+        if not self._coeffs or not other._coeffs:
             return AnnulusSkein.zero()
-        prod = [Fraction(0)] * (len(za) + len(zb) - 1)
-        for i, a in enumerate(za):
-            if a == 0:
-                continue
-            for j, b in enumerate(zb):
-                prod[i + j] += a * b
-        return AnnulusSkein.from_z_coefficients(prod)
+        # integer z-power coefficients over the product of the two lcm scales
+        (sa, a), (sb, b) = _scaled(self._coeffs), _scaled(other._coeffs)
+        za, zb = _e_to_z(a), _e_to_z(b)
+        prod = [0] * (len(za) + len(zb) - 1)
+        for i, x in enumerate(za):
+            if x:
+                for j, y in enumerate(zb):
+                    prod[i + j] += x * y
+        return AnnulusSkein(Fraction(c, sa * sb) for c in _z_to_e(prod))
 
     __rmul__ = __mul__
 
@@ -232,15 +208,22 @@ class FlatCurveCheck:
 
 
 def flat_curve_check(g: int, field: CyclotomicField) -> FlatCurveCheck:
+    """Both closed forms, each from its own root-difference inverse.
+
+    lhs: 1/(A - A^-1), exponent gap 2.  rhs: D^2 from 1/(A^2 - A^-2) and
+    1/<e_{d-1}>^2 = 1/[d]^2 with 1/[d] = (A^2 - A^-2)/(A^2d - A^-2d),
+    exponent gap 4d = 2p - 2 (so z = A^-2).  The sign of <e_{d-1}> drops
+    out of the square.
+    """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    delta = field.gen_power(1) - field.gen_power(-1)
-    lhs_base = field.from_rational(-field.p) * (delta * delta).inverse()
-    lhs = lhs_base ** (g - 1)
+    inverse = field.root_difference_inverse(1, -1)
+    lhs = (inverse * inverse * -field.p) ** (g - 1)
     d = (field.p - 1) // 2
-    edge = bracket_e(d - 1, field)
-    rhs_base = d_squared(field) * (edge * edge).inverse()
-    rhs = rhs_base ** (g - 1)
+    edge_inverse = (field.gen_power(2) - field.gen_power(-2)) * (
+        field.root_difference_inverse(2 * d, -2 * d)
+    )
+    rhs = (d_squared(field) * edge_inverse * edge_inverse) ** (g - 1)
     return FlatCurveCheck(lhs=lhs, rhs=rhs)
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from skeindim import bernoulli
 from skeindim.bernoulli import (
     FaulhaberInconsistency,
     bernoulli_half_value,
@@ -152,3 +153,24 @@ def test_half_shift_parity(beta):
     odd_case = bernoulli_polynomial(2 * beta + 1)(shift)
     assert all(e % 2 == 0 for e in even_case.exponents())
     assert all(e % 2 == 1 for e in odd_case.exponents())
+
+
+
+@pytest.mark.parametrize(
+    "order",
+    [(0, 3, 12, 30, 45), (45, 30, 12, 3, 0), (45, 0, 12, 3, 30), (3, 45, 0, 12, 30)],
+)
+def test_numbers_do_not_depend_on_call_order(order, monkeypatch):
+    # the numbers come from one shared table that calls extend; start each
+    # order from B_0 alone and compare with tables built alone
+    reference = {}
+    for n in order:
+        monkeypatch.setattr(bernoulli, "_NUMBERS", (Fraction(1),))
+        reference[n] = bernoulli_numbers(n).values
+    monkeypatch.setattr(bernoulli, "_NUMBERS", (Fraction(1),))
+    for n in order:
+        table = bernoulli_numbers(n)
+        assert len(table) == n + 1 and table.max_index == n
+        assert table.values == reference[n]
+    assert reference[45][:31] == reference[30]
+    assert reference[3] == (Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0))

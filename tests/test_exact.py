@@ -394,6 +394,38 @@ def test_call_zero_and_constant_polynomials():
     assert bipoly({(0, 0): Fraction(-2, 3)})(Fraction(9, 4), Fraction(-1, 8)) == Fraction(-2, 3)
 
 
+def _naive_univariate_value(poly, x):
+    return sum(
+        (c * Fraction(x) ** k for k, c in enumerate(poly.coefficients)), Fraction(0)
+    )
+
+
+small_unipolys = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=7
+).map(UnivariatePolynomial)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_unipolys, points)
+def test_univariate_call_matches_termwise_sum(poly, x):
+    value = poly(x)
+    assert isinstance(value, Fraction)
+    assert value == _naive_univariate_value(poly, x)
+
+
+@pytest.mark.parametrize("x", [0, 1, -1, -4, Fraction(2, 3), Fraction(-7, 5), 11])
+def test_univariate_call_at_negative_and_fractional_points(x):
+    poly = UnivariatePolynomial([Fraction(-1, 7), 0, Fraction(5, 6), Fraction(-2, 9), 3])
+    assert poly(x) == _naive_univariate_value(poly, x)
+
+
+def test_univariate_call_zero_and_constant_polynomials():
+    zero = UnivariatePolynomial.zero()
+    assert zero(Fraction(3, 5)) == 0 and isinstance(zero(-2), Fraction)
+    assert UnivariatePolynomial.constant(Fraction(-2, 3))(Fraction(-9, 4)) == Fraction(-2, 3)
+    assert isinstance(UnivariatePolynomial.constant(4)(7), Fraction)
+
+
 # ------------------------------------------------------------ hash contract
 
 

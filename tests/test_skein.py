@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeindim.cyclotomic import cyclotomic_field
 from skeindim.skein import (
@@ -120,6 +122,103 @@ def test_e_product_matches_z_route_and_commutes():
             assert closed == e_product(j, i)
 
 
+def _fraction_e_in_z(i):
+    """e_i in powers of z, by e_(i+1) = z e_i - e_(i-1) over Fractions."""
+    rows = [(Fraction(1),), (Fraction(0), Fraction(1))]
+    while len(rows) <= i:
+        prev, prev2 = rows[-1], rows[-2]
+        out = [Fraction(0)] + list(prev)
+        for k, c in enumerate(prev2):
+            out[k] -= c
+        rows.append(tuple(out))
+    return rows[i]
+
+
+def _fraction_z_power_in_e(k):
+    """z^k in the e-basis, by z e_i = e_(i+1) + e_(i-1) over Fractions."""
+    row = (Fraction(1),)
+    for _ in range(k):
+        out = [Fraction(0)] * (len(row) + 1)
+        for i, c in enumerate(row):
+            out[i + 1] += c
+            if i >= 1:
+                out[i - 1] += c
+        row = tuple(out)
+    return row
+
+
+def _fraction_to_z(e_coefficients):
+    """The term-by-term Fraction route from the e-basis to z-powers."""
+    out = [Fraction(0)] * len(e_coefficients)
+    for i, c in enumerate(e_coefficients):
+        for k, w in enumerate(_fraction_e_in_z(i)):
+            out[k] += c * w
+    return tuple(out)
+
+
+def _fraction_from_z(z_coefficients):
+    """The term-by-term Fraction route from z-powers to the e-basis."""
+    out = [Fraction(0)] * len(z_coefficients)
+    for k, c in enumerate(z_coefficients):
+        for i, w in enumerate(_fraction_z_power_in_e(k)):
+            out[i] += Fraction(c) * w
+    return AnnulusSkein(out)
+
+
+def _fraction_product(a, b):
+    za, zb = _fraction_to_z(a.e_coefficients), _fraction_to_z(b.e_coefficients)
+    prod = [Fraction(0)] * max(len(za) + len(zb) - 1, 0)
+    for i, x in enumerate(za):
+        for j, y in enumerate(zb):
+            prod[i + j] += x * y
+    return _fraction_from_z(prod)
+
+
+fraction_lists = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=9
+)
+skeins = fraction_lists.map(AnnulusSkein)
+
+
+@settings(max_examples=150, deadline=None)
+@given(skeins, skeins)
+def test_annulus_product_matches_fraction_route(a, b):
+    assert a * b == _fraction_product(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(skeins, fraction_lists)
+def test_annulus_conversions_match_fraction_route(skein, z_coefficients):
+    assert skein.to_z_coefficients() == _fraction_to_z(skein.e_coefficients)
+    assert AnnulusSkein.from_z_coefficients(z_coefficients) == _fraction_from_z(
+        z_coefficients
+    )
+
+
+def test_annulus_zero_and_scalar_products():
+    skein = AnnulusSkein([Fraction(1, 3), 0, Fraction(-5, 2)])
+    assert skein * AnnulusSkein.zero() == AnnulusSkein.zero()
+    assert AnnulusSkein.zero().to_z_coefficients() == ()
+    assert AnnulusSkein.from_z_coefficients([0, 0, 0]) == AnnulusSkein.zero()
+    assert skein * Fraction(6, 5) == AnnulusSkein([Fraction(2, 5), 0, -3])
+
+
+def test_large_basis_product_has_no_recursion_limit():
+    product = AnnulusSkein.basis_element(1200) * AnnulusSkein.basis_element(1)
+    assert product == e_product(1200, 1)
+
+
+def test_large_z_power_matches_ballot_numbers():
+    # z^k = sum_j (C(k, (k-j)/2) - C(k, (k-j)/2 - 1)) e_j over j = k mod 2
+    k = 1500
+    expected = [0] * (k + 1)
+    for j in range(k % 2, k + 1, 2):
+        half = (k - j) // 2
+        expected[j] = math.comb(k, half) - (math.comb(k, half - 1) if half else 0)
+    skein = AnnulusSkein.from_z_coefficients([0] * k + [1])
+    assert skein.e_coefficients == tuple(expected)
+
+
 # ------------------------------------------------------------- normalization
 
 
@@ -128,6 +227,12 @@ def test_d_squared_defining_relation(p):
     field = cyclotomic_field(p)
     delta = field.gen_power(2) - field.gen_power(-2)
     assert delta * delta * d_squared(field) == field.from_rational(-p)
+
+
+@pytest.mark.parametrize("p", ODD_P)
+def test_d_squared_matches_euclid_route(p):
+    # -p/(A^2 - A^-2)^2 is the genus-two summand with (u, v) = (2, -2)
+    assert d_squared(cyclotomic_field(p)) == _summand_by_euclid(2, p, 2, -2)
 
 
 def test_d_squared_numeric_embedding_p5():
@@ -167,6 +272,23 @@ def test_flat_curve_all_small_levels(p, g):
     check = flat_curve_check(g, cyclotomic_field(p))
     assert check.equal
     assert check.lhs  # nonvanishing witness
+
+
+def _flat_rhs_by_euclid(g, field):
+    """(D^2/<e_{d-1}>^2)^(g-1) with the bracket from its Laurent sum and
+    both inverses from the general (Euclidean) inverse."""
+    edge = bracket_e((field.p - 1) // 2 - 1, field)
+    base = _summand_by_euclid(2, field.p, 2, -2) * (edge * edge).inverse()
+    return base ** (g - 1)
+
+
+@pytest.mark.parametrize("p", ODD_P)
+def test_flat_curve_sides_match_euclid_routes(p):
+    field = cyclotomic_field(p)
+    for g in range(1, 6):
+        check = flat_curve_check(g, field)
+        assert check.lhs == _summand_by_euclid(g, p, 1, -1)
+        assert check.rhs == _flat_rhs_by_euclid(g, field)
 
 
 # ------------------------------------------------------------- recoloring
