@@ -60,6 +60,7 @@ from .verlinde import (
     fusion_dimension,
     fusion_table,
     leading_term_check,
+    level_dimensions,
     odd_color_polynomial,
     oracle_crosscheck,
     parity_checks,

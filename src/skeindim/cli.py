@@ -31,9 +31,11 @@ from .cyclotomic import cyclotomic_field
 from .skein import VanishingDenominator, eval_nonseparating_curve
 from .suites import SUITES, run_suite
 from .verlinde import (
+    IntegralityError,
     StructureViolation,
     decompose,
     dimension,
+    level_dimensions,
     odd_color_polynomial,
     verlinde_polynomial,
 )
@@ -98,6 +100,8 @@ def _cmd_dim(args: argparse.Namespace) -> int:
         value = dimension(args.genus, args.p, args.color)
     except ValueError as exc:
         return _usage_error(str(exc))
+    except IntegralityError as exc:
+        return _check_failure(str(exc))
     print(value)
     return EXIT_OK
 
@@ -263,13 +267,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return _usage_error("genus must be at least 1")
     lines = ["genus,p,color,dimension"]
     for g in range(genus_range[0], genus_range[1] + 1):
-        for p in range(p_range[0], p_range[1] + 1):
-            if p < 3 or p % 2 == 0:
+        for p in range(max(p_range[0], 3), p_range[1] + 1):
+            if p % 2 == 0:
                 continue
-            for m in range(color_range[0], color_range[1] + 1):
-                if not 0 <= m <= p - 2:
-                    continue
-                lines.append(f"{g},{p},{m},{dimension(g, p, m)}")
+            colors = range(max(color_range[0], 0), min(color_range[1], p - 2) + 1)
+            try:
+                values = level_dimensions(g, p, colors)
+            except IntegralityError as exc:
+                return _check_failure(str(exc))
+            lines += [f"{g},{p},{m},{value}" for m, value in zip(colors, values)]
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 

@@ -63,7 +63,7 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cyclotomic_int_coeffs(n: int) -> _IntPoly:
     """Integer coefficients (ascending) of the n-th cyclotomic polynomial.
 
@@ -80,7 +80,7 @@ def cyclotomic_int_coeffs(n: int) -> _IntPoly:
     return poly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def cyclotomic_field(p: int) -> CyclotomicField:
     """The field Q(zeta_2p) for odd p >= 3; instances are cached per p."""
     return CyclotomicField(p)

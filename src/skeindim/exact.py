@@ -9,10 +9,10 @@ coefficients, stripped trailing zeros), so structural predicates such as
 Two kernels run on integers over one common denominator (the lcm L of the
 coefficient denominators) and build Fractions only at the end:
 
-  evaluation     BivariatePolynomial(a/b, c/d) is the integer
-                 sum L*coeff a^i b^(n-i) c^j d^(m-j), by homogenized Horner
-                 (second variable inside, first outside), over L b^n d^m;
-                 UnivariatePolynomial(a/b) is the same rule in one variable.
+  evaluation     fold_first(a/b) fixes the first variable: the integer
+                 polynomial sum_i L*coeff a^i b^(n-i) in the second, over
+                 L b^n.  BivariatePolynomial(a/b, c/d) is that fold, then
+                 Horner at c/d; UnivariatePolynomial(a/b) is the same rule.
   substitution   substitute_affine replaces the second variable by
                  (alpha*first + beta + gamma*new)/delta with Horner's rule
                  in that variable; substitute_half (c = (p-1)/2 - s) is
@@ -386,17 +386,28 @@ class BivariatePolynomial:
         return _power(self, exponent, BivariatePolynomial.constant(1, self._vars))
 
     def __call__(self, first: RationalLike, second: RationalLike) -> Fraction:
-        """Value at (a/b, c/d): the integer numerator
-        sum L*coeff a^i b^(n-i) c^j d^(m-j) by homogenized Horner (second
-        variable inside, first outside) over one denominator L b^n d^m."""
-        x, y = _q(first), _q(second)
+        """Value at (first, c/d): fold_first, then the integer Horner rule
+        at c/d over the denominator D d^m."""
+        denominator, values = self.fold_first(first)
+        y = _q(second)
+        return Fraction(
+            _horner(values, y.numerator, y.denominator),
+            denominator * y.denominator ** (len(values) - 1),
+        )
+
+    def fold_first(self, first: RationalLike):
+        """(D, values), ints, with self(first, y) = sum_j values[j] y^j / D.
+
+        At first = a/b, values[j] = sum_i L*coeff(i, j) a^i b^(n-i) by
+        homogenized Horner down each column, and D = L b^n with L the lcm
+        of the coefficient denominators.
+        """
+        x = _q(first)
         if not self._terms:
-            return Fraction(0)
+            return 1, [0]
         scale, rows = _integer_rows(self._terms)
-        inner = [_horner(row, y.numerator, y.denominator) for row in rows]
-        total = _horner(inner, x.numerator, x.denominator)
-        n, m = len(rows) - 1, len(rows[0]) - 1
-        return Fraction(total, scale * x.denominator**n * y.denominator**m)
+        values = [_horner(column, x.numerator, x.denominator) for column in zip(*rows)]
+        return scale * x.denominator ** (len(rows) - 1), values
 
     def homogeneous_part(self, n: int) -> BivariatePolynomial:
         """Sum of the terms of total degree exactly n."""
@@ -452,11 +463,9 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.render()}; vars={self._vars})"
 
 
-def _integer_rows(
-    terms: Mapping[tuple[int, int], Fraction]
-) -> tuple[int, list[list[int]]]:
+def _integer_rows(terms):
     """(L, rows) with L the lcm of the coefficient denominators and
-    rows[i][j] = L * coeff(i, j), dense over 0..max i by 0..max j."""
+    rows[i][j] = L * coeff(i, j), ints dense over 0..max i by 0..max j."""
     scale = math.lcm(*[coeff.denominator for coeff in terms.values()])
     width = max(j for _, j in terms) + 1
     rows = [[0] * width for _ in range(max(i for i, _ in terms) + 1)]

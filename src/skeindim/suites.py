@@ -32,9 +32,9 @@ from .skein import (
 )
 from .verlinde import (
     decompose,
-    dimension,
     fusion_dimension,
     leading_term_check,
+    level_dimensions,
     odd_color_polynomial,
     oracle_crosscheck,
     parity_checks,
@@ -243,9 +243,9 @@ def verlinde_suite(g_max: int = 5, p_max: int = 13) -> list[CheckResult]:
     failures = []
     for g in range(1, g_max + 1):
         for p in range(3, p_max + 1, 2):
-            for m in range(0, p - 1):
+            for m, value in enumerate(level_dimensions(g, p, range(0, p - 1))):
                 s = (m + 1) // 2 if m % 2 == 1 else (p - 1) // 2 - m // 2
-                if dimension(g, p, m) != fusion_dimension(g, p, s):
+                if value != fusion_dimension(g, p, s):
                     failures.append(f"g={g} p={p} m={m}")
     checks.append(
         _aggregate(

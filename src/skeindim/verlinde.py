@@ -38,11 +38,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .bernoulli import bernoulli_numbers
 from .exact import (
     BivariatePolynomial,
     UnivariatePolynomial,
+    _horner,
     binomial_poly_in_c,
     substitute_affine,
     substitute_half,
@@ -113,7 +115,7 @@ def _residue_coefficient_at(g: int, order: int) -> BivariatePolynomial:
     return BivariatePolynomial(terms, ("p", "u"))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _residue_part(g: int) -> BivariatePolynomial:
     """R(p, c), the t^(2g-2) coefficient of the kernel product.
 
@@ -141,7 +143,7 @@ def _formula_parts(g: int) -> tuple[BivariatePolynomial, BivariatePolynomial]:
     return x_part, y_part
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def verlinde_polynomial(g: int) -> BivariatePolynomial:
     """D_g as an exact polynomial in (p, c); total degree exactly 3g - 2."""
     x_part, y_part = _formula_parts(g)
@@ -155,7 +157,7 @@ def verlinde_polynomial(g: int) -> BivariatePolynomial:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def odd_color_polynomial(g: int) -> BivariatePolynomial:
     """The odd-color dimension polynomial in (p, s), obtained from D_g by
     the exact substitution c = (p-1)/2 - s."""
@@ -364,7 +366,7 @@ def _check_level(p: int) -> int:
     return (p - 1) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def fusion_table(p: int) -> FusionTable:
     """K[s][y] = (p - 2*max(s, y)) * min(s, y); symmetric, all entries >= 1."""
     d = _check_level(p)
@@ -375,14 +377,14 @@ def fusion_table(p: int) -> FusionTable:
     return FusionTable(p=p, d=d, entries=entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _fusion_vector(g: int, p: int) -> tuple[int, ...]:
     """Odd-color dimensions (D_g at s = 1..d) by the fusion recursion.
 
     Iterates D_(g+1)[s] = sum_y K[s][y] D_g[y] from D_1 = (1..d), without
     recursion, so any genus is reachable.  Values grow beyond 64 bits
-    quickly; Python integers keep this exact.  The cache is filled on
-    first use and only read afterwards, so shared concurrent use is safe.
+    quickly; Python integers keep this exact.  An evicted entry is
+    recomputed to the same tuple, so shared concurrent use is safe.
     """
     d = _check_level(p)
     entries = fusion_table(p).entries
@@ -403,6 +405,41 @@ def fusion_dimension(g: int, p: int, s: int) -> int:
     return _fusion_vector(g, p)[s - 1]
 
 
+def level_dimensions(g: int, p: int, colors: Iterable[int]) -> list[int]:
+    """Dimensions of the genus-g spaces at level p with one point colored
+    m, for each m in `colors` (0 <= m <= p-2), in order.
+
+    The dimension polynomial is folded at p once, so each distinct even
+    color m costs one integer Horner evaluation at c = m/2 over the
+    denominator D 2^deg; an odd color takes the value of its recolored
+    even color p - m - 2.  Every value must be a nonnegative integer;
+    anything else raises IntegralityError.
+    """
+    if g < 1:
+        raise ValueError("genus must be at least 1")
+    _check_level(p)
+    evens = []
+    for m in colors:
+        if not 0 <= m <= p - 2:
+            raise ValueError(f"color must lie in 0..{p - 2}, got {m}")
+        evens.append(p - m - 2 if m % 2 else m)
+    if not evens:
+        return []
+    denominator, values = verlinde_polynomial(g).fold_first(p)
+    denominator <<= len(values) - 1
+    found: dict[int, int] = {}
+    for m in evens:
+        if m not in found:
+            numerator = _horner(values, m, 2)
+            found[m], rest = divmod(numerator, denominator)
+            if rest or numerator < 0:
+                raise IntegralityError(
+                    f"dimension at genus {g}, p={p}, color {m} evaluated to "
+                    f"{Fraction(numerator, denominator)}"
+                )
+    return [found[m] for m in evens]
+
+
 def dimension(g: int, p: int, m: int) -> int:
     """Dimension of the genus-g space with one point colored m, 0 <= m <= p-2.
 
@@ -410,19 +447,7 @@ def dimension(g: int, p: int, m: int) -> int:
     are recolored to the even color p - m - 2 first.  The result must be a
     nonnegative integer; anything else raises IntegralityError.
     """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    _check_level(p)
-    if not 0 <= m <= p - 2:
-        raise ValueError(f"color must lie in 0..{p - 2}, got {m}")
-    if m % 2 == 1:
-        m = p - m - 2
-    value = verlinde_polynomial(g)(p, Fraction(m, 2))
-    if value.denominator != 1 or value < 0:
-        raise IntegralityError(
-            f"dimension at genus {g}, p={p}, color {m} evaluated to {value}"
-        )
-    return int(value)
+    return level_dimensions(g, p, (m,))[0]
 
 
 @dataclass(frozen=True)
@@ -440,16 +465,19 @@ class CrosscheckReport:
 def oracle_crosscheck(g_max: int, p_max: int) -> CrosscheckReport:
     """Evaluate the odd-color polynomial at every (p, s) with odd
     3 <= p <= p_max, 1 <= s <= (p-1)/2, g <= g_max, and compare with the
-    fusion recursion.  Mismatches are reported, not raised."""
+    fusion recursion.  The polynomial is folded once per (g, p) and each s
+    costs one integer Horner evaluation.  Mismatches are reported, not
+    raised."""
     checked = 0
     mismatches = []
     for g in range(1, g_max + 1):
         poly = odd_color_polynomial(g)
         for p in range(3, p_max + 1, 2):
+            denominator, values = poly.fold_first(p)
             for s in range(1, (p - 1) // 2 + 1):
-                lhs = poly(p, s)
+                numerator = _horner(values, s, 1)
                 rhs = fusion_dimension(g, p, s)
                 checked += 1
-                if lhs != rhs:
-                    mismatches.append((g, p, s, lhs, rhs))
+                if numerator != rhs * denominator:
+                    mismatches.append((g, p, s, Fraction(numerator, denominator), rhs))
     return CrosscheckReport(checked=checked, mismatches=tuple(mismatches))

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from skeindim import verlinde
 from skeindim.cli import main
+from skeindim.exact import BivariatePolynomial
+from skeindim.verlinde import verlinde_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +215,69 @@ def test_table_csv(capsys):
     assert all(p % 2 == 1 for _, p, _, _ in rows)
     assert all(m <= p - 2 for _, p, m, _ in rows)
     assert "." not in out
+
+
+def _per_value_table(genus, levels, colors):
+    """The earlier table loop, one evaluation per value, each value a
+    term-by-term Fraction sum of D_g at c = m/2 after recoloring."""
+    lines = ["genus,p,color,dimension"]
+    for g in range(genus[0], genus[1] + 1):
+        for p in range(levels[0], levels[1] + 1):
+            if p < 3 or p % 2 == 0:
+                continue
+            for m in range(colors[0], colors[1] + 1):
+                if not 0 <= m <= p - 2:
+                    continue
+                c = Fraction(p - m - 2 if m % 2 else m, 2)
+                value = sum(
+                    coeff * p**i * c**j for (i, j), coeff in verlinde_polynomial(g).terms()
+                )
+                assert value.denominator == 1 and value >= 0
+                lines.append(f"{g},{p},{m},{value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "genus, levels, colors",
+    [
+        ((1, 3), (3, 15), (-4, 3)),  # colors start below 0
+        ((2, 2), (3, 11), (5, 40)),  # colors run past p - 2
+        ((1, 2), (-3, 12), (0, 9)),  # even levels and levels below 3
+        ((1, 3), (5, 9), (8, 20)),  # some levels hold no admissible color
+        ((1, 4), (3, 9), (30, 40)),  # no admissible color at all
+        ((1, 2), (-1, 2), (0, 5)),  # no odd level >= 3
+        ((4, 4), (21, 21), (0, 19)),  # one composite level, every color
+    ],
+)
+def test_table_windows_match_per_value_loop(capsys, genus, levels, colors):
+    # flag=value, so that a range starting below 0 is not read as a flag
+    argv = [
+        f"{flag}={low}:{high}"
+        for flag, (low, high) in (("--genus", genus), ("--p", levels), ("--color", colors))
+    ]
+    code, out, _ = run_cli(capsys, "table", *argv)
+    assert code == 0
+    assert out == _per_value_table(genus, levels, colors)
+
+
+NON_INTEGRAL = BivariatePolynomial({(0, 1): 1, (0, 0): Fraction(1, 3)}, ("p", "c"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--genus", "2", "--p", "7", "--color", "3"],
+        ["table", "--genus", "2", "--p", "7", "--color", "2:3"],
+    ],
+)
+def test_integrality_error_is_check_failure(monkeypatch, capsys, argv):
+    monkeypatch.setattr(verlinde, "verlinde_polynomial", lambda g: NON_INTEGRAL)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "dimension at genus 2, p=7, color 2 evaluated to 4/3"
+    }
 
 
 def test_table_deterministic(capsys):

@@ -179,3 +179,18 @@ def test_equal_elements_hash_equal():
     w = field.element([1, 3])
     assert z == w and hash(z) == hash(w)
     assert (a / 3) * 3 == a and hash((a / 3) * 3) == hash(a)
+
+
+@pytest.mark.parametrize(
+    "cache, keys",
+    [
+        (cyclotomic_int_coeffs, range(1, 200)),
+        (cyclotomic_field, range(3, 200, 2)),
+    ],
+)
+def test_caches_stay_within_their_bound(cache, keys):
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and len(keys) > maxsize
+    for key in keys:
+        cache(key)
+        assert cache.cache_info().currsize <= maxsize

@@ -388,6 +388,19 @@ def test_call_at_negative_and_fractional_points(x, y):
     assert poly(x, y) == _naive_value(poly, x, y)
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_bipolys(), points, points)
+def test_fold_first_gives_integer_coefficients_of_the_value(poly, x, y):
+    denominator, values = poly.fold_first(x)
+    assert all(isinstance(v, int) for v in [denominator, *values]) and denominator > 0
+    folded = sum((v * y**j for j, v in enumerate(values)), Fraction(0)) / denominator
+    assert folded == _naive_value(poly, x, y)
+
+
+def test_fold_first_zero_polynomial():
+    assert bipoly({}).fold_first(Fraction(-5, 3)) == (1, [0])
+
+
 def test_call_zero_and_constant_polynomials():
     assert bipoly({})(Fraction(3, 5), -2) == 0
     assert isinstance(bipoly({})(1, 1), Fraction)

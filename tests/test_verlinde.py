@@ -19,7 +19,9 @@ from skeindim.exact import (
     UnivariatePolynomial,
     binomial_poly_in_c,
 )
+from skeindim import verlinde
 from skeindim.verlinde import (
+    _fusion_vector,
     _residue_coefficient_at,
     _residue_part,
     CrosscheckReport,
@@ -30,6 +32,7 @@ from skeindim.verlinde import (
     fusion_dimension,
     fusion_table,
     leading_term_check,
+    level_dimensions,
     odd_color_polynomial,
     oracle_crosscheck,
     parity_checks,
@@ -298,6 +301,97 @@ def test_integrality_error_exists():
     assert issubclass(IntegralityError, ArithmeticError)
 
 
+# ------------------------------------------------- per-level evaluation
+
+
+def _row_per_call_value(poly, x, y):
+    """poly(x, y) by the earlier evaluation: integer rows rebuilt on every
+    call, Horner in the second variable inside and the first outside."""
+    x, y = Fraction(x), Fraction(y)
+    terms = dict(poly.terms())
+    scale = math.lcm(*[c.denominator for c in terms.values()])
+    width = max(j for _, j in terms) + 1
+    rows = [[0] * width for _ in range(max(i for i, _ in terms) + 1)]
+    for (i, j), c in terms.items():
+        rows[i][j] = c.numerator * (scale // c.denominator)
+
+    def horner(values, num, den):
+        total, den_power = 0, 1
+        for value in reversed(values):
+            total = total * num + value * den_power
+            den_power *= den
+        return total
+
+    inner = [horner(row, y.numerator, y.denominator) for row in rows]
+    total = horner(inner, x.numerator, x.denominator)
+    n, m = len(rows) - 1, width - 1
+    return Fraction(total, scale * x.denominator**n * y.denominator**m)
+
+
+def _row_per_call_dimension(g, p, m):
+    if m % 2 == 1:
+        m = p - m - 2
+    value = _row_per_call_value(verlinde_polynomial(g), p, Fraction(m, 2))
+    assert value.denominator == 1 and value >= 0
+    return int(value)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_level_dimensions_match_row_per_call_route(g):
+    # every odd level through 61, composite 9, 15, 21, ... included
+    for p in range(3, 62, 2):
+        colors = range(p - 1)
+        expected = [_row_per_call_dimension(g, p, m) for m in colors]
+        assert level_dimensions(g, p, colors) == expected
+        assert [dimension(g, p, m) for m in colors] == expected
+
+
+def test_level_dimensions_keep_order_and_repeats():
+    colors = [7, 0, 7, 3, 4, 0]
+    assert level_dimensions(3, 9, colors) == [dimension(3, 9, m) for m in colors]
+    assert level_dimensions(3, 9, []) == []
+
+
+def test_level_dimensions_reject_bad_arguments():
+    with pytest.raises(ValueError, match="genus"):
+        level_dimensions(0, 5, [0])
+    with pytest.raises(ValueError, match="odd"):
+        level_dimensions(1, 6, [0])
+    with pytest.raises(ValueError, match=r"color must lie in 0\.\.3, got 4"):
+        level_dimensions(1, 5, [0, 4])
+    with pytest.raises(ValueError, match="got -1"):
+        level_dimensions(1, 5, [-1])
+
+
+@pytest.mark.parametrize(
+    "poly, color, message",
+    [
+        # c + 1/3 at c = 1; the odd color 3 recolors to 2 at p = 7
+        (BivariatePolynomial({(0, 1): 1, (0, 0): Fraction(1, 3)}, PC), 3, "color 2 evaluated to 4/3"),
+        (BivariatePolynomial({(0, 1): -2, (0, 0): 1}, PC), 2, "color 2 evaluated to -1"),
+    ],
+)
+def test_level_dimensions_raise_integrality_error(monkeypatch, poly, color, message):
+    monkeypatch.setattr(verlinde, "verlinde_polynomial", lambda g: poly)
+    with pytest.raises(IntegralityError, match=f"dimension at genus 2, p=7, {message}$"):
+        level_dimensions(2, 7, [color])
+    with pytest.raises(IntegralityError, match=message):
+        dimension(2, 7, color)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_dimension_polynomials_at_negative_and_fractional_points(g):
+    points = [(-3, Fraction(-5, 2)), (Fraction(7, 3), Fraction(-1, 4)),
+              (Fraction(-11, 6), 9), (0, Fraction(2, 7)), (Fraction(1, 2), -4)]
+    for poly in (verlinde_polynomial(g), odd_color_polynomial(g)):
+        for x, y in points:
+            expected = sum(
+                (c * Fraction(x) ** i * Fraction(y) ** j for (i, j), c in poly.terms()),
+                Fraction(0),
+            )
+            assert poly(x, y) == expected
+
+
 # --------------------------------------------------------------- crosscheck
 
 
@@ -310,6 +404,65 @@ def test_crosscheck_genus_one():
 
 def test_crosscheck_through_genus_three():
     assert oracle_crosscheck(3, 13).ok
+
+
+def test_crosscheck_reports_a_wrong_polynomial(monkeypatch):
+    # s + 1/3 against D_1 = s: every value is off by exactly 1/3
+    wrong = BivariatePolynomial({(0, 1): 1, (0, 0): Fraction(1, 3)}, PS)
+    monkeypatch.setattr(verlinde, "odd_color_polynomial", lambda g: wrong)
+    report = oracle_crosscheck(1, 7)
+    assert report.checked == 6 and not report.ok
+    assert report.mismatches[0] == (1, 3, 1, Fraction(4, 3), 1)
+    assert all(lhs - rhs == Fraction(1, 3) for *_, lhs, rhs in report.mismatches)
+
+
+# --------------------------------------------------------------- caches
+
+
+@pytest.mark.parametrize(
+    "cache, call, keys",
+    [
+        (fusion_table, fusion_table, range(3, 160, 2)),
+        (_fusion_vector, lambda g: _fusion_vector(g, 3), range(1, 540)),
+    ],
+)
+def test_fusion_caches_stay_within_their_bound(cache, call, keys):
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and len(keys) > maxsize
+    for key in keys:
+        call(key)
+        assert cache.cache_info().currsize <= maxsize
+
+
+@pytest.fixture
+def genus_caches():
+    """The three per-genus caches, emptied before and after the test: the
+    test fills them from cheap stand-in builders."""
+    caches = (_residue_part, verlinde_polynomial, odd_color_polynomial)
+    for cache in caches:
+        cache.cache_clear()
+    yield caches
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_genus_caches_stay_within_their_bound(monkeypatch, genus_caches):
+    # each stand-in replaces the builder behind one cache by a cheap
+    # polynomial of the right shape (D_g = p^g c^(2g-2) has degree 3g - 2)
+    zero = BivariatePolynomial.zero(("p", "u"))
+    monkeypatch.setattr(verlinde, "_residue_coefficient_at", lambda g, order: zero)
+    monkeypatch.setattr(
+        verlinde, "_formula_parts",
+        lambda g: (BivariatePolynomial.zero(PC), BivariatePolynomial({(0, 2 * g - 2): 1}, PC)),
+    )
+    monkeypatch.setattr(verlinde, "verlinde_polynomial", lambda g: GENUS_ONE)
+    for cache in genus_caches:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        for g in range(1, maxsize + 6):
+            cache(g)
+            assert cache.cache_info().currsize <= maxsize
+        assert cache.cache_info().misses == maxsize + 5
 
 
 # ------------------------------------------ residue: earlier series route
