@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .cyclotomic import cyclotomic_field
-from .exact import RationalMatrix
+from .exact import RationalMatrix, _horner, _scaled
 from .skein import flat_curve_check
 from .verlinde import (
     decompose,
@@ -59,6 +59,13 @@ def phi_rank(g: int, kind: str, columns: int) -> int:
     columns their values at c = 0..columns-1 for the even kind or
     s = 1..columns for the odd kind.
     """
+    return RationalMatrix(_value_rows(g, kind, columns)).rank()
+
+
+def _value_rows(g: int, kind: str, columns: int) -> list[list[int]]:
+    """The value matrix with each row scaled to integers: every part is
+    scaled once by the lcm of its denominators, which leaves the rank
+    unchanged, and evaluated at each integer argument by Horner's rule."""
     decomposition = decompose(g, kind)
     exponents = sorted(decomposition.parts)
     if columns < len(exponents):
@@ -69,10 +76,11 @@ def phi_rank(g: int, kind: str, columns: int) -> int:
         arguments = range(columns)
     else:
         arguments = range(1, columns + 1)
-    rows = [
-        [decomposition.parts[j](a) for a in arguments] for j in exponents
-    ]
-    return RationalMatrix(rows).rank()
+    rows = []
+    for j in exponents:
+        _, values = _scaled(decomposition.parts[j].coefficients)
+        rows.append([_horner(values, a, 1) for a in arguments])
+    return rows
 
 
 @dataclass(frozen=True)

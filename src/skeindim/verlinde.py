@@ -2,29 +2,38 @@
 
 The dimension of the TQFT vector space of a genus-g surface with one point
 colored 2c, at an odd level p >= 3, is a polynomial D_g(p, c) of total
-degree 3g - 2.  It is computed here by residue extraction:
+degree 3g - 2.  It is computed by residue extraction, and each genus is
+built once, in u = 2c + 1, as integers over one denominator L:
 
-    D_g = ((-1)^g / 2) * ( 4^(1-g) (2c+1) p^(g-1) R(p, c)
-                           - p^g binom(c+g-1, 2g-2) ),
+    D_g(p, u) = p^(g-1) X + p^g Y = sum N_ib p^i u^b / L,
+    X = (-1)^g 4^(1-g)/2 u R(p, u),
+    Y = -(-1)^g/2 prod_{j=1..g-1} (u^2 - (2j-1)^2) / (2^(2g-2) (2g-2)!),
 
-where R(p, c) is the t^(2g-2) coefficient of the product
+where Y is binom(c+g-1, 2g-2) written in u and R is the t^(2g-2)
+coefficient of the product
 
-    [2pt/(e^(2pt)-1)] * s((2c+1) t) * s(t)^-(2g-1),      s(t) = sinh(t)/t.
+    [2pt/(e^(2pt)-1)] * s(u t) * s(t)^-(2g-1),      s(t) = sinh(t)/t.
 
 Only that one coefficient is computed, as a finite sum over
 a + b + 2k = 2g - 2 (b even):
 
-    R = sum e_a p^a (2c+1)^b / (b+1)! * S_k,
+    R = sum e_a p^a u^b / (b+1)! * S_k,
 
-with e_a = 2^a B_a / a! from the scalar inverse of sum x^k/(k+1)! and
-S = s(t)^-(2g-1) = sum S_k t^(2k) from J.C.P. Miller's power recurrence
-on the scalar series s; no bivariate series is ever multiplied.  R is
-collected in (p, u) with u = 2c + 1 and moved to (p, c) by one affine
-Horner substitution.  The division by p present in the naive residue
-expression is eliminated algebraically above, so the whole computation
-stays inside the polynomial ring.  The e_a are built here rather than
-taken from `bernoulli_numbers`, so the leading-term check against the
-Bernoulli closed form stays independent.
+with e_a = 2^a B_a / a! from the scalar inverse of sum 2^k x^k/(k+1)!,
+kept in one module-level table that grows on demand, and
+S = s(t)^-(2g-1) = sum S_k t^(2k) from J.C.P. Miller's power recurrence,
+cleared of denominators so that it runs on integers; no bivariate series
+or polynomial is ever multiplied, and X and Y are placed by exponent
+shifts.  The e_a are built here rather than taken from
+`bernoulli_numbers`, so the leading-term check against the Bernoulli
+closed form stays independent.
+
+Two substitutions leave the integer form:
+
+  even colors   u = 2c + 1, an integer Taylor shift on each p-row, gives
+                D_g(p, c);
+  odd colors    u = p - 2s, that is c = (p-1)/2 - s, expanded by the
+                binomial theorem, gives the odd-color polynomial in (p, s).
 
 Two completely independent routes to the same numbers exist and are cross
 checked: the residue polynomial evaluated at integers, and the fusion-rule
@@ -41,17 +50,15 @@ from functools import lru_cache
 from typing import Iterable
 
 from .bernoulli import bernoulli_numbers
-from .exact import (
-    BivariatePolynomial,
-    UnivariatePolynomial,
-    _horner,
-    binomial_poly_in_c,
-    substitute_affine,
-    substitute_half,
-)
+from .exact import BivariatePolynomial, UnivariatePolynomial, _horner
 
 PC = ("p", "c")
 PS = ("p", "s")
+
+#: Integer numerators {(i, j): n} of a polynomial over a separate denominator,
+#: and the same as a tuple of ((i, j), n) pairs.
+_Terms = dict[tuple[int, int], int]
+_Pairs = tuple[tuple[tuple[int, int], int], ...]
 
 
 class StructureViolation(ValueError):
@@ -68,87 +75,170 @@ class IntegralityError(ArithmeticError):
     an internal-bug signal, not a user error."""
 
 
-def _series_power(coefficients: list[Fraction], alpha: int) -> list[Fraction]:
-    """f^alpha for a scalar series f with f_0 = 1, through the last given
-    coefficient.
+def _sinh_power(alpha: int, count: int) -> list[tuple[int, int]]:
+    """s^alpha for s = sinh(t)/t = sum x^m/(2m+1)!, x = t^2: the first
+    `count` coefficients as pairs (H_m, W_m) of ints, the coefficient of
+    x^m being H_m / W_m with W_m = (2m+1)! 2^m m! (m+1)!.
 
-    J.C.P. Miller's recurrence: h_0 = 1 and
-    m h_m = sum_{k=1..m} ((alpha+1) k - m) f_k h_(m-k).  At alpha = -1 it
-    is the plain series inverse.
+    J.C.P. Miller's recurrence m h_m = sum_{k=1..m} ((alpha+1) k - m)
+    h_(m-k) / (2k+1)!, times (2m+1)! 2^m m! (m+1)!, reads
+    H_m = sum_{k=1..m} ((alpha+1) k - m) C(2m+2, 2k+1) Q_k H_(m-k) with
+    Q_k = prod_{j=m-k+1..m-1} 2j(j+1), all in integers.
     """
-    power = [Fraction(1)]
-    for m in range(1, len(coefficients)):
-        acc = sum(
-            ((alpha + 1) * k - m) * coefficients[k] * power[m - k]
-            for k in range(1, m + 1)
-        )
-        power.append(acc / m)
-    return power
+    power = [1]
+    for m in range(1, count):
+        acc, ratio = 0, 1
+        for k in range(1, m + 1):
+            weight = ((alpha + 1) * k - m) * math.comb(2 * m + 2, 2 * k + 1)
+            acc += weight * ratio * power[m - k]
+            ratio *= 2 * (m - k) * (m - k + 1)
+        power.append(acc)
+    return [
+        (h, math.factorial(2 * m + 1) * math.factorial(m) * math.factorial(m + 1) << m)
+        for m, h in enumerate(power)
+    ]
 
 
-def _residue_coefficient_at(g: int, order: int) -> BivariatePolynomial:
-    """t^(2g-2) coefficient of the kernel product in (p, u), u = 2c + 1,
-    every kernel truncated at t^order.
+#: e_0, e_1, ... with e_a = 2^a B_a / a!, as far as any call has needed.
+#: Calls replace it with a longer tuple and never change one in place, so
+#: a racing call can only redo work.
+_EXPONENTIAL: tuple[Fraction, ...] = (Fraction(1),)
 
-    The three kernels are e_a p^a t^a with e_a = 2^a B_a / a! (scalar
-    inverse of sum x^k/(k+1)!, scaled by 2^a), u^b t^b / (b+1)! for even
-    b, and S_k t^(2k) with S = s(t)^-(2g-1) a series in x = t^2.  The
-    coefficient is the finite sum over a + b + 2k = 2g - 2.
+
+def _exponential_coefficients(order: int) -> tuple[Fraction, ...]:
+    """e_0..e_order, the coefficients of 2x/(e^(2x)-1).
+
+    That series inverts sum 2^k x^k/(k+1)!, so e_m = -sum_{k=1..m}
+    2^k/(k+1)! e_(m-k); the one module-level table grows to `order` on
+    demand.  Built here, not from `bernoulli_numbers`, so the leading-term
+    check against the Bernoulli closed form stays independent.
+    """
+    global _EXPONENTIAL
+    table = _EXPONENTIAL
+    if len(table) <= order:
+        values = list(table)
+        for m in range(len(values), order + 1):
+            values.append(
+                -sum(
+                    Fraction(2**k, math.factorial(k + 1)) * values[m - k]
+                    for k in range(1, m + 1)
+                )
+            )
+        table = _EXPONENTIAL = tuple(values)
+    return table[: order + 1]
+
+
+def _residue_coefficient_at(g: int, order: int) -> tuple[int, _Terms]:
+    """t^(2g-2) coefficient R of the kernel product, every kernel truncated
+    at t^order, as (L, {(a, b): n}), ints in lowest terms, with
+    R = sum n p^a u^b / L and u = 2c + 1.
+
+    The three kernels are e_a p^a t^a, u^b t^b / (b+1)! for even b, and
+    S_k t^(2k) with S = s(t)^-(2g-1) a series in x = t^2.  The coefficient
+    is the finite sum over a + b + 2k = 2g - 2, collected in integers over
+    one denominator, lcm(e_a) times the largest W_k and (b+1)!, and
+    reduced once.
     """
     target = 2 * g - 2
-    inverse = _series_power(
-        [Fraction(1, math.factorial(k + 1)) for k in range(order + 1)], -1
-    )
     half = order // 2
-    sinh_power = _series_power(
-        [Fraction(1, math.factorial(2 * k + 1)) for k in range(half + 1)], -(2 * g - 1)
-    )
-    terms: dict[tuple[int, int], Fraction] = {}
-    for a in range(min(order, target) + 1):
-        e_a = 2**a * inverse[a]
+    top = min(order, target)
+    exponential = _exponential_coefficients(top)
+    sinh_power = _sinh_power(-(2 * g - 1), half + 1)
+    e_scale = math.lcm(*[e.denominator for e in exponential])
+    w_top = sinh_power[-1][1]
+    f_top = math.factorial(top + 1)
+    sinh = [h * (w_top // w) for h, w in sinh_power]
+    terms = {}
+    for a, e_a in enumerate(exponential):
         if not e_a:
             continue
+        e_int = e_a.numerator * (e_scale // e_a.denominator)
         for b in range(0, min(order, target - a) + 1, 2):
             k, odd = divmod(target - a - b, 2)
             if not odd and k <= half:
-                terms[(a, b)] = e_a * sinh_power[k] / math.factorial(b + 1)
-    return BivariatePolynomial(terms, ("p", "u"))
+                terms[(a, b)] = e_int * sinh[k] * (f_top // math.factorial(b + 1))
+    scale = e_scale * w_top * f_top
+    divisor = math.gcd(scale, *terms.values())
+    return scale // divisor, {key: n // divisor for key, n in terms.items()}
 
 
 @lru_cache(maxsize=64)
-def _residue_part(g: int) -> BivariatePolynomial:
-    """R(p, c), the t^(2g-2) coefficient of the kernel product.
+def _integer_parts(g: int) -> tuple[int, _Pairs, _Pairs]:
+    """(L, X, Y) with D_g(p, u) = p^(g-1) X(p, u) + p^g Y(u), u = 2c + 1,
+    where X and Y are tuples of pairs ((i, b), n), ints, meaning
+    sum n p^i u^b / L; tuples, because every caller shares them.
 
-    Built at truncation order 2g-2 and rebuilt with one guard term; the
-    guard must not change the extracted coefficient.  The two builds are
-    compared in (p, u); the agreed one moves to (p, c) by u = 2c + 1.
+    X = (-1)^g 4^(1-g)/2 u R(p, u) is the residue component; R is built at
+    truncation order 2g-2 and again with one guard term, and the guard must
+    not change it.  Y = -(-1)^g/2 prod_{j=1..g-1} (u^2 - (2j-1)^2)
+    / (2^(2g-2) (2g-2)!) is binom(c+g-1, 2g-2) written in u.  Both sit
+    over L = 2 4^(g-1) lcm(L_R, (2g-2)!), with L_R the denominator of R.
     """
-    target_order = 2 * g - 2
-    value = _residue_coefficient_at(g, target_order)
-    guarded = _residue_coefficient_at(g, target_order + 1)
-    if value != guarded:
+    if g < 1:
+        raise ValueError("genus must be at least 1")
+    residue_scale, residue = _residue_coefficient_at(g, 2 * g - 2)
+    if (residue_scale, residue) != _residue_coefficient_at(g, 2 * g - 1):
         raise AssertionError("series truncation guard tripped in residue extraction")
-    return substitute_affine(value, 0, 1, 2, 1, "c")
+    product = [1]
+    for j in range(1, g):
+        square = (2 * j - 1) ** 2
+        product = [h - square * n for h, n in zip([0, 0, *product], [*product, 0, 0])]
+    factorial = math.factorial(2 * g - 2)
+    common = math.lcm(residue_scale, factorial)
+    sign = (-1) ** g
+    x_factor = sign * (common // residue_scale)
+    y_factor = -sign * (common // factorial)
+    return (
+        2 * 4 ** (g - 1) * common,
+        tuple(((a, b + 1), x_factor * n) for (a, b), n in residue.items()),
+        tuple(((0, b), y_factor * n) for b, n in enumerate(product) if n),
+    )
+
+
+def _integer_form(g: int) -> tuple[int, _Terms]:
+    """(L, N), ints, with D_g(p, u) = sum N[i, b] p^i u^b / L: the two
+    components of `_integer_parts` shifted by p^(g-1) and p^g."""
+    scale, x_part, y_part = _integer_parts(g)
+    terms: _Terms = {}
+    for shift, part in ((g - 1, x_part), (g, y_part)):
+        for (i, b), n in part:
+            key = (i + shift, b)
+            terms[key] = terms.get(key, 0) + n
+    return scale, terms
+
+
+def _in_c(scale: int, pairs: Iterable[tuple[tuple[int, int], int]]) -> BivariatePolynomial:
+    """sum n p^i u^b / scale over the pairs ((i, b), n), at u = 2c + 1, as
+    a polynomial in (p, c): an integer Taylor shift turns each p-row into
+    a polynomial in v = u - 1 = 2c, and then c^k takes the factor 2^k."""
+    rows: dict[int, list[int]] = {}
+    for (i, b), n in pairs:
+        row = rows.setdefault(i, [])
+        row.extend([0] * (b + 1 - len(row)))
+        row[b] += n
+    out = {}
+    for i, row in rows.items():
+        for start in range(len(row) - 1):
+            for k in range(len(row) - 2, start - 1, -1):
+                row[k] += row[k + 1]
+        for k, n in enumerate(row):
+            if n:
+                out[(i, k)] = Fraction(n << k, scale)
+    return BivariatePolynomial(out, PC)
 
 
 def _formula_parts(g: int) -> tuple[BivariatePolynomial, BivariatePolynomial]:
-    """(X, Y) with D_g = p^(g-1) X + p^g Y; X collects the residue term,
-    Y the binomial term (Y carries no p)."""
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    half_sign = Fraction((-1) ** g, 2)
-    two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
-    x_part = (Fraction(4) ** (1 - g) * half_sign) * two_c_plus_one * _residue_part(g)
-    y_part = -half_sign * binomial_poly_in_c(g)
-    return x_part, y_part
+    """(X, Y) in (p, c) with D_g = p^(g-1) X + p^g Y; X collects the
+    residue term, Y the binomial term (Y carries no p)."""
+    scale, x_part, y_part = _integer_parts(g)
+    return _in_c(scale, x_part), _in_c(scale, y_part)
 
 
 @lru_cache(maxsize=64)
 def verlinde_polynomial(g: int) -> BivariatePolynomial:
     """D_g as an exact polynomial in (p, c); total degree exactly 3g - 2."""
-    x_part, y_part = _formula_parts(g)
-    p = BivariatePolynomial.first(PC)
-    result = p ** (g - 1) * x_part + p**g * y_part
+    scale, terms = _integer_form(g)
+    result = _in_c(scale, terms.items())
     if result.total_degree != 3 * g - 2:
         raise AssertionError(
             f"dimension polynomial has total degree {result.total_degree}, "
@@ -159,9 +249,21 @@ def verlinde_polynomial(g: int) -> BivariatePolynomial:
 
 @lru_cache(maxsize=64)
 def odd_color_polynomial(g: int) -> BivariatePolynomial:
-    """The odd-color dimension polynomial in (p, s), obtained from D_g by
-    the exact substitution c = (p-1)/2 - s."""
-    return substitute_half(verlinde_polynomial(g))
+    """The odd-color dimension polynomial in (p, s): D_g at c = (p-1)/2 - s,
+    that is u = p - 2s, expanded as sum_k binom(b, k) p^(b-k) (-2s)^k on
+    the integer numerators."""
+    scale, terms = _integer_form(g)
+    expansions: dict[int, list[int]] = {}
+    out: _Terms = {}
+    for (i, b), n in terms.items():
+        if b not in expansions:
+            expansions[b] = [math.comb(b, k) * (-2) ** k for k in range(b + 1)]
+        for k, weight in enumerate(expansions[b]):
+            key = (i + b - k, k)
+            out[key] = out.get(key, 0) + n * weight
+    return BivariatePolynomial(
+        {key: Fraction(n, scale) for key, n in out.items() if n}, PS
+    )
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
+    RANK_COLUMN_SLACK,
     Certificate,
+    _value_rows,
     build_certificate,
     lower_bound,
     phi_rank,
 )
+from skeindim.exact import RationalMatrix
+from skeindim.verlinde import decompose
 
 
 def test_phi_rank_genus_one_even():
@@ -38,6 +43,29 @@ def test_phi_rank_rejects_too_few_columns():
 def test_phi_rank_saturates_at_row_count(g):
     assert phi_rank(g, "even", g + 1) == g + 1
     assert phi_rank(g, "odd", g) == g
+
+
+def _fraction_value_rows(g, kind, columns):
+    """The value matrix by the earlier route: one Fraction evaluation of
+    the part per entry."""
+    parts = decompose(g, kind).parts
+    arguments = range(columns) if kind == "even" else range(1, columns + 1)
+    return [[parts[j](a) for a in arguments] for j in sorted(parts)]
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+@pytest.mark.parametrize("g", range(1, 13))
+def test_value_rows_are_scaled_fraction_rows(g, kind):
+    columns = g + (kind == "even") + RANK_COLUMN_SLACK
+    rows = _value_rows(g, kind, columns)
+    expected = _fraction_value_rows(g, kind, columns)
+    parts = decompose(g, kind).parts
+    assert len(rows) == len(expected)
+    for row, fractions, j in zip(rows, expected, sorted(parts)):
+        scale = math.lcm(*[c.denominator for c in parts[j].coefficients])
+        assert row == [scale * value for value in fractions]
+        assert all(type(value) is int for value in row)
+    assert phi_rank(g, kind, columns) == RationalMatrix(expected).rank()
 
 
 def test_lower_bound_known_values():

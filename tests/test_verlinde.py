@@ -12,18 +12,23 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim.bernoulli import bernoulli_half_value, bernoulli_number
+from skeindim.bernoulli import bernoulli_half_value, bernoulli_number, bernoulli_numbers
 from skeindim.exact import (
     BivariatePolynomial,
     TruncatedSeries,
     UnivariatePolynomial,
     binomial_poly_in_c,
+    substitute_affine,
+    substitute_half,
 )
 from skeindim import verlinde
 from skeindim.verlinde import (
+    _exponential_coefficients,
+    _formula_parts,
     _fusion_vector,
+    _integer_form,
+    _integer_parts,
     _residue_coefficient_at,
-    _residue_part,
     CrosscheckReport,
     IntegralityError,
     decompose,
@@ -211,8 +216,6 @@ def test_genus_two_reduced_odd_polynomial_structure():
 def test_genus_two_residue_component_p_support():
     # the residue component X of D_2 = p X + p^2 Y carries only p^0 and
     # p^2 monomials: X = (2c+1) p^2/24 + (2c+1)^3/48 - (2c+1)/16 by hand
-    from skeindim.verlinde import _formula_parts
-
     x_part, y_part = _formula_parts(2)
     assert x_part.exponents(0) == {0, 2}
     assert y_part.exponents(0) == {0}
@@ -438,7 +441,7 @@ def test_fusion_caches_stay_within_their_bound(cache, call, keys):
 def genus_caches():
     """The three per-genus caches, emptied before and after the test: the
     test fills them from cheap stand-in builders."""
-    caches = (_residue_part, verlinde_polynomial, odd_color_polynomial)
+    caches = (_integer_parts, verlinde_polynomial, odd_color_polynomial)
     for cache in caches:
         cache.cache_clear()
     yield caches
@@ -447,15 +450,11 @@ def genus_caches():
 
 
 def test_genus_caches_stay_within_their_bound(monkeypatch, genus_caches):
-    # each stand-in replaces the builder behind one cache by a cheap
-    # polynomial of the right shape (D_g = p^g c^(2g-2) has degree 3g - 2)
-    zero = BivariatePolynomial.zero(("p", "u"))
-    monkeypatch.setattr(verlinde, "_residue_coefficient_at", lambda g, order: zero)
-    monkeypatch.setattr(
-        verlinde, "_formula_parts",
-        lambda g: (BivariatePolynomial.zero(PC), BivariatePolynomial({(0, 2 * g - 2): 1}, PC)),
-    )
-    monkeypatch.setattr(verlinde, "verlinde_polynomial", lambda g: GENUS_ONE)
+    # each stand-in replaces the function behind one cache by a cheap form
+    # of the right shape: a zero residue, and D_g = p^g u^(2g-2), of total
+    # degree 3g - 2, behind both polynomial caches
+    monkeypatch.setattr(verlinde, "_residue_coefficient_at", lambda g, order: (1, {}))
+    monkeypatch.setattr(verlinde, "_integer_parts", lambda g: (1, (), (((0, 2 * g - 2), 1),)))
     for cache in genus_caches:
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None
@@ -463,6 +462,133 @@ def test_genus_caches_stay_within_their_bound(monkeypatch, genus_caches):
             cache(g)
             assert cache.cache_info().currsize <= maxsize
         assert cache.cache_info().misses == maxsize + 5
+
+
+# ----------------------------------- construction: earlier Fraction route
+
+
+def _series_power(coefficients, alpha):
+    """f^alpha by J.C.P. Miller's recurrence on Fractions, f_0 = 1."""
+    power = [Fraction(1)]
+    for m in range(1, len(coefficients)):
+        acc = sum(
+            ((alpha + 1) * k - m) * coefficients[k] * power[m - k]
+            for k in range(1, m + 1)
+        )
+        power.append(acc / m)
+    return power
+
+
+def _fraction_residue_at(g, order):
+    """R in (p, u) by the earlier Fraction sum, kernels truncated at t^order."""
+    target = 2 * g - 2
+    inverse = _series_power(
+        [Fraction(1, math.factorial(k + 1)) for k in range(order + 1)], -1
+    )
+    half = order // 2
+    sinh_power = _series_power(
+        [Fraction(1, math.factorial(2 * k + 1)) for k in range(half + 1)], -(2 * g - 1)
+    )
+    terms = {}
+    for a in range(min(order, target) + 1):
+        e_a = 2**a * inverse[a]
+        if not e_a:
+            continue
+        for b in range(0, min(order, target - a) + 1, 2):
+            k, odd = divmod(target - a - b, 2)
+            if not odd and k <= half:
+                terms[(a, b)] = e_a * sinh_power[k] / math.factorial(b + 1)
+    return BivariatePolynomial(terms, ("p", "u"))
+
+
+def _residue_part(g):
+    """R(p, c): the guarded Fraction sum moved to (p, c) by u = 2c + 1."""
+    value = _fraction_residue_at(g, 2 * g - 2)
+    assert _fraction_residue_at(g, 2 * g - 1) == value
+    return substitute_affine(value, 0, 1, 2, 1, "c")
+
+
+def _fraction_formula_parts(g):
+    half_sign = Fraction((-1) ** g, 2)
+    two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
+    x_part = (Fraction(4) ** (1 - g) * half_sign) * two_c_plus_one * _residue_part(g)
+    return x_part, -half_sign * binomial_poly_in_c(g)
+
+
+def _fraction_route_polynomials(g):
+    """(D_g in (p, c), its odd-color polynomial in (p, s)) by bivariate
+    products and `substitute_half`."""
+    x_part, y_part = _fraction_formula_parts(g)
+    p = BivariatePolynomial.first(PC)
+    even = p ** (g - 1) * x_part + p**g * y_part
+    return even, substitute_half(even)
+
+
+@pytest.mark.parametrize("g", [*range(1, 25), 40])
+def test_polynomials_match_fraction_route(g):
+    even, odd = _fraction_route_polynomials(g)
+    assert verlinde_polynomial(g) == even
+    assert odd_color_polynomial(g) == odd
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_formula_parts_match_fraction_route(g):
+    assert _formula_parts(g) == _fraction_formula_parts(g)
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_integer_form_is_the_polynomial_in_u(g):
+    # D_g(p, u) from the integer form, moved to (p, c) by the affine
+    # substitution instead of the Taylor shift
+    scale, terms = _integer_form(g)
+    assert scale > 0 and all(terms.values())
+    in_u = BivariatePolynomial(
+        {key: Fraction(n, scale) for key, n in terms.items()}, ("p", "u")
+    )
+    assert substitute_affine(in_u, 0, 1, 2, 1, "c") == verlinde_polynomial(g)
+
+
+@pytest.mark.parametrize("g", [2, 5, 9])
+def test_residue_integer_sum_matches_fraction_sum(g):
+    for order in (2 * g - 3, 2 * g - 2, 2 * g - 1):
+        scale, terms = _residue_coefficient_at(g, order)
+        assert math.gcd(scale, *terms.values()) == 1
+        assert BivariatePolynomial(
+            {key: Fraction(n, scale) for key, n in terms.items()}, ("p", "u")
+        ) == _fraction_residue_at(g, order)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        verlinde_polynomial,
+        odd_color_polynomial,
+        _formula_parts,
+        _integer_parts,
+        _integer_form,
+        parity_checks,
+        leading_term_check,
+        lambda g: decompose(g, "even"),
+        lambda g: decompose(g, "odd"),
+        lambda g: dimension(g, 5, 0),
+        lambda g: level_dimensions(g, 5, [0]),
+    ],
+)
+@pytest.mark.parametrize("g", [0, -1, -7])
+def test_genus_below_one_is_rejected(entry, g):
+    with pytest.raises(ValueError, match="genus must be at least 1"):
+        entry(g)
+
+
+def test_exponential_table_is_independent_of_call_order(monkeypatch):
+    # e_a = 2^a B_a / a!, checked against the Bernoulli recurrence
+    table = bernoulli_numbers(40)
+    expected = tuple(2**a * table[a] / math.factorial(a) for a in range(41))
+    for orders in ([40], [3, 40], [40, 3, 17], [0, 1, 2, 25, 9, 40], [17, 17, 40]):
+        monkeypatch.setattr(verlinde, "_EXPONENTIAL", (Fraction(1),))
+        for order in orders:
+            assert _exponential_coefficients(order) == expected[: order + 1]
+        assert verlinde._EXPONENTIAL == expected[: max(orders) + 1]
 
 
 # ------------------------------------------ residue: earlier series route
@@ -506,6 +632,16 @@ def _series_route_polynomial(g):
 def test_residue_matches_series_route(g):
     assert _residue_part(g) == _series_route_residue(g)
     assert verlinde_polynomial(g) == _series_route_polynomial(g)
+    assert odd_color_polynomial(g) == substitute_half(_series_route_polynomial(g))
+
+
+def test_kernel_raises_when_the_guard_build_differs(monkeypatch, genus_caches):
+    # a residue that still moves at the guard order must not be used
+    monkeypatch.setattr(
+        verlinde, "_residue_coefficient_at", lambda g, order: (1, {(0, 0): order})
+    )
+    with pytest.raises(AssertionError, match="truncation guard tripped"):
+        verlinde_polynomial(3)
 
 
 @pytest.mark.parametrize("g", [2, 3, 6])
