@@ -23,14 +23,11 @@ from .certify import (
 from .cyclotomic import (
     CyclotomicElement,
     CyclotomicField,
-    LaurentPolynomial,
     cyclotomic_field,
-    quantum_integer_laurent,
 )
 from .exact import (
     BivariatePolynomial,
     RationalMatrix,
-    TruncatedSeries,
     UnivariatePolynomial,
     binomial,
     binomial_poly_in_c,

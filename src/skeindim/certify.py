@@ -27,8 +27,10 @@ from .skein import flat_curve_check
 from .verlinde import (
     decompose,
     leading_term_check,
+    odd_color_polynomial,
     oracle_crosscheck,
     parity_checks,
+    verlinde_polynomial,
 )
 
 POWER_BASIS_ASSUMPTION = (
@@ -57,7 +59,8 @@ def phi_rank(g: int, kind: str, columns: int) -> int:
 
     Rows are the nonzero coefficient polynomials (ordered by p-exponent),
     columns their values at c = 0..columns-1 for the even kind or
-    s = 1..columns for the odd kind.
+    s = 1..columns for the odd kind.  The support and degrees of those
+    polynomials are validated separately, by `check_structure`.
     """
     return RationalMatrix(_value_rows(g, kind, columns)).rank()
 
@@ -66,8 +69,9 @@ def _value_rows(g: int, kind: str, columns: int) -> list[list[int]]:
     """The value matrix with each row scaled to integers: every part is
     scaled once by the lcm of its denominators, which leaves the rank
     unchanged, and evaluated at each integer argument by Horner's rule."""
-    decomposition = decompose(g, kind)
-    exponents = sorted(decomposition.parts)
+    source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
+    parts = source.split_by_first()
+    exponents = sorted(parts)
     if columns < len(exponents):
         raise ValueError(
             f"need at least {len(exponents)} columns for {len(exponents)} rows"
@@ -78,7 +82,7 @@ def _value_rows(g: int, kind: str, columns: int) -> list[list[int]]:
         arguments = range(1, columns + 1)
     rows = []
     for j in exponents:
-        _, values = _scaled(decomposition.parts[j].coefficients)
+        _, values = _scaled(parts[j].coefficients)
         rows.append([_horner(values, a, 1) for a in arguments])
     return rows
 
@@ -135,7 +139,11 @@ class Certificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _structure_check(g: int) -> CheckResult:
+# The per-genus checks below each return one CheckResult and never raise on
+# a failed identity; `verify` runs the same functions over its genus range.
+
+
+def check_structure(g: int) -> CheckResult:
     try:
         decompose(g, "even")
         decompose(g, "odd")
@@ -148,7 +156,7 @@ def _structure_check(g: int) -> CheckResult:
     )
 
 
-def _witness_check(g: int, p_values: tuple[int, ...]) -> CheckResult:
+def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
     for p in p_values:
         check = flat_curve_check(g, cyclotomic_field(p))
         if not check.equal:
@@ -166,18 +174,38 @@ def _witness_check(g: int, p_values: tuple[int, ...]) -> CheckResult:
     )
 
 
+def check_leading_term(g: int) -> CheckResult:
+    leading = leading_term_check(g)
+    return CheckResult(
+        "leading_term",
+        leading.passed,
+        leading.detail or "top homogeneous part matches its closed form",
+    )
+
+
+def check_parity(g: int) -> CheckResult:
+    try:
+        parity_checks(g)
+    except ValueError as exc:
+        return CheckResult("parity", False, str(exc))
+    return CheckResult("parity", True, "even-in-p and odd-in-s structure holds")
+
+
 def build_certificate(g: int, p_max: int = 13) -> Certificate:
     """Run every sub-check for one genus and assemble the certificate.
 
     A failed sub-check never passes silently: it is recorded with detail
     and makes the certificate invalid.  The lower_bound field always
-    carries the claimed bound, whether or not the checks passed.
+    carries the claimed bound, whether or not the checks passed.  The curve
+    witness needs at least one level, so p_max must be at least 3.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
+    if p_max < 3:
+        raise ValueError("p_max must be at least 3, the smallest level")
     checks: list[CheckResult] = []
 
-    checks.append(_structure_check(g))
+    checks.append(check_structure(g))
 
     even_rank = phi_rank(g, "even", (g + 1) + RANK_COLUMN_SLACK)
     checks.append(
@@ -197,7 +225,7 @@ def build_certificate(g: int, p_max: int = 13) -> Certificate:
     )
 
     odd_levels = tuple(range(3, p_max + 1, 2))
-    checks.append(_witness_check(g, odd_levels))
+    checks.append(check_witness(g, odd_levels))
 
     crosscheck = oracle_crosscheck(g, p_max)
     checks.append(
@@ -209,22 +237,8 @@ def build_certificate(g: int, p_max: int = 13) -> Certificate:
         )
     )
 
-    leading = leading_term_check(g)
-    checks.append(
-        CheckResult(
-            "leading_term",
-            leading.passed,
-            leading.detail or "top homogeneous part matches its closed form",
-        )
-    )
-
-    try:
-        parity_checks(g)
-        checks.append(
-            CheckResult("parity", True, "even-in-p and odd-in-s structure holds")
-        )
-    except ValueError as exc:
-        checks.append(CheckResult("parity", False, str(exc)))
+    checks.append(check_leading_term(g))
+    checks.append(check_parity(g))
 
     return Certificate(
         genus=g,

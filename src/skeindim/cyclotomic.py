@@ -21,9 +21,8 @@ The quantum denominators of the skein module all have this shape: the
 curve evaluations, D^2 = -p/(A^2 - A^-2)^2 and both flat-curve closed
 forms, so no `verify` or `certify` check runs Euclid.
 
-Identities that should hold for all roots of unity at once are first
-expressed as integer Laurent polynomials in A (LaurentPolynomial) and only
-then specialized into a concrete field.
+A sum of root powers sum c A^e with integer exponents of any sign, such
+as a quantum integer, is built in one pass by `power_sum`.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-from .exact import RationalLike, _power, _q, _scaled
+from .exact import RationalLike, _convolve, _power, _q, _scaled
 
 _IntPoly = tuple[int, ...]  # ascending integer coefficients
 
@@ -300,16 +299,9 @@ class CyclotomicElement:
         a, b = self.numerators, coerced.numerators
         if a.count(0) > b.count(0):  # loop over the sparser factor
             a, b = b, a
-        out = [0] * (2 * self.field.degree - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
         return CyclotomicElement(
             self.field,
-            self.field._reduce(out),
+            self.field._reduce(_convolve(a, b)),
             self.denominator * coerced.denominator,
         )
 
@@ -329,18 +321,10 @@ class CyclotomicElement:
         while any(r1):
             q, r = _poly_divmod(r0, r1)
             # u_next = u0 - q * u1
-            u_next = list(u0)
-            if q and u1:
-                prod = [Fraction(0)] * (len(q) + len(u1) - 1)
-                for i, x in enumerate(q):
-                    if x == 0:
-                        continue
-                    for j, y in enumerate(u1):
-                        prod[i + j] += x * y
-                if len(u_next) < len(prod):
-                    u_next += [Fraction(0)] * (len(prod) - len(u_next))
-                for i, x in enumerate(prod):
-                    u_next[i] -= x
+            prod = _convolve(q, u1)
+            u_next = u0 + [0] * (len(prod) - len(u0))
+            for i, x in enumerate(prod):
+                u_next[i] -= x
             r0, r1 = r1, r
             u0, u1 = u1, u_next
         while r0 and r0[-1] == 0:
@@ -381,81 +365,3 @@ class CyclotomicElement:
 
     def __repr__(self) -> str:
         return f"CyclotomicElement(p={self.field.p}, {self.render()})"
-
-
-class LaurentPolynomial:
-    """Integer-coefficient Laurent polynomial in the root A.
-
-    Used to state quantum-integer identities generically before picking a
-    concrete field; specialize() maps A^k to gen_power(k).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        self.terms: dict[int, int] = {
-            e: c for e, c in (terms or {}).items() if c != 0
-        }
-
-    @classmethod
-    def zero(cls) -> LaurentPolynomial:
-        return cls({})
-
-    @classmethod
-    def one(cls) -> LaurentPolynomial:
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> LaurentPolynomial:
-        return cls({exponent: coefficient})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> LaurentPolynomial:
-        return LaurentPolynomial({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other: Union[LaurentPolynomial, int]) -> LaurentPolynomial:
-        if isinstance(other, int):
-            return LaurentPolynomial({e: c * other for e, c in self.terms.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def specialize(self, field: CyclotomicField) -> CyclotomicElement:
-        return field.power_sum(self.terms)
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*A^{e}" for e, c in sorted(self.terms.items()))
-        return f"LaurentPolynomial({body or '0'})"
-
-
-def quantum_integer_laurent(n: int) -> LaurentPolynomial:
-    """The quantum integer [n] = (A^2n - A^-2n)/(A^2 - A^-2) as a Laurent
-    polynomial: A^(2n-2) + A^(2n-6) + ... + A^(2-2n); [-n] = -[n]."""
-    if n == 0:
-        return LaurentPolynomial.zero()
-    if n < 0:
-        return -quantum_integer_laurent(-n)
-    return LaurentPolynomial({2 * n - 2 - 4 * k: 1 for k in range(n)})

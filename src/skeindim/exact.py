@@ -1,10 +1,13 @@
-"""Exact arithmetic kernel: rationals, polynomials, truncated power series,
-and exact matrix rank.
+"""Exact arithmetic kernel: rationals, polynomials and exact matrix rank.
 
 Every stored scalar is a `fractions.Fraction`; no floating point enters
 any computation.  Polynomials keep canonical forms (no stored zero
 coefficients, stripped trailing zeros), so structural predicates such as
 "degree exactly n" or "only even powers of p" are decided exactly.
+
+Dense products of ascending coefficient lists, whether Fractions or ints,
+go through one convolution, `_convolve`; it serves the univariate
+polynomials here, the cyclotomic elements and the annulus skeins.
 
 Two kernels run on integers over one common denominator (the lcm L of the
 coefficient denominators) and build Fractions only at the end:
@@ -24,9 +27,6 @@ Representations:
   BivariatePolynomial   sparse dict {(i, j): coeff} with a named variable
                         pair such as ("p", "c"); many of the polynomials
                         produced downstream are structurally sparse.
-  TruncatedSeries       power series in an auxiliary variable t whose
-                        coefficients are BivariatePolynomial values, exact
-                        through a fixed truncation order.
   RationalMatrix        rank via fraction-free (Bareiss) elimination over
                         the integers after clearing row denominators.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -90,6 +90,17 @@ def _format_terms(terms: Sequence[tuple[Fraction, str]]) -> str:
         else:
             parts.append(("- " if negative else "+ ") + body)
     return " ".join(parts)
+
+
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """Ascending coefficients of the product of two ascending coefficient
+    lists, skipping the zero entries of a (pass the sparser factor as a)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _power(base, exponent: int, one):
@@ -202,15 +213,7 @@ class UnivariatePolynomial:
             return UnivariatePolynomial(c * scalar for c in self._coeffs)
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return UnivariatePolynomial.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return UnivariatePolynomial(out)
+        return UnivariatePolynomial(_convolve(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 
@@ -544,110 +547,6 @@ def binomial_poly_in_c(g: int, variables: tuple[str, str] = ("p", "c")) -> Bivar
     for t in range(k):
         product = product * (c + (g - 1 - t))
     return product / Fraction(math.factorial(k))
-
-
-class TruncatedSeries:
-    """Power series in an auxiliary variable t, exact through a fixed order.
-
-    The coefficient sequence has length order + 1, entry k being the exact
-    coefficient polynomial of t^k.  Products and inverses of order-N series
-    are again exact through order N; mixing orders is an error rather than
-    a silent re-truncation.
-    """
-
-    __slots__ = ("_order", "_coeffs")
-
-    def __init__(self, order: int, coefficients: Sequence[BivariatePolynomial]):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(coefficients) != order + 1:
-            raise ValueError(
-                f"need exactly {order + 1} coefficients, got {len(coefficients)}"
-            )
-        variables = coefficients[0].variables
-        for coeff in coefficients:
-            if coeff.variables != variables:
-                raise ValueError("all coefficients must share one variable pair")
-        self._order = order
-        self._coeffs = tuple(coefficients)
-
-    @classmethod
-    def one(cls, order: int, variables: tuple[str, str] = ("p", "c")) -> TruncatedSeries:
-        return cls.build(
-            order, variables, lambda k: BivariatePolynomial.constant(int(k == 0), variables)
-        )
-
-    @classmethod
-    def build(
-        cls,
-        order: int,
-        variables: tuple[str, str],
-        term: Callable[[int], BivariatePolynomial],
-    ) -> TruncatedSeries:
-        return cls(order, [term(k) for k in range(order + 1)])
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def variables(self) -> tuple[str, str]:
-        return self._coeffs[0].variables
-
-    def coefficient(self, k: int) -> BivariatePolynomial:
-        if k < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        if k > self._order:
-            raise ValueError(f"coefficient {k} beyond truncation order {self._order}")
-        return self._coeffs[k]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self._order != other._order:
-            raise ValueError(
-                f"truncation order mismatch: {self._order} vs {other._order}"
-            )
-        variables = self.variables
-        out = [BivariatePolynomial.zero(variables) for _ in range(self._order + 1)]
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j in range(self._order + 1 - i):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self._order, out)
-
-    def __pow__(self, exponent: int) -> TruncatedSeries:
-        return _power(self, exponent, TruncatedSeries.one(self._order, self.variables))
-
-    def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse through the truncation order.
-
-        Requires constant term exactly 1 (a malformed series is rejected
-        rather than normalized).
-        """
-        one = BivariatePolynomial.constant(1, self.variables)
-        if self._coeffs[0] != one:
-            raise ValueError("series inverse requires constant term 1")
-        inv = [one]
-        for m in range(1, self._order + 1):
-            acc = BivariatePolynomial.zero(self.variables)
-            for k in range(1, m + 1):
-                a = self._coeffs[k]
-                if a:
-                    acc = acc + a * inv[m - k]
-            inv.append(-acc)
-        return TruncatedSeries(self._order, inv)
 
 
 class RationalMatrix:

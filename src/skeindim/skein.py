@@ -30,13 +30,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .cyclotomic import (
-    CyclotomicElement,
-    CyclotomicField,
-    cyclotomic_field,
-    quantum_integer_laurent,
-)
-from .exact import RationalLike, _q, _scaled
+from .cyclotomic import CyclotomicElement, CyclotomicField, cyclotomic_field
+from .exact import RationalLike, _convolve, _q, _scaled
 
 
 class VanishingDenominator(ZeroDivisionError):
@@ -45,8 +40,10 @@ class VanishingDenominator(ZeroDivisionError):
 
 
 def quantum_integer(n: int, field: CyclotomicField) -> CyclotomicElement:
-    """The quantum integer [n] evaluated in Q(zeta_2p); [-n] = -[n]."""
-    return quantum_integer_laurent(n).specialize(field)
+    """The quantum integer [n] = (A^2n - A^-2n)/(A^2 - A^-2) in Q(zeta_2p),
+    as the root-power sum A^(2n-2) + A^(2n-6) + ... + A^(2-2n); [-n] = -[n]."""
+    sign = -1 if n < 0 else 1
+    return field.power_sum({2 * abs(n) - 2 - 4 * k: sign for k in range(abs(n))})
 
 
 def bracket_e(i: int, field: CyclotomicField) -> CyclotomicElement:
@@ -163,12 +160,7 @@ class AnnulusSkein:
             return AnnulusSkein.zero()
         # integer z-power coefficients over the product of the two lcm scales
         (sa, a), (sb, b) = _scaled(self._coeffs), _scaled(other._coeffs)
-        za, zb = _e_to_z(a), _e_to_z(b)
-        prod = [0] * (len(za) + len(zb) - 1)
-        for i, x in enumerate(za):
-            if x:
-                for j, y in enumerate(zb):
-                    prod[i + j] += x * y
+        prod = _convolve(_e_to_z(a), _e_to_z(b))
         return AnnulusSkein(Fraction(c, sa * sb) for c in _z_to_e(prod))
 
     __rmul__ = __mul__

@@ -18,9 +18,17 @@ from .bernoulli import (
     bernoulli_polynomial,
     faulhaber_poly,
 )
-from .certify import CheckResult, build_certificate, lower_bound
+from .certify import (
+    CheckResult,
+    build_certificate,
+    check_leading_term,
+    check_parity,
+    check_structure,
+    check_witness,
+    lower_bound,
+)
 from .cyclotomic import cyclotomic_field
-from .exact import BivariatePolynomial, TruncatedSeries, UnivariatePolynomial
+from .exact import BivariatePolynomial, UnivariatePolynomial
 from .skein import (
     AnnulusSkein,
     bracket_e,
@@ -33,11 +41,9 @@ from .skein import (
 from .verlinde import (
     decompose,
     fusion_dimension,
-    leading_term_check,
     level_dimensions,
     odd_color_polynomial,
     oracle_crosscheck,
-    parity_checks,
     verlinde_polynomial,
 )
 
@@ -48,6 +54,18 @@ def _aggregate(name: str, failures: list[str], detail_ok: str) -> CheckResult:
     if failures:
         return CheckResult(name, False, "; ".join(failures[:3]))
     return CheckResult(name, True, detail_ok)
+
+
+def _per_genus(
+    name: str, check: Callable[[int], CheckResult], g_max: int, detail_ok: str
+) -> CheckResult:
+    """One certificate check run for g = 1..g_max, under the suite's name."""
+    failures = []
+    for g in range(1, g_max + 1):
+        result = check(g)
+        if not result.passed:
+            failures.append(f"g={g}: {result.detail}")
+    return _aggregate(name, failures, detail_ok)
 
 
 # ------------------------------------------------------------- bernoulli
@@ -86,27 +104,19 @@ def bernoulli_suite(max_half_index: int = 40, max_faulhaber: int = 20) -> list[C
 
     failures = []
     order = 12
-    variables = ("x", "y")
-    exp_tx = TruncatedSeries.build(
-        order,
-        variables,
-        lambda k: BivariatePolynomial({(k, 0): Fraction(1, math.factorial(k))}, variables),
-    )
-    forward = TruncatedSeries.build(
-        order,
-        variables,
-        lambda k: BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), variables),
-    )
-    series = forward.inverse() * exp_tx
-    for n in range(order + 1):
-        expected = BivariatePolynomial(
-            {
-                (k, 0): coeff / math.factorial(n)
-                for k, coeff in enumerate(bernoulli_polynomial(n).coefficients)
-            },
-            variables,
+    # t/(e^t - 1) as the series inverse of sum_k t^k/(k+1)!; the t^n
+    # coefficient of t e^(xt)/(e^t - 1), times n!, is then
+    # sum_k inverse[n-k] n!/k! x^k, which must be B_n(x).
+    inverse = [Fraction(1)]
+    for m in range(1, order + 1):
+        inverse.append(
+            -sum(inverse[m - k] / math.factorial(k + 1) for k in range(1, m + 1))
         )
-        if series.coefficient(n) != expected:
+    for n in range(order + 1):
+        series = UnivariatePolynomial(
+            inverse[n - k] * math.factorial(n) / math.factorial(k) for k in range(n + 1)
+        )
+        if series != bernoulli_polynomial(n):
             failures.append(f"t^{n}")
     checks.append(
         _aggregate(
@@ -161,17 +171,11 @@ def verlinde_suite(g_max: int = 5, p_max: int = 13) -> list[CheckResult]:
         )
     )
 
-    failures = []
-    for g in range(1, g_max + 1):
-        for kind in ("even", "odd"):
-            try:
-                decompose(g, kind)
-            except ValueError as exc:
-                failures.append(f"g={g} {kind}: {exc}")
     checks.append(
-        _aggregate(
+        _per_genus(
             "decomposition_structure",
-            failures,
+            check_structure,
+            g_max,
             f"support and exact degrees hold for g <= {g_max}",
         )
     )
@@ -207,27 +211,18 @@ def verlinde_suite(g_max: int = 5, p_max: int = 13) -> list[CheckResult]:
         )
     )
 
-    failures = [
-        f"g={g}: {leading_term_check(g).detail}"
-        for g in range(1, g_max + 1)
-        if not leading_term_check(g).passed
-    ]
     checks.append(
-        _aggregate(
+        _per_genus(
             "leading_term_identity",
-            failures,
+            check_leading_term,
+            g_max,
             f"top homogeneous part matches its closed form for g <= {g_max}",
         )
     )
-
-    failures = []
-    for g in range(1, g_max + 1):
-        try:
-            parity_checks(g)
-        except ValueError as exc:
-            failures.append(f"g={g}: {exc}")
     checks.append(
-        _aggregate("parity_structure", failures, f"parity constraints hold for g <= {g_max}")
+        _per_genus(
+            "parity_structure", check_parity, g_max, f"parity constraints hold for g <= {g_max}"
+        )
     )
 
     report = oracle_crosscheck(g_max, p_max)
@@ -262,21 +257,13 @@ def verlinde_suite(g_max: int = 5, p_max: int = 13) -> list[CheckResult]:
 
 def skein_suite(p_max: int = 31, g_max: int = 5, product_max: int = 20) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    odd_levels = list(range(3, p_max + 1, 2))
+    odd_levels = tuple(range(3, p_max + 1, 2))
 
-    failures = []
-    for p in odd_levels:
-        field = cyclotomic_field(p)
-        for g in range(1, g_max + 1):
-            result = flat_curve_check(g, field)
-            if not result.equal:
-                failures.append(f"p={p} g={g} unequal")
-            if not result.lhs:
-                failures.append(f"p={p} g={g} vanishes")
     checks.append(
-        _aggregate(
+        _per_genus(
             "flat_curve_two_forms",
-            failures,
+            lambda g: check_witness(g, odd_levels),
+            g_max,
             f"both closed forms agree and are nonzero for p <= {p_max}, g <= {g_max}",
         )
     )

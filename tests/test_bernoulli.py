@@ -20,7 +20,8 @@ from skeindim.bernoulli import (
     bernoulli_polynomial,
     faulhaber_poly,
 )
-from skeindim.exact import BivariatePolynomial, TruncatedSeries, UnivariatePolynomial
+from skeindim.exact import UnivariatePolynomial
+from series_oracle import series_inverse, series_mul
 
 
 def test_first_values():
@@ -49,15 +50,10 @@ def test_numbers_match_series_inversion():
     # independent route: t/(e^t - 1) as the series inverse of
     # sum_k t^k/(k+1)!, coefficient k times k!
     order = 60
-    variables = ("x", "y")
-    inverse = TruncatedSeries.build(
-        order,
-        variables,
-        lambda k: BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), variables),
-    ).inverse()
+    inverse = series_inverse([Fraction(1, math.factorial(k + 1)) for k in range(order + 1)])
     table = bernoulli_numbers(order)
     for k in range(order + 1):
-        assert table[k] == inverse.coefficient(k).coefficient(0, 0) * math.factorial(k)
+        assert table[k] == inverse[k] * math.factorial(k)
 
 
 def test_large_index_value():
@@ -119,29 +115,14 @@ def test_faulhaber_inconsistency_is_raisable():
 def test_generating_function_of_polynomials():
     # coefficients of t e^{tx}/(e^t - 1) through t^12 must equal B_n(x)/n!
     order = 12
-    variables = ("x", "y")
-
-    exp_tx = TruncatedSeries.build(
-        order,
-        variables,
-        lambda k: BivariatePolynomial({(k, 0): Fraction(1, math.factorial(k))}, variables),
-    )
-    forward = TruncatedSeries.build(
-        order,
-        variables,
-        lambda k: BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), variables),
-    )
-    series = forward.inverse() * exp_tx
+    exp_tx = [
+        UnivariatePolynomial.monomial(k, Fraction(1, math.factorial(k))) for k in range(order + 1)
+    ]
+    forward = [Fraction(1, math.factorial(k + 1)) for k in range(order + 1)]
+    series = series_mul(series_inverse(forward), exp_tx)
 
     for n in range(order + 1):
-        expected = BivariatePolynomial(
-            {
-                (k, 0): coeff / math.factorial(n)
-                for k, coeff in enumerate(bernoulli_polynomial(n).coefficients)
-            },
-            variables,
-        )
-        assert series.coefficient(n) == expected
+        assert series[n] == bernoulli_polynomial(n) / math.factorial(n)
 
 
 @pytest.mark.parametrize("beta", range(0, 9))

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from skeindim import certify
 from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
     RANK_COLUMN_SLACK,
@@ -16,8 +17,15 @@ from skeindim.certify import (
     lower_bound,
     phi_rank,
 )
-from skeindim.exact import RationalMatrix
-from skeindim.verlinde import decompose
+from skeindim.cli import main
+from skeindim.exact import BivariatePolynomial, RationalMatrix
+from skeindim.skein import FlatCurveCheck
+from skeindim.verlinde import (
+    LeadingTermCheck,
+    ParityViolation,
+    StructureViolation,
+    decompose,
+)
 
 
 def test_phi_rank_genus_one_even():
@@ -115,6 +123,86 @@ def test_certificate_sum_identity(g):
 def test_certificate_rejects_genus_zero():
     with pytest.raises(ValueError):
         build_certificate(0)
+
+
+@pytest.mark.parametrize("p_max", [-1, 1, 2])
+def test_certificate_needs_a_witness_level(p_max):
+    # with no odd level below p_max the curve witness would check nothing
+    with pytest.raises(ValueError, match="p_max"):
+        build_certificate(4, p_max=p_max)
+
+
+def test_certificate_at_the_smallest_witness_level():
+    cert = build_certificate(2, p_max=3)
+    assert cert.valid
+    witness = next(c for c in cert.checks if c.name == "nonseparating_curve_witness")
+    assert witness.detail.endswith("for p in [3]")
+
+
+# ------------------------------------------------- failing shared checks
+
+
+def _raises(exc):
+    def fake(*args):
+        raise exc
+
+    return fake
+
+
+_ZERO = BivariatePolynomial.zero()
+
+# (name patched in certify, fake, verify suite, verify check, certificate
+# check, certificate detail)
+FAILING_CHECKS = {
+    "decompose": (
+        "decompose", _raises(StructureViolation("planted violation")),
+        "verlinde", "decomposition_structure", "decomposition_structure", "planted violation",
+    ),
+    "leading_term": (
+        "leading_term_check", lambda g: LeadingTermCheck(g, False, "planted mismatch", _ZERO, _ZERO),
+        "verlinde", "leading_term_identity", "leading_term", "planted mismatch",
+    ),
+    "parity": (
+        "parity_checks", _raises(ParityViolation("planted monomial")),
+        "verlinde", "parity_structure", "parity", "planted monomial",
+    ),
+    "flat_curve_unequal": (
+        "flat_curve_check", lambda g, field: FlatCurveCheck(field.one(), field.zero()),
+        "skein", "flat_curve_two_forms", "nonseparating_curve_witness",
+        "closed forms differ at p=3",
+    ),
+    "flat_curve_vanishing": (
+        "flat_curve_check", lambda g, field: FlatCurveCheck(field.zero(), field.zero()),
+        "skein", "flat_curve_two_forms", "nonseparating_curve_witness",
+        "invariant vanishes at p=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_CHECKS)
+def test_failing_shared_check_fails_certificate_and_verify(monkeypatch, capsys, case):
+    name, fake, suite, verify_check, cert_check, detail = FAILING_CHECKS[case]
+    monkeypatch.setattr(certify, name, fake)
+
+    cert = build_certificate(2)
+    assert not cert.valid
+    assert [(c.name, c.detail) for c in cert.checks if not c.passed] == [(cert_check, detail)]
+
+    assert main(["certify", "--genus", "2", "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert "valid False" in out
+    assert f"FAIL {cert_check}: {detail}" in out.splitlines()
+
+    assert main(["verify", "--suite", suite]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"FAIL {verify_check}: g=1: {detail}")
+    assert lines[-1].startswith("CHECK FAILURES PRESENT")
+
+    assert main(["verify", "--suite", "certify"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL certificates_valid: g=1: {cert_check}" in out
 
 
 def test_certificate_schema_fields():

@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeindim.cyclotomic import (
-    LaurentPolynomial,
-    cyclotomic_field,
-    cyclotomic_int_coeffs,
-    quantum_integer_laurent,
-)
+from skeindim.cyclotomic import cyclotomic_field, cyclotomic_int_coeffs
+from skeindim.skein import quantum_integer
 
 ODD_P = [3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31]
 
@@ -125,18 +121,26 @@ def test_embedding_sends_gen_to_unit_root():
 
 
 def test_laurent_quantum_integers():
-    assert quantum_integer_laurent(0) == LaurentPolynomial.zero()
-    assert quantum_integer_laurent(1) == LaurentPolynomial.one()
-    assert quantum_integer_laurent(2) == LaurentPolynomial({2: 1, -2: 1})
-    assert quantum_integer_laurent(-2) == LaurentPolynomial({2: -1, -2: -1})
+    # [n] is the Laurent sum A^(2n-2) + A^(2n-6) + ... + A^(2-2n)
+    for p in (3, 5, 7, 9, 15, 21):
+        field = cyclotomic_field(p)
+        a = field.gen()
+        assert quantum_integer(0, field) == field.zero()
+        assert quantum_integer(1, field) == field.one()
+        assert quantum_integer(2, field) == a**2 + a ** (-2)
+        assert quantum_integer(-2, field) == -(a**2) - a ** (-2)
+        assert quantum_integer(3, field) == a**4 + 1 + a ** (-4)
 
 
 def test_laurent_specialization_matches_field_arithmetic():
-    field = cyclotomic_field(7)
-    a = field.gen()
-    # [3] = (A^6 - A^-6)/(A^2 - A^-2) computed by honest field division
-    direct = (a**6 - a ** (-6)) / (a**2 - a ** (-2))
-    assert quantum_integer_laurent(3).specialize(field) == direct
+    # [n] = (A^2n - A^-2n)/(A^2 - A^-2) computed by honest field division
+    for p in (5, 7, 9, 11, 15, 25):
+        field = cyclotomic_field(p)
+        a = field.gen()
+        delta = a**2 - a ** (-2)
+        for n in (0, 1, -2, 2, 3):
+            direct = (a ** (2 * n) - a ** (-2 * n)) / delta
+            assert quantum_integer(n, field) == direct, (p, n)
 
 
 @pytest.mark.parametrize("p", ODD_P)

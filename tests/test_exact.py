@@ -17,13 +17,14 @@ from skeindim.exact import (
     NEG_INFINITY,
     BivariatePolynomial,
     RationalMatrix,
-    TruncatedSeries,
     UnivariatePolynomial,
+    _convolve,
     binomial,
     binomial_poly_in_c,
     substitute_affine,
     substitute_half,
 )
+from series_oracle import series_inverse, series_mul
 
 PC = ("p", "c")
 
@@ -35,15 +36,14 @@ def bipoly(terms, variables=PC):
 
 
 def sinh_over_t_series(order):
-    """s(t) = sinh(t)/t = sum t^(2k)/(2k+1)!."""
+    """s(t) = sinh(t)/t = sum t^(2k)/(2k+1)!, through t^order."""
     import math
 
-    def term(k):
-        if k % 2 == 0:
-            return BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), PC)
-        return BivariatePolynomial.zero(PC)
+    return [Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else 0 for k in range(order + 1)]
 
-    return TruncatedSeries.build(order, PC, term)
+
+def series_one(order):
+    return [1] + [0] * order
 
 
 # ---------------------------------------------------------------- binomial
@@ -177,66 +177,38 @@ def test_render_univariate():
 
 
 def test_series_inverse_of_one_is_one():
-    one = TruncatedSeries.one(4, PC)
-    assert one.inverse() == one
+    assert series_inverse(series_one(4)) == series_one(4)
 
 
 def test_series_inverse_of_sinh_over_t_through_order_two():
     # inverting 1 + t^2/6 by hand through order 2 gives 1 - t^2/6
-    inv = sinh_over_t_series(2).inverse()
-    assert inv.coefficient(0) == BivariatePolynomial.constant(1, PC)
-    assert inv.coefficient(1) == BivariatePolynomial.zero(PC)
-    assert inv.coefficient(2) == BivariatePolynomial.constant(Fraction(-1, 6), PC)
+    assert series_inverse(sinh_over_t_series(2)) == [1, 0, Fraction(-1, 6)]
 
 
 def test_series_times_inverse_is_one():
     s = sinh_over_t_series(12)
-    assert s * s.inverse() == TruncatedSeries.one(12, PC)
-
-
-def test_series_inverse_rejects_bad_constant_term():
-    series = TruncatedSeries.build(
-        2, PC, lambda k: BivariatePolynomial.constant(2 if k == 0 else 0, PC)
-    )
-    with pytest.raises(ValueError):
-        series.inverse()
+    assert series_mul(s, series_inverse(s)) == series_one(12)
 
 
 def test_series_mul_identity():
     s = sinh_over_t_series(6)
-    assert s * TruncatedSeries.one(6, PC) == s
+    assert series_mul(s, series_one(6)) == s
 
 
 def test_series_square_one_plus_t():
-    one_plus_t = TruncatedSeries.build(
-        2, PC, lambda k: BivariatePolynomial.constant(1 if k <= 1 else 0, PC)
-    )
-    squared = one_plus_t * one_plus_t
-    assert squared.coefficient(0) == 1
-    assert squared.coefficient(1) == 2
-    assert squared.coefficient(2) == 1
+    assert series_mul([1, 1, 0], [1, 1, 0]) == [1, 2, 1]
 
 
 def test_series_pow_square_of_sinh_over_t():
     # (1 + t^2/6 + ...)^2 has t^2 coefficient 1/3 by hand expansion
-    squared = sinh_over_t_series(2) ** 2
-    assert squared.coefficient(2) == BivariatePolynomial.constant(Fraction(1, 3), PC)
-
-
-def test_series_order_mismatch_rejected():
-    with pytest.raises(ValueError):
-        TruncatedSeries.one(3, PC) * TruncatedSeries.one(4, PC)
-
-
-def test_coefficient_beyond_order_rejected():
-    with pytest.raises(ValueError):
-        TruncatedSeries.one(3, PC).coefficient(4)
+    s = sinh_over_t_series(2)
+    assert series_mul(s, s)[2] == Fraction(1, 3)
 
 
 def test_coefficient_of_sinh_over_t():
     s = sinh_over_t_series(4)
-    assert s.coefficient(0) == 1
-    assert s.coefficient(2) == BivariatePolynomial.constant(Fraction(1, 6), PC)
+    assert s[0] == 1
+    assert s[2] == Fraction(1, 6)
 
 
 def test_exponential_kernel_linear_coefficient():
@@ -244,15 +216,9 @@ def test_exponential_kernel_linear_coefficient():
     # coefficient is -p (the generating-function value B_1 * 2p / 1!).
     import math
 
-    forward = TruncatedSeries.build(
-        3,
-        PC,
-        lambda k: BivariatePolynomial(
-            {(k, 0): Fraction(2**k, math.factorial(k + 1))}, PC
-        ),
-    )
-    kernel = forward.inverse()
-    assert kernel.coefficient(1) == bipoly({(1, 0): -1})
+    forward = [bipoly({(k, 0): Fraction(2**k, math.factorial(k + 1))}) for k in range(4)]
+    kernel = series_inverse(forward)
+    assert kernel[1] == bipoly({(1, 0): -1})
 
 
 @st.composite
@@ -266,13 +232,37 @@ def unit_constant_series(draw):
             j = draw(st.integers(min_value=0, max_value=2))
             terms[(i, j)] = draw(rationals)
         coeffs.append(BivariatePolynomial(terms, PC))
-    return TruncatedSeries(order, coeffs)
+    return coeffs
 
 
 @settings(max_examples=25, deadline=None)
 @given(unit_constant_series())
 def test_series_inverse_round_trip(series):
-    assert series * series.inverse() == TruncatedSeries.one(series.order, PC)
+    assert series_mul(series, series_inverse(series)) == series_one(len(series) - 1)
+
+
+# ------------------------------------------------------------- convolve
+
+
+def test_convolve_is_the_ascending_product():
+    # (1 + 2x^2)(3 + 4x) = 3 + 4x + 6x^2 + 8x^3
+    assert _convolve([1, 0, 2], [3, 4]) == [3, 4, 6, 8]
+    assert _convolve([3, 4], [1, 0, 2]) == [3, 4, 6, 8]
+    assert _convolve([0, 0, 5], [Fraction(1, 5), 1]) == [0, 0, 1, 5]
+    assert _convolve([], []) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+)
+def test_convolve_matches_the_double_sum(a, b):
+    expected = [
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    ]
+    assert _convolve(a, b) == expected
 
 
 # ------------------------------------------------------- substitute_half

@@ -15,7 +15,6 @@ import pytest
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number, bernoulli_numbers
 from skeindim.exact import (
     BivariatePolynomial,
-    TruncatedSeries,
     UnivariatePolynomial,
     binomial_poly_in_c,
     substitute_affine,
@@ -43,6 +42,7 @@ from skeindim.verlinde import (
     parity_checks,
     verlinde_polynomial,
 )
+from series_oracle import series_inverse, series_mul
 
 PC = ("p", "c")
 PS = ("p", "s")
@@ -597,24 +597,19 @@ def test_exponential_table_is_independent_of_call_order(monkeypatch):
 def _series_route_residue(g):
     """R(p, c) as the t^(2g-2) coefficient of the full bivariate series
     product [2pt/(e^(2pt)-1)] s((2c+1)t) s(t)^-(2g-1), the earlier route."""
-    order = 2 * g - 2
-    exponential = TruncatedSeries.build(
-        order, PC,
-        lambda k: BivariatePolynomial({(k, 0): Fraction(2**k, math.factorial(k + 1))}, PC),
-    ).inverse()
+    terms = range(2 * g - 1)
+    exponential = series_inverse(
+        [BivariatePolynomial({(k, 0): Fraction(2**k, math.factorial(k + 1))}, PC) for k in terms]
+    )
     two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
-    width = TruncatedSeries.build(
-        order, PC,
-        lambda k: two_c_plus_one**k / math.factorial(k + 1)
-        if k % 2 == 0 else BivariatePolynomial.zero(PC),
+    width = [two_c_plus_one**k / math.factorial(k + 1) if k % 2 == 0 else 0 for k in terms]
+    sinh_inverse = series_inverse(
+        [Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else 0 for k in terms]
     )
-    sinh = TruncatedSeries.build(
-        order, PC,
-        lambda k: BivariatePolynomial.constant(Fraction(1, math.factorial(k + 1)), PC)
-        if k % 2 == 0 else BivariatePolynomial.zero(PC),
-    )
-    product = exponential * width * (sinh.inverse() ** (2 * g - 1))
-    return product.coefficient(order)
+    product = series_mul(exponential, width)
+    for _ in range(2 * g - 1):
+        product = series_mul(product, sinh_inverse)
+    return product[-1]
 
 
 def _series_route_polynomial(g):
