@@ -5,7 +5,6 @@ floating point appears only in optional numeric embeddings.
 """
 
 from .bernoulli import (
-    BernoulliTable,
     FaulhaberInconsistency,
     bernoulli_half_value,
     bernoulli_number,
@@ -27,9 +26,7 @@ from .cyclotomic import (
 )
 from .exact import (
     BivariatePolynomial,
-    RationalMatrix,
     UnivariatePolynomial,
-    binomial,
     binomial_poly_in_c,
     substitute_half,
 )
@@ -47,7 +44,6 @@ from .skein import (
 )
 from .verlinde import (
     CrosscheckReport,
-    FusionTable,
     IntegralityError,
     ParityViolation,
     StructureViolation,

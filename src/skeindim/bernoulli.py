@@ -17,10 +17,9 @@ only the numbers not yet computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import UnivariatePolynomial, binomial
+from .exact import UnivariatePolynomial
 
 
 class FaulhaberInconsistency(ArithmeticError):
@@ -31,31 +30,14 @@ class FaulhaberInconsistency(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0..B_N, index equals subscript."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def max_index(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 #: B_0, B_1, ... as far as any call has needed.  Calls replace it with a
 #: longer tuple and never change one in place, so a racing call can only
 #: redo work.
 _NUMBERS: tuple[Fraction, ...] = (Fraction(1),)
 
 
-def bernoulli_numbers(max_index: int) -> BernoulliTable:
-    """B_0..B_max_index by the recurrence
+def bernoulli_numbers(max_index: int) -> tuple[Fraction, ...]:
+    """The tuple (B_0, ..., B_max_index) by the recurrence
     B_n = -1/(n+1) * sum_{k<n} binom(n+1, k) B_k,  B_0 = 1,
     which is sum_{k<=n} binom(n+1, k) B_k = 0, the coefficient of t^(n+1)
     in (e^t - 1) * t/(e^t - 1) = t.  The one module-level table grows to
@@ -71,7 +53,7 @@ def bernoulli_numbers(max_index: int) -> BernoulliTable:
             acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
             values.append(-acc / (n + 1))
         numbers = _NUMBERS = tuple(values)
-    return BernoulliTable(numbers[: max_index + 1])
+    return numbers[: max_index + 1]
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -85,7 +67,7 @@ def bernoulli_polynomial(m: int) -> UnivariatePolynomial:
     table = bernoulli_numbers(m)
     coeffs = [Fraction(0)] * (m + 1)
     for ell in range(m + 1):
-        coeffs[m - ell] = binomial(m, ell) * table[ell]
+        coeffs[m - ell] = math.comb(m, ell) * table[ell]
     return UnivariatePolynomial(coeffs)
 
 
@@ -105,7 +87,7 @@ def _faulhaber_via_bernoulli_sum(m: int) -> UnivariatePolynomial:
     table = bernoulli_numbers(m + 1)
     result = UnivariatePolynomial.monomial(m, Fraction(1, 2))
     for j in range(m // 2 + 1):
-        coeff = binomial(m + 1, 2 * j) * table[2 * j] / (m + 1)
+        coeff = math.comb(m + 1, 2 * j) * table[2 * j] / (m + 1)
         result = result + UnivariatePolynomial.monomial(m + 1 - 2 * j, coeff)
     return result
 

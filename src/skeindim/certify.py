@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .cyclotomic import cyclotomic_field
-from .exact import RationalMatrix, _horner, _scaled
+from .exact import _horner, _scaled, rank
 from .skein import flat_curve_check
 from .verlinde import (
     decompose,
@@ -62,13 +62,15 @@ def phi_rank(g: int, kind: str, columns: int) -> int:
     s = 1..columns for the odd kind.  The support and degrees of those
     polynomials are validated separately, by `check_structure`.
     """
-    return RationalMatrix(_value_rows(g, kind, columns)).rank()
+    return rank(_value_rows(g, kind, columns))
 
 
 def _value_rows(g: int, kind: str, columns: int) -> list[list[int]]:
     """The value matrix with each row scaled to integers: every part is
     scaled once by the lcm of its denominators, which leaves the rank
     unchanged, and evaluated at each integer argument by Horner's rule."""
+    if kind not in ("even", "odd"):
+        raise ValueError("kind must be 'even' or 'odd'")
     source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
     parts = source.split_by_first()
     exponents = sorted(parts)

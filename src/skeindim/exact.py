@@ -27,13 +27,14 @@ Representations:
   BivariatePolynomial   sparse dict {(i, j): coeff} with a named variable
                         pair such as ("p", "c"); many of the polynomials
                         produced downstream are structurally sparse.
-  RationalMatrix        rank via fraction-free (Bareiss) elimination over
-                        the integers after clearing row denominators.
+  integer rows          the input of `rank` (Bareiss); rational rows are
+                        scaled to integers first with `_scaled`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -57,13 +58,6 @@ def _scaled(values: Sequence[Fraction]):
     with L the lcm of the denominators."""
     scale = math.lcm(*[v.denominator for v in values])
     return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
-def binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient n-choose-k as an exact rational; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return Fraction(math.comb(n, k))
 
 
 def _format_terms(terms: Sequence[tuple[Fraction, str]]) -> str:
@@ -549,56 +543,35 @@ def binomial_poly_in_c(g: int, variables: tuple[str, str] = ("p", "c")) -> Bivar
     return product / Fraction(math.factorial(k))
 
 
-class RationalMatrix:
-    """Immutable rational matrix with exact rank computation.
-
-    Rank runs fraction-free: each row is scaled to integers (rank
-    preserving) and eliminated Bareiss style, dividing by the previous
-    pivot so intermediate entries stay minors of the scaled matrix.
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of a matrix of integer rows, by fraction-free (Bareiss)
+    elimination: each step divides by the previous pivot, so intermediate
+    entries stay minors of the input.  A non-int entry raises TypeError,
+    as the floor division would silently misrank Fractions.
     """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Sequence[Sequence[RationalLike]]):
-        rows = [tuple(_q(x) for x in row) for row in entries]
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("all rows must have the same length")
-        self._entries = tuple(rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self._entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self._entries[0])
-
-    def rank(self) -> int:
-        m = [_scaled(row)[1] for row in self._entries]
-        n_rows, n_cols = len(m), len(m[0])
-        rank = 0
-        prev_pivot = 1
-        for col in range(n_cols):
-            pivot_row = next(
-                (i for i in range(rank, n_rows) if m[i][col] != 0), None
-            )
-            if pivot_row is None:
-                continue
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            pivot = m[rank][col]
-            for i in range(rank + 1, n_rows):
-                factor = m[i][col]
-                for j in range(col + 1, n_cols):
-                    m[i][j] = (m[i][j] * pivot - factor * m[rank][j]) // prev_pivot
-                m[i][col] = 0
-            prev_pivot = pivot
-            rank += 1
-            if rank == n_rows:
-                break
-        return rank
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
+    m = [[operator.index(x) for x in row] for row in rows]
+    if not m or not m[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    n_rows, n_cols = len(m), len(m[0])
+    if any(len(row) != n_cols for row in m):
+        raise ValueError("all rows must have the same length")
+    rank = 0
+    prev_pivot = 1
+    for col in range(n_cols):
+        pivot_row = next(
+            (i for i in range(rank, n_rows) if m[i][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for i in range(rank + 1, n_rows):
+            factor = m[i][col]
+            for j in range(col + 1, n_cols):
+                m[i][j] = (m[i][j] * pivot - factor * m[rank][j]) // prev_pivot
+            m[i][col] = 0
+        prev_pivot = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank

@@ -71,8 +71,9 @@ def _per_genus(
 # ------------------------------------------------------------- bernoulli
 
 
-def bernoulli_suite(max_half_index: int = 40, max_faulhaber: int = 20) -> list[CheckResult]:
+def bernoulli_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
+    max_half_index, max_faulhaber = 40, 20
 
     failures = []
     table = bernoulli_numbers(max_half_index)
@@ -156,8 +157,9 @@ def bernoulli_suite(max_half_index: int = 40, max_faulhaber: int = 20) -> list[C
 # -------------------------------------------------------------- verlinde
 
 
-def verlinde_suite(g_max: int = 5, p_max: int = 13) -> list[CheckResult]:
+def verlinde_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
+    g_max, p_max = 5, 13
 
     genus_one = BivariatePolynomial(
         {(1, 0): Fraction(1, 2), (0, 1): -1, (0, 0): Fraction(-1, 2)}, ("p", "c")
@@ -255,8 +257,9 @@ def verlinde_suite(g_max: int = 5, p_max: int = 13) -> list[CheckResult]:
 # ----------------------------------------------------------------- skein
 
 
-def skein_suite(p_max: int = 31, g_max: int = 5, product_max: int = 20) -> list[CheckResult]:
+def skein_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
+    p_max, g_max, product_max = 31, 5, 20
     odd_levels = tuple(range(3, p_max + 1, 2))
 
     checks.append(
@@ -351,8 +354,9 @@ def skein_suite(p_max: int = 31, g_max: int = 5, product_max: int = 20) -> list[
 # --------------------------------------------------------------- certify
 
 
-def certify_suite(g_max: int = 5) -> list[CheckResult]:
+def certify_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
+    g_max = 5
     known = {0: 1, 1: 9, 2: 35}
     failures = [
         f"g={g}: {lower_bound(g)} != {value}"

@@ -278,13 +278,6 @@ class VerlindeDecomposition:
     kind: str  # "even" or "odd"
     parts: dict[int, UnivariatePolynomial]
 
-    @property
-    def support(self) -> set[int]:
-        return set(self.parts)
-
-    def part(self, j: int) -> UnivariatePolynomial:
-        return self.parts.get(j, UnivariatePolynomial.zero())
-
     def reconstruct(self) -> BivariatePolynomial:
         variables = PC if self.kind == "even" else PS
         terms = {}
@@ -348,9 +341,6 @@ class LeadingTermCheck:
     expected: BivariatePolynomial
     actual: BivariatePolynomial
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def leading_term_closed_form(g: int) -> BivariatePolynomial:
     """(-1)^g p^(g-1) sum_k B_k / (k! (2g-1-k)!) c^(2g-1-k) p^k."""
@@ -386,15 +376,7 @@ def leading_term_check(g: int) -> LeadingTermCheck:
     return LeadingTermCheck(g, True, "", expected, actual)
 
 
-@dataclass(frozen=True)
-class ParityReport:
-    """Record of the parity facts verified for one genus."""
-
-    genus: int
-    statements: tuple[str, ...]
-
-
-def parity_checks(g: int) -> ParityReport:
+def parity_checks(g: int) -> None:
     """Verify the two parity constraints of the dimension polynomial:
 
     (a) D_g = p^(g-1) X + p^g Y with X (the residue component) even in p
@@ -436,30 +418,9 @@ def parity_checks(g: int) -> ParityReport:
                 f"odd-color polynomial / p^{g-1} has even power of s: "
                 f"{coeff}*p^{i}*s^{j}"
             )
-    return ParityReport(
-        genus=g,
-        statements=(
-            "residue component even in p",
-            "binomial component free of p",
-            f"odd-color polynomial divisible by p^{g-1}",
-            "reduced odd-color polynomial even in p and odd in s",
-        ),
-    )
 
 
 # ------------------------------------------------------------------ fusion
-
-
-@dataclass(frozen=True)
-class FusionTable:
-    """Genus-one two-point dimensions K[s][y] for 1 <= s, y <= d."""
-
-    p: int
-    d: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def value(self, s: int, y: int) -> int:
-        return self.entries[s - 1][y - 1]
 
 
 def _check_level(p: int) -> int:
@@ -469,14 +430,14 @@ def _check_level(p: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def fusion_table(p: int) -> FusionTable:
-    """K[s][y] = (p - 2*max(s, y)) * min(s, y); symmetric, all entries >= 1."""
+def fusion_table(p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows K[s-1][y-1] = (p - 2*max(s, y)) * min(s, y), 1 <= s, y <= (p-1)/2,
+    as a tuple of tuples of ints; symmetric, all entries >= 1."""
     d = _check_level(p)
-    entries = tuple(
+    return tuple(
         tuple((p - 2 * max(s, y)) * min(s, y) for y in range(1, d + 1))
         for s in range(1, d + 1)
     )
-    return FusionTable(p=p, d=d, entries=entries)
 
 
 @lru_cache(maxsize=512)
@@ -489,7 +450,7 @@ def _fusion_vector(g: int, p: int) -> tuple[int, ...]:
     recomputed to the same tuple, so shared concurrent use is safe.
     """
     d = _check_level(p)
-    entries = fusion_table(p).entries
+    entries = fusion_table(p)
     vector = tuple(range(1, d + 1))
     for _ in range(g - 1):
         vector = tuple(sum(k * v for k, v in zip(row, vector)) for row in entries)
@@ -570,6 +531,10 @@ def oracle_crosscheck(g_max: int, p_max: int) -> CrosscheckReport:
     fusion recursion.  The polynomial is folded once per (g, p) and each s
     costs one integer Horner evaluation.  Mismatches are reported, not
     raised."""
+    if g_max < 1:
+        raise ValueError("genus must be at least 1")
+    if p_max < 3:
+        raise ValueError("p_max must be at least 3, the smallest level")
     checked = 0
     mismatches = []
     for g in range(1, g_max + 1):

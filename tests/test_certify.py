@@ -18,7 +18,7 @@ from skeindim.certify import (
     phi_rank,
 )
 from skeindim.cli import main
-from skeindim.exact import BivariatePolynomial, RationalMatrix
+from skeindim.exact import BivariatePolynomial, _scaled, rank
 from skeindim.skein import FlatCurveCheck
 from skeindim.verlinde import (
     LeadingTermCheck,
@@ -47,6 +47,12 @@ def test_phi_rank_rejects_too_few_columns():
         phi_rank(2, "even", 2)
 
 
+@pytest.mark.parametrize("kind", ["mixed", "Even", ""])
+def test_phi_rank_rejects_unknown_kind(kind):
+    with pytest.raises(ValueError, match="kind must be 'even' or 'odd'"):
+        phi_rank(2, kind, 5)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_phi_rank_saturates_at_row_count(g):
     assert phi_rank(g, "even", g + 1) == g + 1
@@ -73,7 +79,7 @@ def test_value_rows_are_scaled_fraction_rows(g, kind):
         scale = math.lcm(*[c.denominator for c in parts[j].coefficients])
         assert row == [scale * value for value in fractions]
         assert all(type(value) is int for value in row)
-    assert phi_rank(g, kind, columns) == RationalMatrix(expected).rank()
+    assert phi_rank(g, kind, columns) == rank([_scaled(row)[1] for row in expected])
 
 
 def test_lower_bound_known_values():

@@ -295,3 +295,22 @@ def test_usage_error_exit_code_on_unknown_command(capsys):
 def test_usage_error_on_bad_range(capsys):
     code, _, _ = run_cli(capsys, "table", "--genus", "3:1", "--p", "5", "--color", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["poly", "--genus", "0"], "genus must be at least 1"),
+        (["decompose", "--genus", "0"], "genus must be at least 1"),
+        (["eval-curve", "--genus", "0", "--p", "5", "--color", "1"], "genus must be at least 1"),
+        (["certify", "--genus", "0"], "genus must be at least 1"),
+        (["table", "--genus", "0:2", "--p", "5", "--color", "0"], "genus must be at least 1"),
+        (["eval-curve", "--genus", "2", "--p", "5", "--color", "-1"], "color must be nonnegative"),
+        (["bernoulli", "--max-index", "-1"], "max index must be nonnegative"),
+    ],
+)
+def test_usage_error_branches(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == json.dumps({"error": message}) + "\n"
