@@ -43,16 +43,13 @@ from .skein import (
     recoloring_check,
 )
 from .verlinde import (
-    CrosscheckReport,
     IntegralityError,
     ParityViolation,
     StructureViolation,
-    VerlindeDecomposition,
     decompose,
     dimension,
     fusion_dimension,
     fusion_table,
-    leading_term_check,
     level_dimensions,
     odd_color_polynomial,
     oracle_crosscheck,

@@ -19,14 +19,16 @@ explicitly; everything downstream of it is verified by exact computation.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .cyclotomic import cyclotomic_field
 from .exact import _horner, _scaled, rank
 from .skein import flat_curve_check
 from .verlinde import (
+    CHECK_LEVELS,
     decompose,
-    leading_term_check,
+    leading_term_closed_form,
     odd_color_polynomial,
     oracle_crosscheck,
     parity_checks,
@@ -47,8 +49,10 @@ def lower_bound(g: int) -> int:
     """The certified lower bound 2^(2g+1) + 2g - 1.
 
     At g = 0 this equals the known one-dimensional answer, so no special
-    residue machinery is needed there.
+    residue machinery is needed there.  A genus that is not an integer
+    raises TypeError.
     """
+    g = operator.index(g)
     if g < 0:
         raise ValueError("genus must be nonnegative")
     return 2 ** (2 * g + 1) + 2 * g - 1
@@ -160,12 +164,12 @@ def check_structure(g: int) -> CheckResult:
 
 def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
     for p in p_values:
-        check = flat_curve_check(g, cyclotomic_field(p))
-        if not check.equal:
+        lhs, rhs = flat_curve_check(g, cyclotomic_field(p))
+        if lhs != rhs:
             return CheckResult(
                 "nonseparating_curve_witness", False, f"closed forms differ at p={p}"
             )
-        if not check.lhs:
+        if not lhs:
             return CheckResult(
                 "nonseparating_curve_witness", False, f"invariant vanishes at p={p}"
             )
@@ -177,11 +181,18 @@ def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
 
 
 def check_leading_term(g: int) -> CheckResult:
-    leading = leading_term_check(g)
+    """The degree-(3g-2) homogeneous part of the dimension polynomial
+    against its Bernoulli closed form; every higher part must vanish."""
+    poly = verlinde_polynomial(g)
+    if poly.homogeneous_part(3 * g - 2) != leading_term_closed_form(g):
+        return CheckResult("leading_term", False, "top homogeneous part mismatch")
+    for n in range(3 * g - 1, 3 * g + 3):
+        if poly.homogeneous_part(n):
+            return CheckResult(
+                "leading_term", False, f"nonzero homogeneous part at degree {n}"
+            )
     return CheckResult(
-        "leading_term",
-        leading.passed,
-        leading.detail or "top homogeneous part matches its closed form",
+        "leading_term", True, "top homogeneous part matches its closed form"
     )
 
 
@@ -193,18 +204,16 @@ def check_parity(g: int) -> CheckResult:
     return CheckResult("parity", True, "even-in-p and odd-in-s structure holds")
 
 
-def build_certificate(g: int, p_max: int = 13) -> Certificate:
-    """Run every sub-check for one genus and assemble the certificate.
+def build_certificate(g: int) -> Certificate:
+    """Run every sub-check for one genus and assemble the certificate; the
+    curve witness and the crosscheck run at the levels in CHECK_LEVELS.
 
     A failed sub-check never passes silently: it is recorded with detail
     and makes the certificate invalid.  The lower_bound field always
-    carries the claimed bound, whether or not the checks passed.  The curve
-    witness needs at least one level, so p_max must be at least 3.
+    carries the claimed bound, whether or not the checks passed.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    if p_max < 3:
-        raise ValueError("p_max must be at least 3, the smallest level")
     checks: list[CheckResult] = []
 
     checks.append(check_structure(g))
@@ -226,16 +235,15 @@ def build_certificate(g: int, p_max: int = 13) -> Certificate:
         )
     )
 
-    odd_levels = tuple(range(3, p_max + 1, 2))
-    checks.append(check_witness(g, odd_levels))
+    checks.append(check_witness(g, CHECK_LEVELS))
 
-    crosscheck = oracle_crosscheck(g, p_max)
+    checked, mismatches = oracle_crosscheck(g)
     checks.append(
         CheckResult(
             "residue_vs_fusion",
-            crosscheck.ok,
-            f"{crosscheck.checked} dimension values compared"
-            + ("" if crosscheck.ok else f", {len(crosscheck.mismatches)} mismatches"),
+            not mismatches,
+            f"{checked} dimension values compared"
+            + (f", {len(mismatches)} mismatches" if mismatches else ""),
         )
     )
 

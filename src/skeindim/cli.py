@@ -47,16 +47,9 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _usage_error(message: str) -> int:
-    record = {"error": message}
-    print(json.dumps(record), file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _check_failure(message: str) -> int:
-    record = {"error": message}
-    print(json.dumps(record), file=sys.stderr)
-    return EXIT_CHECK_FAILURE
+def _error(message: str, code: int) -> int:
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return code
 
 
 class _OutputError(Exception):
@@ -99,16 +92,16 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     try:
         value = dimension(args.genus, args.p, args.color)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc), EXIT_USAGE)
     except IntegralityError as exc:
-        return _check_failure(str(exc))
+        return _error(str(exc), EXIT_CHECK_FAILURE)
     print(value)
     return EXIT_OK
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
     if args.genus < 1:
-        return _usage_error("genus must be at least 1")
+        return _error("genus must be at least 1", EXIT_USAGE)
     kind = "odd" if args.odd else "even"
     poly = odd_color_polynomial(args.genus) if args.odd else verlinde_polynomial(args.genus)
     if args.format == "json":
@@ -126,19 +119,19 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.genus < 1:
-        return _usage_error("genus must be at least 1")
+        return _error("genus must be at least 1", EXIT_USAGE)
     try:
-        decomposition = decompose(args.genus, args.kind)
+        parts = decompose(args.genus, args.kind)
     except StructureViolation as exc:
-        return _check_failure(str(exc))
+        return _error(str(exc), EXIT_CHECK_FAILURE)
     var = "c" if args.kind == "even" else "s"
     rows = [
         {
             "power": j,
-            "degree": int(decomposition.parts[j].degree),
-            "polynomial": decomposition.parts[j].render(var),
+            "degree": int(parts[j].degree),
+            "polynomial": parts[j].render(var),
         }
-        for j in sorted(decomposition.parts)
+        for j in sorted(parts)
     ]
     if args.format == "json":
         payload = {"genus": args.genus, "kind": args.kind, "parts": rows}
@@ -151,7 +144,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     if args.max_index < 0:
-        return _usage_error("max index must be nonnegative")
+        return _error("max index must be nonnegative", EXIT_USAGE)
     if args.polynomials:
         entries = [
             {"index": m, "polynomial": bernoulli_polynomial(m).render("x")}
@@ -173,19 +166,19 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 def _cmd_eval_curve(args: argparse.Namespace) -> int:
     if args.genus < 1:
-        return _usage_error("genus must be at least 1")
+        return _error("genus must be at least 1", EXIT_USAGE)
     if args.color < 0:
-        return _usage_error("color must be nonnegative")
+        return _error("color must be nonnegative", EXIT_USAGE)
     try:
         field = cyclotomic_field(args.p)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc), EXIT_USAGE)
     try:
         value = eval_nonseparating_curve(
             args.genus, args.color, field, alternate_form=args.alternate_form
         )
     except VanishingDenominator as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc), EXIT_USAGE)
     coefficients = [str(c) for c in value.coefficients]
     if args.format == "json":
         payload = {
@@ -235,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.genus < 1:
-        return _usage_error("genus must be at least 1")
+        return _error("genus must be at least 1", EXIT_USAGE)
     certificate = build_certificate(args.genus)
     if args.format == "text":
         lines = [
@@ -262,9 +255,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         p_range = _parse_range(args.p)
         color_range = _parse_range(args.color)
     except ValueError as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc), EXIT_USAGE)
     if genus_range[0] < 1:
-        return _usage_error("genus must be at least 1")
+        return _error("genus must be at least 1", EXIT_USAGE)
     lines = ["genus,p,color,dimension"]
     for g in range(genus_range[0], genus_range[1] + 1):
         for p in range(max(p_range[0], 3), p_range[1] + 1):
@@ -274,7 +267,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             try:
                 values = level_dimensions(g, p, colors)
             except IntegralityError as exc:
-                return _check_failure(str(exc))
+                return _error(str(exc), EXIT_CHECK_FAILURE)
             lines += [f"{g},{p},{m},{value}" for m, value in zip(colors, values)]
     _emit("\n".join(lines), args.output)
     return EXIT_OK
@@ -369,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _OutputError as exc:
-        return _usage_error(str(exc))
+        return _error(str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ field's closed form R(u, v) = 1/(A^u - A^v) rather than extended Euclid.
 from __future__ import annotations
 
 from fractions import Fraction
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .cyclotomic import CyclotomicElement, CyclotomicField, cyclotomic_field
@@ -186,21 +185,12 @@ def e_product(i: int, j: int) -> AnnulusSkein:
 # ------------------------------------------------- curve-evaluation checks
 
 
-@dataclass(frozen=True)
-class FlatCurveCheck:
-    """Two closed forms for the invariant of a flat nonseparating curve
-    colored 1: (-p/(A - A^-1)^2)^(g-1) and (D^2/<e_{d-1}>^2)^(g-1)."""
-
-    lhs: CyclotomicElement
-    rhs: CyclotomicElement
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def flat_curve_check(g: int, field: CyclotomicField) -> FlatCurveCheck:
-    """Both closed forms, each from its own root-difference inverse.
+def flat_curve_check(
+    g: int, field: CyclotomicField
+) -> tuple[CyclotomicElement, CyclotomicElement]:
+    """The two closed forms (lhs, rhs) for the invariant of a flat
+    nonseparating curve colored 1, (-p/(A - A^-1)^2)^(g-1) and
+    (D^2/<e_{d-1}>^2)^(g-1), each from its own root-difference inverse.
 
     lhs: 1/(A - A^-1), exponent gap 2.  rhs: D^2 from 1/(A^2 - A^-2) and
     1/<e_{d-1}>^2 = 1/[d]^2 with 1/[d] = (A^2 - A^-2)/(A^2d - A^-2d),
@@ -216,7 +206,7 @@ def flat_curve_check(g: int, field: CyclotomicField) -> FlatCurveCheck:
         field.root_difference_inverse(2 * d, -2 * d)
     )
     rhs = (d_squared(field) * edge_inverse * edge_inverse) ** (g - 1)
-    return FlatCurveCheck(lhs=lhs, rhs=rhs)
+    return lhs, rhs
 
 
 def recoloring_check(s: int, field: CyclotomicField) -> bool:

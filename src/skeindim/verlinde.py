@@ -44,7 +44,7 @@ starting from the genus-one values D_1 = s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -54,6 +54,10 @@ from .exact import BivariatePolynomial, UnivariatePolynomial, _horner
 
 PC = ("p", "c")
 PS = ("p", "s")
+
+#: The odd levels at which the residue polynomial is compared with the
+#: fusion recursion and the curve witness is checked.
+CHECK_LEVELS = tuple(range(3, 14, 2))
 
 #: Integer numerators {(i, j): n} of a polynomial over a separate denominator,
 #: and the same as a tuple of ((i, j), n) pairs.
@@ -266,28 +270,6 @@ def odd_color_polynomial(g: int) -> BivariatePolynomial:
     )
 
 
-@dataclass(frozen=True)
-class VerlindeDecomposition:
-    """Grouping of a dimension polynomial by powers of p.
-
-    parts[j] is the coefficient polynomial of p^j, in c for the even-color
-    kind and in s for the odd-color kind.
-    """
-
-    genus: int
-    kind: str  # "even" or "odd"
-    parts: dict[int, UnivariatePolynomial]
-
-    def reconstruct(self) -> BivariatePolynomial:
-        variables = PC if self.kind == "even" else PS
-        terms = {}
-        for j, poly in self.parts.items():
-            for k, coeff in enumerate(poly.coefficients):
-                if coeff != 0:
-                    terms[(j, k)] = coeff
-        return BivariatePolynomial(terms, variables)
-
-
 def exponent_support(g: int, kind: str) -> set[int]:
     """Expected p-exponents: {g-1, g+1, ..., 3g-3}, plus {g} for the
     even-color kind."""
@@ -295,12 +277,14 @@ def exponent_support(g: int, kind: str) -> set[int]:
     return base | {g} if kind == "even" else base
 
 
-def decompose(g: int, kind: str) -> VerlindeDecomposition:
+def decompose(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
     """Split the dimension polynomial by powers of p and validate its
     structure: support exactly the expected exponent set, and the part at
     p^j of degree exactly 3g - 2 - j (hence nonzero leading coefficient).
 
-    Any violation raises StructureViolation naming the offending exponent.
+    Returns {j: part at p^j}, each part in c for the even-color kind and
+    in s for the odd-color kind.  Any violation, or parts that do not
+    reconstruct the polynomial, raises StructureViolation.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -323,23 +307,17 @@ def decompose(g: int, kind: str) -> VerlindeDecomposition:
                 f"part at p^{j} has degree {poly.degree}, expected {3 * g - 2 - j} "
                 f"(genus {g}, kind {kind})"
             )
-    decomposition = VerlindeDecomposition(genus=g, kind=kind, parts=parts)
-    if decomposition.reconstruct() != source:
+    terms = {
+        (j, k): coeff
+        for j, poly in parts.items()
+        for k, coeff in enumerate(poly.coefficients)
+        if coeff
+    }
+    if BivariatePolynomial(terms, source.variables) != source:
         raise StructureViolation(
             f"decomposition does not reconstruct the source (genus {g}, kind {kind})"
         )
-    return decomposition
-
-
-@dataclass(frozen=True)
-class LeadingTermCheck:
-    """Outcome of comparing the top homogeneous part with its closed form."""
-
-    genus: int
-    passed: bool
-    detail: str
-    expected: BivariatePolynomial
-    actual: BivariatePolynomial
+    return parts
 
 
 def leading_term_closed_form(g: int) -> BivariatePolynomial:
@@ -355,25 +333,6 @@ def leading_term_closed_form(g: int) -> BivariatePolynomial:
         if coeff != 0:
             terms[(g - 1 + k, 2 * g - 1 - k)] = coeff
     return BivariatePolynomial(terms, PC)
-
-
-def leading_term_check(g: int) -> LeadingTermCheck:
-    """Compare the degree-(3g-2) homogeneous part of the dimension
-    polynomial with its Bernoulli closed form, and confirm all higher
-    homogeneous parts vanish.  Returns a result object, never raises."""
-    poly = verlinde_polynomial(g)
-    actual = poly.homogeneous_part(3 * g - 2)
-    expected = leading_term_closed_form(g)
-    if actual != expected:
-        return LeadingTermCheck(
-            g, False, "top homogeneous part mismatch", expected, actual
-        )
-    for n in range(3 * g - 1, 3 * g + 3):
-        if poly.homogeneous_part(n):
-            return LeadingTermCheck(
-                g, False, f"nonzero homogeneous part at degree {n}", expected, actual
-            )
-    return LeadingTermCheck(g, True, "", expected, actual)
 
 
 def parity_checks(g: int) -> None:
@@ -470,19 +429,20 @@ def fusion_dimension(g: int, p: int, s: int) -> int:
 
 def level_dimensions(g: int, p: int, colors: Iterable[int]) -> list[int]:
     """Dimensions of the genus-g spaces at level p with one point colored
-    m, for each m in `colors` (0 <= m <= p-2), in order.
+    m, for each integer m in `colors` (0 <= m <= p-2), in order.
 
     The dimension polynomial is folded at p once, so each distinct even
     color m costs one integer Horner evaluation at c = m/2 over the
     denominator D 2^deg; an odd color takes the value of its recolored
     even color p - m - 2.  Every value must be a nonnegative integer;
-    anything else raises IntegralityError.
+    anything else raises IntegralityError.  A color that is not an integer
+    raises TypeError.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
     _check_level(p)
     evens = []
-    for m in colors:
+    for m in map(operator.index, colors):
         if not 0 <= m <= p - 2:
             raise ValueError(f"color must lie in 0..{p - 2}, got {m}")
         evens.append(p - m - 2 if m % 2 else m)
@@ -513,33 +473,22 @@ def dimension(g: int, p: int, m: int) -> int:
     return level_dimensions(g, p, (m,))[0]
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    """Comparison of the residue polynomial against the fusion recursion."""
-
-    checked: int
-    mismatches: tuple[tuple[int, int, int, Fraction, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def oracle_crosscheck(g_max: int, p_max: int) -> CrosscheckReport:
-    """Evaluate the odd-color polynomial at every (p, s) with odd
-    3 <= p <= p_max, 1 <= s <= (p-1)/2, g <= g_max, and compare with the
+def oracle_crosscheck(
+    g_max: int,
+) -> tuple[int, list[tuple[int, int, int, Fraction, int]]]:
+    """Evaluate the odd-color polynomial at every (p, s) with p in
+    CHECK_LEVELS, 1 <= s <= (p-1)/2, g <= g_max, and compare with the
     fusion recursion.  The polynomial is folded once per (g, p) and each s
-    costs one integer Horner evaluation.  Mismatches are reported, not
-    raised."""
+    costs one integer Horner evaluation.  Returns (checked, mismatches),
+    each mismatch (g, p, s, polynomial value, fusion value); mismatches
+    are reported, not raised."""
     if g_max < 1:
         raise ValueError("genus must be at least 1")
-    if p_max < 3:
-        raise ValueError("p_max must be at least 3, the smallest level")
     checked = 0
     mismatches = []
     for g in range(1, g_max + 1):
         poly = odd_color_polynomial(g)
-        for p in range(3, p_max + 1, 2):
+        for p in CHECK_LEVELS:
             denominator, values = poly.fold_first(p)
             for s in range(1, (p - 1) // 2 + 1):
                 numerator = _horner(values, s, 1)
@@ -547,4 +496,4 @@ def oracle_crosscheck(g_max: int, p_max: int) -> CrosscheckReport:
                 checked += 1
                 if numerator != rhs * denominator:
                     mismatches.append((g, p, s, Fraction(numerator, denominator), rhs))
-    return CrosscheckReport(checked=checked, mismatches=tuple(mismatches))
+    return checked, mismatches

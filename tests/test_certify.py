@@ -4,24 +4,24 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from skeindim import certify
+from skeindim import certify, verlinde
 from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
     RANK_COLUMN_SLACK,
     Certificate,
     _value_rows,
     build_certificate,
+    check_witness,
     lower_bound,
     phi_rank,
 )
 from skeindim.cli import main
 from skeindim.exact import BivariatePolynomial, _scaled, rank
-from skeindim.skein import FlatCurveCheck
 from skeindim.verlinde import (
-    LeadingTermCheck,
     ParityViolation,
     StructureViolation,
     decompose,
@@ -62,7 +62,7 @@ def test_phi_rank_saturates_at_row_count(g):
 def _fraction_value_rows(g, kind, columns):
     """The value matrix by the earlier route: one Fraction evaluation of
     the part per entry."""
-    parts = decompose(g, kind).parts
+    parts = decompose(g, kind)
     arguments = range(columns) if kind == "even" else range(1, columns + 1)
     return [[parts[j](a) for a in arguments] for j in sorted(parts)]
 
@@ -73,7 +73,7 @@ def test_value_rows_are_scaled_fraction_rows(g, kind):
     columns = g + (kind == "even") + RANK_COLUMN_SLACK
     rows = _value_rows(g, kind, columns)
     expected = _fraction_value_rows(g, kind, columns)
-    parts = decompose(g, kind).parts
+    parts = decompose(g, kind)
     assert len(rows) == len(expected)
     for row, fractions, j in zip(rows, expected, sorted(parts)):
         scale = math.lcm(*[c.denominator for c in parts[j].coefficients])
@@ -93,6 +93,12 @@ def test_lower_bound_formula():
         assert lower_bound(g) == 2 ** (2 * g + 1) + 2 * g - 1
     with pytest.raises(ValueError):
         lower_bound(-1)
+
+
+@pytest.mark.parametrize("g", [2.5, 2.0, Fraction(5, 2)], ids=["2.5", "2.0", "5/2"])
+def test_lower_bound_rejects_non_integer_genus(g):
+    with pytest.raises(TypeError):
+        lower_bound(g)
 
 
 def test_certificate_genus_one():
@@ -131,17 +137,9 @@ def test_certificate_rejects_genus_zero():
         build_certificate(0)
 
 
-@pytest.mark.parametrize("p_max", [-1, 1, 2])
-def test_certificate_needs_a_witness_level(p_max):
-    # with no odd level below p_max the curve witness would check nothing
-    with pytest.raises(ValueError, match="p_max"):
-        build_certificate(4, p_max=p_max)
-
-
 def test_certificate_at_the_smallest_witness_level():
-    cert = build_certificate(2, p_max=3)
-    assert cert.valid
-    witness = next(c for c in cert.checks if c.name == "nonseparating_curve_witness")
+    witness = check_witness(2, (3,))
+    assert witness.passed
     assert witness.detail.endswith("for p in [3]")
 
 
@@ -165,20 +163,20 @@ FAILING_CHECKS = {
         "verlinde", "decomposition_structure", "decomposition_structure", "planted violation",
     ),
     "leading_term": (
-        "leading_term_check", lambda g: LeadingTermCheck(g, False, "planted mismatch", _ZERO, _ZERO),
-        "verlinde", "leading_term_identity", "leading_term", "planted mismatch",
+        "leading_term_closed_form", lambda g: _ZERO,
+        "verlinde", "leading_term_identity", "leading_term", "top homogeneous part mismatch",
     ),
     "parity": (
         "parity_checks", _raises(ParityViolation("planted monomial")),
         "verlinde", "parity_structure", "parity", "planted monomial",
     ),
     "flat_curve_unequal": (
-        "flat_curve_check", lambda g, field: FlatCurveCheck(field.one(), field.zero()),
+        "flat_curve_check", lambda g, field: (field.one(), field.zero()),
         "skein", "flat_curve_two_forms", "nonseparating_curve_witness",
         "closed forms differ at p=3",
     ),
     "flat_curve_vanishing": (
-        "flat_curve_check", lambda g, field: FlatCurveCheck(field.zero(), field.zero()),
+        "flat_curve_check", lambda g, field: (field.zero(), field.zero()),
         "skein", "flat_curve_two_forms", "nonseparating_curve_witness",
         "invariant vanishes at p=3",
     ),
@@ -209,6 +207,53 @@ def test_failing_shared_check_fails_certificate_and_verify(monkeypatch, capsys, 
     assert main(["verify", "--suite", "certify"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL certificates_valid: g=1: {cert_check}" in out
+
+
+# Checks that only the certificate runs per genus: (module the certificate
+# reads the name from, name, plant applied to the real function, detail
+# at genus 2).  The crosscheck mismatch is planted in the fusion route,
+# which `oracle_crosscheck` reads from `verlinde` for both `certify` and
+# `verify`; the rank shortfall hits only the even-color matrix.
+CERTIFICATE_ONLY_FAILURES = {
+    "residue_vs_fusion": (
+        verlinde, "fusion_dimension",
+        lambda real: lambda g, p, s: real(g, p, s) + ((g, p, s) == (1, 3, 1)),
+        "42 dimension values compared, 1 mismatches",
+    ),
+    "phi_rank_even": (
+        certify, "phi_rank",
+        lambda real: lambda g, kind, columns: real(g, kind, columns) - (kind == "even"),
+        "rank 2, required 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", CERTIFICATE_ONLY_FAILURES)
+def test_failing_certificate_check_fails_certify(monkeypatch, capsys, check):
+    module, name, plant, detail = CERTIFICATE_ONLY_FAILURES[check]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+
+    cert = build_certificate(2)
+    assert not cert.valid
+    assert [(c.name, c.detail) for c in cert.checks if not c.passed] == [(check, detail)]
+
+    assert main(["certify", "--genus", "2", "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert "valid False" in out
+    assert f"FAIL {check}: {detail}" in out.splitlines()
+
+    assert main(["verify", "--suite", "certify"]) == 1
+    assert f"FAIL certificates_valid: g=1: {check}" in capsys.readouterr().out
+
+
+def test_planted_crosscheck_mismatch_fails_verlinde_suite(monkeypatch, capsys):
+    module, name, plant, _ = CERTIFICATE_ONLY_FAILURES["residue_vs_fusion"]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    assert main(["verify", "--suite", "verlinde"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == ["FAIL residue_vs_fusion: 105 values compared, 1 mismatches"]
+    assert lines[-1].startswith("CHECK FAILURES PRESENT")
 
 
 def test_certificate_schema_fields():

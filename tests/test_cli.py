@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from skeindim import verlinde
+from skeindim import cli, verlinde
 from skeindim.cli import main
 from skeindim.exact import BivariatePolynomial
-from skeindim.verlinde import verlinde_polynomial
+from skeindim.verlinde import StructureViolation, verlinde_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,56 @@ def test_decompose_json(capsys):
     payload = json.loads(out)
     assert [part["power"] for part in payload["parts"]] == [1, 3]
     assert payload["parts"][0]["degree"] == 3
+
+
+# stdout sha256 of the genus-4 decomposition tables and polynomials
+GENUS_FOUR_DIGESTS = [
+    (
+        ["decompose", "--genus", "4", "--kind", "even", "--format", "text"],
+        "50ef556ee08d784db155c9a87badaa1908a342515cd51db4470d0ab705d08e5d",
+    ),
+    (
+        ["decompose", "--genus", "4", "--kind", "even", "--format", "json"],
+        "decd2e33a5f947d1d167355ca1c8d55f5749be70726dc08f26472c393e251623",
+    ),
+    (
+        ["decompose", "--genus", "4", "--kind", "odd", "--format", "text"],
+        "9408dbc3d6b795a5ae581b423b95d5f965c78e7d4f9b3740ded7c5f0750108de",
+    ),
+    (
+        ["decompose", "--genus", "4", "--kind", "odd", "--format", "json"],
+        "52fe28a088e5c643ea03b0960a9bb9aaadaf1706754975ff27035becf116839f",
+    ),
+    (
+        ["poly", "--genus", "4"],
+        "b8b57b61241b2ad2eefb617cfc7cbb17c9b3d11a1a5b5cf84ee2d761d287801e",
+    ),
+    (
+        ["poly", "--genus", "4", "--odd"],
+        "7cf7780635064641a68c9997f2f4836524c92b50e127e2db5764c60e4f2e096c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GENUS_FOUR_DIGESTS, ids=[" ".join(argv) for argv, _ in GENUS_FOUR_DIGESTS]
+)
+def test_genus_four_output_digests(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_decompose_structure_violation_is_check_failure(monkeypatch, capsys):
+    def planted(g, kind):
+        raise StructureViolation(f"planted violation (genus {g}, kind {kind})")
+
+    monkeypatch.setattr(cli, "decompose", planted)
+    code, out, err = run_cli(capsys, "decompose", "--genus", "3", "--kind", "odd")
+    assert code == 1
+    assert out == ""
+    assert err == json.dumps({"error": "planted violation (genus 3, kind odd)"}) + "\n"
 
 
 def test_bernoulli_numbers(capsys):

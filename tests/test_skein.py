@@ -248,30 +248,28 @@ def test_d_squared_numeric_embedding_p5():
 def test_flat_curve_genus_one_both_sides_one():
     for p in [3, 7, 15]:
         field = cyclotomic_field(p)
-        check = flat_curve_check(1, field)
-        assert check.lhs == field.one()
-        assert check.rhs == field.one()
-        assert check.equal
+        assert flat_curve_check(1, field) == (field.one(), field.one())
 
 
 def test_flat_curve_genus_two_p3_value():
     # at p=3 the embedded value is 1 since (A - A^-1)^2 = -3 at A=e^{i pi/3}
     field = cyclotomic_field(3)
-    check = flat_curve_check(2, field)
-    assert check.equal
-    assert abs(check.lhs.embed(1) - 1) < 1e-10
+    lhs, rhs = flat_curve_check(2, field)
+    assert lhs == rhs
+    assert abs(lhs.embed(1) - 1) < 1e-10
 
 
 def test_flat_curve_genus_three_p7():
-    assert flat_curve_check(3, cyclotomic_field(7)).equal
+    lhs, rhs = flat_curve_check(3, cyclotomic_field(7))
+    assert lhs == rhs
 
 
 @pytest.mark.parametrize("p", ODD_P)
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_flat_curve_all_small_levels(p, g):
-    check = flat_curve_check(g, cyclotomic_field(p))
-    assert check.equal
-    assert check.lhs  # nonvanishing witness
+    lhs, rhs = flat_curve_check(g, cyclotomic_field(p))
+    assert lhs == rhs
+    assert lhs  # nonvanishing witness
 
 
 def _flat_rhs_by_euclid(g, field):
@@ -286,9 +284,9 @@ def _flat_rhs_by_euclid(g, field):
 def test_flat_curve_sides_match_euclid_routes(p):
     field = cyclotomic_field(p)
     for g in range(1, 6):
-        check = flat_curve_check(g, field)
-        assert check.lhs == _summand_by_euclid(g, p, 1, -1)
-        assert check.rhs == _flat_rhs_by_euclid(g, field)
+        lhs, rhs = flat_curve_check(g, field)
+        assert lhs == _summand_by_euclid(g, p, 1, -1)
+        assert rhs == _flat_rhs_by_euclid(g, field)
 
 
 # ------------------------------------------------------------- recoloring
@@ -339,7 +337,7 @@ def test_curve_color_zero_is_closed_dimension():
 def test_curve_color_one_matches_flat_curve_value():
     for g, p in [(1, 5), (2, 7), (3, 11), (4, 9)]:
         field = cyclotomic_field(p)
-        assert eval_nonseparating_curve(g, 1, field) == flat_curve_check(g, field).lhs
+        assert eval_nonseparating_curve(g, 1, field) == flat_curve_check(g, field)[0]
 
 
 def test_curve_genus_one_color_three():
@@ -412,7 +410,7 @@ def test_alternate_form_flag_changes_odd_case():
     field = cyclotomic_field(7)
     standard = eval_nonseparating_curve(2, 1, field)
     alternative = eval_nonseparating_curve(2, 1, field, alternate_form=True)
-    assert standard == flat_curve_check(2, field).lhs
+    assert standard == flat_curve_check(2, field)[0]
     assert alternative != standard
 
 
@@ -427,12 +425,12 @@ def _primitive_exponents(p):
 def test_embedding_consistency(p):
     field = cyclotomic_field(p)
     d = (p - 1) // 2
-    check = flat_curve_check(3, field)
+    lhs, rhs = flat_curve_check(3, field)
     for s in _primitive_exponents(p):
         root = cmath.exp(1j * cmath.pi * s / p)
         assert abs(root ** (2 * p) - 1) < 1e-9
         assert abs(quantum_integer(p, field).embed(s)) < 1e-9
-        assert abs(check.lhs.embed(s) - check.rhs.embed(s)) < 1e-9
+        assert abs(lhs.embed(s) - rhs.embed(s)) < 1e-9
         for color in range(1, d + 1):
             delta = (
                 bracket_e(2 * color - 1, field)

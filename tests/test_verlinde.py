@@ -21,6 +21,7 @@ from skeindim.exact import (
     substitute_half,
 )
 from skeindim import verlinde
+from skeindim.certify import check_leading_term
 from skeindim.verlinde import (
     _exponential_coefficients,
     _formula_parts,
@@ -28,14 +29,14 @@ from skeindim.verlinde import (
     _integer_form,
     _integer_parts,
     _residue_coefficient_at,
-    CrosscheckReport,
+    CHECK_LEVELS,
     IntegralityError,
     decompose,
     dimension,
     exponent_support,
     fusion_dimension,
     fusion_table,
-    leading_term_check,
+    leading_term_closed_form,
     level_dimensions,
     odd_color_polynomial,
     oracle_crosscheck,
@@ -112,32 +113,36 @@ def test_homogeneous_parts_partition(g):
 
 
 def test_decompose_genus_one_even():
-    parts = decompose(1, "even").parts
+    parts = decompose(1, "even")
     assert set(parts) == {0, 1}
     assert parts[0] == UnivariatePolynomial([Fraction(-1, 2), -1])
     assert parts[1] == UnivariatePolynomial([Fraction(1, 2)])
 
 
 def test_decompose_genus_one_odd():
-    parts = decompose(1, "odd").parts
+    parts = decompose(1, "odd")
     assert set(parts) == {0}
     assert parts[0] == UnivariatePolynomial([0, 1])
 
 
 def test_decompose_genus_two_support_and_degrees():
-    dec = decompose(2, "even")
-    assert set(dec.parts) == {1, 2, 3} == exponent_support(2, "even")
-    assert dec.parts[1].degree == 3
-    assert dec.parts[2].degree == 2
-    assert dec.parts[3].degree == 1
+    parts = decompose(2, "even")
+    assert set(parts) == {1, 2, 3} == exponent_support(2, "even")
+    assert parts[1].degree == 3
+    assert parts[2].degree == 2
+    assert parts[3].degree == 1
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["even", "odd"])
 def test_decompose_reconstructs(g, kind):
-    dec = decompose(g, kind)
     source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
-    assert dec.reconstruct() == source
+    p = BivariatePolynomial.first(source.variables)
+    total = BivariatePolynomial.zero(source.variables)
+    for j, part in decompose(g, kind).items():
+        terms = {(0, k): coeff for k, coeff in enumerate(part.coefficients) if coeff}
+        total = total + p**j * BivariatePolynomial(terms, source.variables)
+    assert total == source
 
 
 def test_decompose_rejects_bad_arguments():
@@ -151,24 +156,23 @@ def test_decompose_rejects_bad_arguments():
 
 
 def test_leading_term_genus_one():
-    check = leading_term_check(1)
-    assert check.passed
+    assert check_leading_term(1).passed
     # F_1 = p/2 - c
-    assert check.expected == BivariatePolynomial(
+    assert leading_term_closed_form(1) == BivariatePolynomial(
         {(1, 0): Fraction(1, 2), (0, 1): -1}, PC
     )
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_leading_term_small_genera(g):
-    assert leading_term_check(g).passed
+    assert check_leading_term(g).passed
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_leading_coefficient_bernoulli_links(g):
     import math
 
-    even = decompose(g, "even").parts
+    even = decompose(g, "even")
     for k in range(g):
         j = g - 1 + 2 * k
         expected = (
@@ -183,7 +187,7 @@ def test_leading_coefficient_bernoulli_links(g):
     )
     assert even[g].leading_coefficient == expected_mid
 
-    odd = decompose(g, "odd").parts
+    odd = decompose(g, "odd")
     for k in range(g):
         j = g - 1 + 2 * k
         expected = (
@@ -352,6 +356,24 @@ def test_level_dimensions_keep_order_and_repeats():
     assert level_dimensions(3, 9, []) == []
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dimension(2, 7, 0.0),
+        lambda: dimension(2, 7, Fraction(1, 2)),
+        lambda: dimension(2, 7, Fraction(2)),
+        lambda: level_dimensions(2, 7, [2.0, 3.0]),
+        lambda: level_dimensions(2, 7, [0, 1.5]),
+    ],
+    ids=["float", "fraction", "integral-fraction", "floats", "float-among-ints"],
+)
+def test_non_integer_colors_are_type_errors(call):
+    # a color is an index: past the Horner evaluation a float would give a
+    # float dimension and a fraction an IntegralityError, the bug signal
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_level_dimensions_reject_bad_arguments():
     with pytest.raises(ValueError, match="genus"):
         level_dimensions(0, 5, [0])
@@ -396,31 +418,23 @@ def test_dimension_polynomials_at_negative_and_fractional_points(g):
 
 
 def test_crosscheck_genus_one():
-    report = oracle_crosscheck(1, 13)
-    assert isinstance(report, CrosscheckReport)
-    assert report.ok
-    assert report.checked == sum((p - 1) // 2 for p in range(3, 14, 2))
+    assert CHECK_LEVELS == (3, 5, 7, 9, 11, 13)
+    assert oracle_crosscheck(1) == (sum((p - 1) // 2 for p in CHECK_LEVELS), [])
 
 
 def test_crosscheck_through_genus_three():
-    assert oracle_crosscheck(3, 13).ok
-
-
-@pytest.mark.parametrize("p_max", [-1, 1, 2])
-def test_crosscheck_needs_a_level(p_max):
-    # with no odd level up to p_max the crosscheck would compare nothing
-    with pytest.raises(ValueError, match="p_max"):
-        oracle_crosscheck(3, p_max)
+    checked, mismatches = oracle_crosscheck(3)
+    assert checked == 3 * 21 and not mismatches
 
 
 def test_crosscheck_reports_a_wrong_polynomial(monkeypatch):
     # s + 1/3 against D_1 = s: every value is off by exactly 1/3
     wrong = BivariatePolynomial({(0, 1): 1, (0, 0): Fraction(1, 3)}, PS)
     monkeypatch.setattr(verlinde, "odd_color_polynomial", lambda g: wrong)
-    report = oracle_crosscheck(1, 7)
-    assert report.checked == 6 and not report.ok
-    assert report.mismatches[0] == (1, 3, 1, Fraction(4, 3), 1)
-    assert all(lhs - rhs == Fraction(1, 3) for *_, lhs, rhs in report.mismatches)
+    checked, mismatches = oracle_crosscheck(1)
+    assert checked == len(mismatches) == 21
+    assert mismatches[0] == (1, 3, 1, Fraction(4, 3), 1)
+    assert all(lhs - rhs == Fraction(1, 3) for *_, lhs, rhs in mismatches)
 
 
 # --------------------------------------------------------------- caches
@@ -571,12 +585,12 @@ def test_residue_integer_sum_matches_fraction_sum(g):
         _integer_parts,
         _integer_form,
         parity_checks,
-        leading_term_check,
+        pytest.param(check_leading_term, id="leading_term_check"),
         lambda g: decompose(g, "even"),
         lambda g: decompose(g, "odd"),
         lambda g: dimension(g, 5, 0),
         lambda g: level_dimensions(g, 5, [0]),
-        lambda g: oracle_crosscheck(g, 13),
+        lambda g: oracle_crosscheck(g),
     ],
 )
 @pytest.mark.parametrize("g", [0, -1, -7])
