@@ -18,9 +18,8 @@ explicitly; everything downstream of it is verified by exact computation.
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cyclotomic import cyclotomic_field
 from .exact import _horner, _scaled, rank
@@ -58,18 +57,19 @@ def lower_bound(g: int) -> int:
     return 2 ** (2 * g + 1) + 2 * g - 1
 
 
-def phi_rank(g: int, kind: str, columns: int) -> int:
+def phi_rank(g: int, kind: str) -> int:
     """Exact rank of the value matrix of the p-power decomposition.
 
     Rows are the nonzero coefficient polynomials (ordered by p-exponent),
-    columns their values at c = 0..columns-1 for the even kind or
-    s = 1..columns for the odd kind.  The support and degrees of those
-    polynomials are validated separately, by `check_structure`.
+    columns their values at c = 0, 1, ... for the even kind or s = 1, 2,
+    ... for the odd kind, RANK_COLUMN_SLACK more columns than rows.  The
+    support and degrees of those polynomials are validated separately, by
+    `check_structure`.
     """
-    return rank(_value_rows(g, kind, columns))
+    return rank(_value_rows(g, kind))
 
 
-def _value_rows(g: int, kind: str, columns: int) -> list[list[int]]:
+def _value_rows(g: int, kind: str) -> list[list[int]]:
     """The value matrix with each row scaled to integers: every part is
     scaled once by the lcm of its denominators, which leaves the rank
     unchanged, and evaluated at each integer argument by Horner's rule."""
@@ -78,10 +78,7 @@ def _value_rows(g: int, kind: str, columns: int) -> list[list[int]]:
     source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
     parts = source.split_by_first()
     exponents = sorted(parts)
-    if columns < len(exponents):
-        raise ValueError(
-            f"need at least {len(exponents)} columns for {len(exponents)} rows"
-        )
+    columns = len(exponents) + RANK_COLUMN_SLACK
     if kind == "even":
         arguments = range(columns)
     else:
@@ -134,15 +131,9 @@ class Certificate:
                     "each_at_least": self.other_each,
                 },
             },
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "assumptions": [POWER_BASIS_ASSUMPTION],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 # The per-genus checks below each return one CheckResult and never raise on
@@ -218,7 +209,7 @@ def build_certificate(g: int) -> Certificate:
 
     checks.append(check_structure(g))
 
-    even_rank = phi_rank(g, "even", (g + 1) + RANK_COLUMN_SLACK)
+    even_rank = phi_rank(g, "even")
     checks.append(
         CheckResult(
             "phi_rank_even",
@@ -226,7 +217,7 @@ def build_certificate(g: int) -> Certificate:
             f"rank {even_rank}, required {g + 1}",
         )
     )
-    odd_rank = phi_rank(g, "odd", g + RANK_COLUMN_SLACK)
+    odd_rank = phi_rank(g, "odd")
     checks.append(
         CheckResult(
             "phi_rank_odd",

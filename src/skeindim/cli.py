@@ -11,7 +11,12 @@ Commands:
   certify     emit the lower-bound certificate for one genus
   table       CSV of dimensions over (genus, p, color) ranges
 
-Exit codes: 0 success, 1 check failure, 2 usage or validation error.
+Each command builds one JSON payload and its text lines; `_emit` writes
+the form that --format selects.  Exit codes: 0 success, 1 check failure
+(a failed verify or certify check, or an internal consistency error),
+2 usage or validation error.  `main` alone maps exceptions to these codes
+and prints the message as one JSON line {"error": ...} on stderr.
+
 Exact-mode output never contains a floating-point number; floats appear
 only under the explicit --embed flag of eval-curve.
 
@@ -24,14 +29,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
-from .bernoulli import bernoulli_numbers, bernoulli_polynomial
+from .bernoulli import FaulhaberInconsistency, bernoulli_numbers, bernoulli_polynomial
 from .certify import build_certificate
 from .cyclotomic import cyclotomic_field
 from .skein import VanishingDenominator, eval_nonseparating_curve
 from .suites import SUITES, run_suite
 from .verlinde import (
     IntegralityError,
+    ParityViolation,
     StructureViolation,
     decompose,
     dimension,
@@ -47,16 +54,17 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _error(message: str, code: int) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
-    return code
-
-
 class _OutputError(Exception):
     """The --output path could not be written."""
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(args: argparse.Namespace, payload: dict | None, lines: list[str]) -> None:
+    """The payload as JSON under --format json, else the lines, to stdout or --output."""
+    if getattr(args, "format", "text") == "json":
+        text = json.dumps(payload, indent=2)
+    else:
+        text = "\n".join(lines)
+    output = getattr(args, "output", None)
     if output is None:
         print(text)
         return
@@ -69,8 +77,8 @@ def _emit(text: str, output: str | None) -> None:
         raise _OutputError(f"cannot write output: {exc}") from exc
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+def _check_lines(checks) -> list[str]:
+    return [f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}" for c in checks]
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -89,41 +97,24 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
-    try:
-        value = dimension(args.genus, args.p, args.color)
-    except ValueError as exc:
-        return _error(str(exc), EXIT_USAGE)
-    except IntegralityError as exc:
-        return _error(str(exc), EXIT_CHECK_FAILURE)
-    print(value)
+    _emit(args, None, [str(dimension(args.genus, args.p, args.color))])
     return EXIT_OK
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    if args.genus < 1:
-        return _error("genus must be at least 1", EXIT_USAGE)
-    kind = "odd" if args.odd else "even"
     poly = odd_color_polynomial(args.genus) if args.odd else verlinde_polynomial(args.genus)
-    if args.format == "json":
-        payload = {
-            "genus": args.genus,
-            "kind": kind,
-            "variables": list(poly.variables),
-            "polynomial": poly.render(),
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(poly.render(), args.output)
+    payload = {
+        "genus": args.genus,
+        "kind": "odd" if args.odd else "even",
+        "variables": list(poly.variables),
+        "polynomial": poly.render(),
+    }
+    _emit(args, payload, [payload["polynomial"]])
     return EXIT_OK
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    if args.genus < 1:
-        return _error("genus must be at least 1", EXIT_USAGE)
-    try:
-        parts = decompose(args.genus, args.kind)
-    except StructureViolation as exc:
-        return _error(str(exc), EXIT_CHECK_FAILURE)
+    parts = decompose(args.genus, args.kind)
     var = "c" if args.kind == "even" else "s"
     rows = [
         {
@@ -133,143 +124,98 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         }
         for j in sorted(parts)
     ]
-    if args.format == "json":
-        payload = {"genus": args.genus, "kind": args.kind, "parts": rows}
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [f"p^{row['power']}  degree {row['degree']}  {row['polynomial']}" for row in rows]
-        _emit("\n".join(lines), args.output)
+    lines = [f"p^{row['power']}  degree {row['degree']}  {row['polynomial']}" for row in rows]
+    _emit(args, {"genus": args.genus, "kind": args.kind, "parts": rows}, lines)
     return EXIT_OK
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     if args.max_index < 0:
-        return _error("max index must be nonnegative", EXIT_USAGE)
+        raise ValueError("max index must be nonnegative")
     if args.polynomials:
-        entries = [
-            {"index": m, "polynomial": bernoulli_polynomial(m).render("x")}
-            for m in range(args.max_index + 1)
-        ]
-        text_lines = [f"B_{e['index']}(x) = {e['polynomial']}" for e in entries]
+        key, name = "polynomial", "B_{}(x)"
+        values = [bernoulli_polynomial(m).render("x") for m in range(args.max_index + 1)]
     else:
-        table = bernoulli_numbers(args.max_index)
-        entries = [
-            {"index": m, "value": str(table[m])} for m in range(args.max_index + 1)
-        ]
-        text_lines = [f"B_{e['index']} = {e['value']}" for e in entries]
-    if args.format == "json":
-        _emit(_json_text({"max_index": args.max_index, "entries": entries}), args.output)
-    else:
-        _emit("\n".join(text_lines), args.output)
+        key, name = "value", "B_{}"
+        values = [str(b) for b in bernoulli_numbers(args.max_index)]
+    entries = [{"index": m, key: value} for m, value in enumerate(values)]
+    lines = [f"{name.format(m)} = {value}" for m, value in enumerate(values)]
+    _emit(args, {"max_index": args.max_index, "entries": entries}, lines)
     return EXIT_OK
 
 
 def _cmd_eval_curve(args: argparse.Namespace) -> int:
-    if args.genus < 1:
-        return _error("genus must be at least 1", EXIT_USAGE)
+    # ahead of building the field, so a bad color is reported before a bad level
     if args.color < 0:
-        return _error("color must be nonnegative", EXIT_USAGE)
-    try:
-        field = cyclotomic_field(args.p)
-    except ValueError as exc:
-        return _error(str(exc), EXIT_USAGE)
-    try:
-        value = eval_nonseparating_curve(
-            args.genus, args.color, field, alternate_form=args.alternate_form
-        )
-    except VanishingDenominator as exc:
-        return _error(str(exc), EXIT_USAGE)
+        raise ValueError("color must be nonnegative")
+    field = cyclotomic_field(args.p)
+    value = eval_nonseparating_curve(
+        args.genus, args.color, field, alternate_form=args.alternate_form
+    )
     coefficients = [str(c) for c in value.coefficients]
-    if args.format == "json":
-        payload = {
-            "genus": args.genus,
-            "p": args.p,
-            "color": args.color,
-            "basis": "powers of a primitive 2p-th root of unity",
-            "coefficients": coefficients,
-        }
-        if args.embed:
-            embedded = value.embed(1)
-            payload["embedding"] = {"re": embedded.real, "im": embedded.imag}
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [f"coefficients [{', '.join(coefficients)}]"]
-        if args.embed:
-            embedded = value.embed(1)
-            lines.append(f"embedding {embedded.real:+.12f}{embedded.imag:+.12f}i")
-        _emit("\n".join(lines), args.output)
+    payload = {
+        "genus": args.genus,
+        "p": args.p,
+        "color": args.color,
+        "basis": "powers of a primitive 2p-th root of unity",
+        "coefficients": coefficients,
+    }
+    lines = [f"coefficients [{', '.join(coefficients)}]"]
+    if args.embed:
+        embedded = value.embed(1)
+        payload["embedding"] = {"re": embedded.real, "im": embedded.imag}
+        lines.append(f"embedding {embedded.real:+.12f}{embedded.imag:+.12f}i")
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.suite)
     passed = all(r.passed for r in results)
-    if args.format == "json":
-        payload = {
-            "suite": args.suite,
-            "passed": passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-        ]
-        lines.append(
-            f"{'all checks passed' if passed else 'CHECK FAILURES PRESENT'}"
-            f" ({sum(r.passed for r in results)}/{len(results)})"
-        )
-        _emit("\n".join(lines), args.output)
+    payload = {
+        "suite": args.suite,
+        "passed": passed,
+        "checks": [asdict(r) for r in results],
+    }
+    lines = _check_lines(results)
+    lines.append(
+        f"{'all checks passed' if passed else 'CHECK FAILURES PRESENT'}"
+        f" ({sum(r.passed for r in results)}/{len(results)})"
+    )
+    _emit(args, payload, lines)
     return EXIT_OK if passed else EXIT_CHECK_FAILURE
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.genus < 1:
-        return _error("genus must be at least 1", EXIT_USAGE)
     certificate = build_certificate(args.genus)
-    if args.format == "text":
-        lines = [
-            f"genus {certificate.genus}",
-            f"lower bound {certificate.lower_bound}",
-            f"valid {certificate.valid}",
-            f"class (0,0) dimension >= {certificate.dim_00}",
-            f"class (0,1) dimension >= {certificate.dim_01}",
-            f"other classes {certificate.other_class_count} x >= {certificate.other_each}",
-        ]
-        lines += [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}"
-            for c in certificate.checks
-        ]
-        _emit("\n".join(lines), args.output)
-    else:
-        _emit(certificate.to_json(), args.output)
+    lines = [
+        f"genus {certificate.genus}",
+        f"lower bound {certificate.lower_bound}",
+        f"valid {certificate.valid}",
+        f"class (0,0) dimension >= {certificate.dim_00}",
+        f"class (0,1) dimension >= {certificate.dim_01}",
+        f"other classes {certificate.other_class_count} x >= {certificate.other_each}",
+        *_check_lines(certificate.checks),
+    ]
+    _emit(args, certificate.to_dict(), lines)
     return EXIT_OK if certificate.valid else EXIT_CHECK_FAILURE
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    try:
-        genus_range = _parse_range(args.genus)
-        p_range = _parse_range(args.p)
-        color_range = _parse_range(args.color)
-    except ValueError as exc:
-        return _error(str(exc), EXIT_USAGE)
+    genus_range = _parse_range(args.genus)
+    p_range = _parse_range(args.p)
+    color_range = _parse_range(args.color)
     if genus_range[0] < 1:
-        return _error("genus must be at least 1", EXIT_USAGE)
+        raise ValueError("genus must be at least 1")
     lines = ["genus,p,color,dimension"]
     for g in range(genus_range[0], genus_range[1] + 1):
         for p in range(max(p_range[0], 3), p_range[1] + 1):
             if p % 2 == 0:
                 continue
             colors = range(max(color_range[0], 0), min(color_range[1], p - 2) + 1)
-            try:
-                values = level_dimensions(g, p, colors)
-            except IntegralityError as exc:
-                return _error(str(exc), EXIT_CHECK_FAILURE)
+            values = level_dimensions(g, p, colors)
             lines += [f"{g},{p},{m},{value}" for m, value in zip(colors, values)]
-    _emit("\n".join(lines), args.output)
+    _emit(args, None, lines)
     return EXIT_OK
 
 
@@ -284,42 +230,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", help="write to this path instead of stdout")
+    # Shared arguments, one parent parser each.  certify declares its own
+    # --format: set_defaults on a child rewrites the action all commands share.
+    genus = argparse.ArgumentParser(add_help=False)
+    genus.add_argument("--genus", "-g", type=int, required=True)
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--p", type=int, required=True, help="odd level >= 3")
+    point.add_argument("--color", "-m", type=int, required=True)
+    text_or_json = argparse.ArgumentParser(add_help=False)
+    text_or_json.add_argument("--format", choices=["text", "json"], default="text")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write to this path instead of stdout")
 
-    p_dim = sub.add_parser("dim", help="one dimension value")
-    p_dim.add_argument("--genus", "-g", type=int, required=True)
-    p_dim.add_argument("--p", type=int, required=True, help="odd level >= 3")
-    p_dim.add_argument("--color", "-m", type=int, required=True)
-    p_dim.set_defaults(func=_cmd_dim)
+    def add(name, func, summary, *parents):
+        command = sub.add_parser(name, help=summary, parents=list(parents))
+        command.set_defaults(func=func)
+        return command
 
-    p_poly = sub.add_parser("poly", help="dimension polynomial")
-    p_poly.add_argument("--genus", "-g", type=int, required=True)
+    add("dim", _cmd_dim, "one dimension value", genus, point)
+
+    p_poly = add("poly", _cmd_poly, "dimension polynomial", genus, text_or_json, output)
     p_poly.add_argument(
         "--odd", action="store_true", help="odd-color polynomial in (p, s)"
     )
-    p_poly.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_poly)
-    p_poly.set_defaults(func=_cmd_poly)
 
-    p_dec = sub.add_parser("decompose", help="p-power coefficient table")
-    p_dec.add_argument("--genus", "-g", type=int, required=True)
+    p_dec = add("decompose", _cmd_decompose, "p-power coefficient table",
+                genus, text_or_json, output)
     p_dec.add_argument("--kind", choices=["even", "odd"], default="even")
-    p_dec.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_dec)
-    p_dec.set_defaults(func=_cmd_decompose)
 
-    p_ber = sub.add_parser("bernoulli", help="Bernoulli numbers or polynomials")
+    p_ber = add("bernoulli", _cmd_bernoulli, "Bernoulli numbers or polynomials",
+                text_or_json, output)
     p_ber.add_argument("--max-index", "-n", type=int, required=True)
     p_ber.add_argument("--polynomials", action="store_true")
-    p_ber.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_ber)
-    p_ber.set_defaults(func=_cmd_bernoulli)
 
-    p_ev = sub.add_parser("eval-curve", help="exact curve evaluation")
-    p_ev.add_argument("--genus", "-g", type=int, required=True)
-    p_ev.add_argument("--p", type=int, required=True, help="odd level >= 3")
-    p_ev.add_argument("--color", "-m", type=int, required=True)
+    p_ev = add("eval-curve", _cmd_eval_curve, "exact curve evaluation",
+               genus, point, text_or_json, output)
     p_ev.add_argument(
         "--embed", action="store_true", help="also print a floating embedding"
     )
@@ -328,41 +273,36 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the alternative odd-denominator exponent (audit only)",
     )
-    p_ev.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_ev)
-    p_ev.set_defaults(func=_cmd_eval_curve)
 
-    p_ver = sub.add_parser("verify", help="run a verification battery")
-    p_ver.add_argument(
-        "--suite", choices=[*SUITES, "all"], default="all"
-    )
-    p_ver.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_ver)
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver = add("verify", _cmd_verify, "run a verification battery", text_or_json, output)
+    p_ver.add_argument("--suite", choices=[*SUITES, "all"], default="all")
 
-    p_cert = sub.add_parser("certify", help="emit a lower-bound certificate")
-    p_cert.add_argument("--genus", "-g", type=int, required=True)
+    p_cert = add("certify", _cmd_certify, "emit a lower-bound certificate", genus, output)
     p_cert.add_argument("--format", choices=["json", "text"], default="json")
-    add_output(p_cert)
-    p_cert.set_defaults(func=_cmd_certify)
 
-    p_tab = sub.add_parser("table", help="CSV of dimensions over ranges")
+    p_tab = add("table", _cmd_table, "CSV of dimensions over ranges", output)
     p_tab.add_argument("--genus", required=True, help="range a:b or single value")
     p_tab.add_argument("--p", required=True, help="range a:b (even levels skipped)")
     p_tab.add_argument("--color", required=True, help="range a:b (clipped to p-2)")
-    add_output(p_tab)
-    p_tab.set_defaults(func=_cmd_table)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # table's --genus is a range string, checked by the command itself
+        if isinstance(getattr(args, "genus", None), int) and args.genus < 1:
+            raise ValueError("genus must be at least 1")
         return args.func(args)
-    except _OutputError as exc:
-        return _error(str(exc), EXIT_USAGE)
+    # StructureViolation and ParityViolation are ValueErrors: catch them first
+    except (StructureViolation, ParityViolation, IntegralityError,
+            FaulhaberInconsistency, AssertionError) as exc:
+        code, error = EXIT_CHECK_FAILURE, exc
+    except (ValueError, VanishingDenominator, _OutputError) as exc:
+        code, error = EXIT_USAGE, exc
+    print(json.dumps({"error": str(error)}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim import cli, verlinde
+from skeindim import bernoulli, cli, verlinde
 from skeindim.cli import main
-from skeindim.exact import BivariatePolynomial
+from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim.verlinde import StructureViolation, verlinde_polynomial
 
 
@@ -74,8 +74,9 @@ def test_decompose_json(capsys):
     assert payload["parts"][0]["degree"] == 3
 
 
-# stdout sha256 of the genus-4 decomposition tables and polynomials
-GENUS_FOUR_DIGESTS = [
+# stdout sha256 of outputs recorded before the CLI's single dispatch path;
+# eval-curve runs without --embed, whose float digits depend on libm
+OUTPUT_DIGESTS = [
     (
         ["decompose", "--genus", "4", "--kind", "even", "--format", "text"],
         "50ef556ee08d784db155c9a87badaa1908a342515cd51db4470d0ab705d08e5d",
@@ -100,11 +101,43 @@ GENUS_FOUR_DIGESTS = [
         ["poly", "--genus", "4", "--odd"],
         "7cf7780635064641a68c9997f2f4836524c92b50e127e2db5764c60e4f2e096c",
     ),
+    (
+        ["bernoulli", "--max-index", "12"],
+        "65b47f717ba41b8ff30a1fefec07fad2dff49e01a5141c2aa713fd2f78da59ea",
+    ),
+    (
+        ["bernoulli", "--max-index", "12", "--format", "json"],
+        "f9035c745015a5a6d296025686ff8958f12fe24522ca38ad40ad903844cda975",
+    ),
+    (
+        ["bernoulli", "--max-index", "12", "--polynomials"],
+        "bc9ec0e2a6fb2ce349007055b5845e75487d97157811d37aeaf5a13da020db85",
+    ),
+    (
+        ["bernoulli", "--max-index", "12", "--polynomials", "--format", "json"],
+        "12161014f09e87e1c69f5b9ecd10afeaac356a0c641431d0b79f264da3505d47",
+    ),
+    (
+        ["dim", "--genus", "3", "--p", "11", "--color", "4"],
+        "55462c2cf7626d1afa2015394d41068db1a377c5871b3406f1b7ff0246fd548d",
+    ),
+    (
+        ["verify", "--suite", "bernoulli", "--format", "json"],
+        "646f7a434e7f70264e59994efa8f431e02b3b3cbbe384dd1e6a90d2c3e9851ce",
+    ),
+    (
+        ["eval-curve", "--genus", "2", "--p", "7", "--color", "3", "--format", "json"],
+        "a9fd947d8a4a4526e22305e34f6ea7e14b3053fead96aaa2046b8081789e82cb",
+    ),
+    (
+        ["table", "--genus", "1:2", "--p", "3:9", "--color", "0:4"],
+        "cd58aa99bab27c9596690200352541f7d7675ca0f0432af68ff98736d09e20f5",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", GENUS_FOUR_DIGESTS, ids=[" ".join(argv) for argv, _ in GENUS_FOUR_DIGESTS]
+    "argv, digest", OUTPUT_DIGESTS, ids=[" ".join(argv) for argv, _ in OUTPUT_DIGESTS]
 )
 def test_genus_four_output_digests(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
@@ -122,6 +155,52 @@ def test_decompose_structure_violation_is_check_failure(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == json.dumps({"error": "planted violation (genus 3, kind odd)"}) + "\n"
+
+
+def _guard_term_differs(real):
+    def plant(g, order):
+        scale, terms = real(g, order)
+        return scale + (order == 2 * g - 1), terms
+
+    return plant
+
+
+# Internal consistency errors raised inside `verify` and `certify`: (argv,
+# module, name, plant applied to the real function, error message).
+INTERNAL_ERRORS = {
+    "faulhaber": (
+        ["verify", "--suite", "bernoulli"],
+        bernoulli, "_faulhaber_via_polynomial_difference",
+        lambda real: lambda m: real(m) + UnivariatePolynomial([1]) if m == 3 else real(m),
+        "power-sum closed forms disagree at exponent 3: "
+        "1/4*N^2 + 1/2*N^3 + 1/4*N^4 vs 1 + 1/4*N^2 + 1/2*N^3 + 1/4*N^4",
+    ),
+    "residue_guard": (
+        ["certify", "--genus", "3"],
+        verlinde, "_residue_coefficient_at",
+        _guard_term_differs,
+        "series truncation guard tripped in residue extraction",
+    ),
+    "integrality": (
+        ["verify", "--suite", "verlinde"],
+        verlinde, "_horner",
+        lambda real: lambda values, x, scale: real(values, x, scale) + 1,
+        "dimension at genus 1, p=3, color 0 evaluated to 5/4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INTERNAL_ERRORS)
+def test_internal_consistency_error_is_check_failure(monkeypatch, capsys, case):
+    argv, module, name, plant, message = INTERNAL_ERRORS[case]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    # the residue guard runs only when a polynomial is built, not from cache
+    for cached in (verlinde._integer_parts, verlinde_polynomial, verlinde.odd_color_polynomial):
+        cached.cache_clear()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == json.dumps({"error": message}) + "\n"
 
 
 def test_bernoulli_numbers(capsys):
