@@ -27,8 +27,6 @@ from .cyclotomic import (
 from .exact import (
     BivariatePolynomial,
     UnivariatePolynomial,
-    binomial_poly_in_c,
-    substitute_half,
 )
 from .skein import (
     AnnulusSkein,

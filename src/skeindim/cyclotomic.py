@@ -23,6 +23,15 @@ forms, so no `verify` or `certify` check runs Euclid.
 
 A sum of root powers sum c A^e with integer exponents of any sign, such
 as a quantum integer, is built in one pass by `power_sum`.
+
+The Galois group acts by sigma_k: A -> A^k for k coprime to 2p, an
+exponent permutation.  `conjugate_sum` adds conjugates sigma_k(x) without
+reducing each one: it maps the representative f(x) to f(x^k) in
+Z[x]/(x^p + 1), accumulates over one lcm denominator, and reduces modulo
+Phi_2p once.  The result does not depend on the representative, because
+Phi_2p(x) divides Phi_2p(x^k) when k is coprime to 2p (sigma_k permutes
+the primitive 2p-th roots of unity).  The curve evaluations use it to
+sum whole Galois orbits of one power.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exact import RationalLike, _convolve, _power, _q, _scaled
 
@@ -168,6 +177,35 @@ class CyclotomicField:
             raise ZeroDivisionError(f"A^{u} - A^{v} vanishes at p={p}")
         numerator = self.power_sum({2 * a * k - v: k for k in range(1, p)})
         return numerator * Fraction(1, p)
+
+    def conjugate_sum(
+        self, pairs: Iterable[tuple[CyclotomicElement, int]]
+    ) -> CyclotomicElement:
+        """The sum of sigma_k(x) over the pairs (x, k), where sigma_k is the
+        automorphism A -> A^k; raises ValueError unless gcd(k, 2p) = 1.
+
+        sigma_k permutes exponents: the representative f(x) of x becomes
+        f(x^k), folded into Z[x]/(x^p + 1).  The conjugates accumulate
+        there over one lcm denominator and are reduced modulo Phi_2p once.
+        That is sound because Phi_2p(x) divides Phi_2p(x^k) for k coprime
+        to 2p, so f(x^k) mod Phi_2p does not depend on the representative.
+        """
+        p, period = self.p, 2 * self.p
+        pairs = list(pairs)
+        for element, k in pairs:
+            if element.field != self:
+                raise ValueError("element belongs to a different field")
+            if math.gcd(k, period) != 1:
+                raise ValueError(f"k = {k} is not coprime to 2p = {period}")
+        denominator = math.lcm(*(element.denominator for element, _ in pairs))
+        coeffs = [0] * p
+        for element, k in pairs:
+            scale = denominator // element.denominator
+            for j, n in enumerate(element.numerators):
+                if n:
+                    half, e = divmod(j * k % period, p)  # x^p = -1
+                    coeffs[e] += -n * scale if half else n * scale
+        return CyclotomicElement(self, self._reduce(coeffs), denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicField):

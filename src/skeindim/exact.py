@@ -9,17 +9,12 @@ Dense products of ascending coefficient lists, whether Fractions or ints,
 go through one convolution, `_convolve`; it serves the univariate
 polynomials here, the cyclotomic elements and the annulus skeins.
 
-Two kernels run on integers over one common denominator (the lcm L of the
-coefficient denominators) and build Fractions only at the end:
-
-  evaluation     fold_first(a/b) fixes the first variable: the integer
-                 polynomial sum_i L*coeff a^i b^(n-i) in the second, over
-                 L b^n.  BivariatePolynomial(a/b, c/d) is that fold, then
-                 Horner at c/d; UnivariatePolynomial(a/b) is the same rule.
-  substitution   substitute_affine replaces the second variable by
-                 (alpha*first + beta + gamma*new)/delta with Horner's rule
-                 in that variable; substitute_half (c = (p-1)/2 - s) is
-                 its special case.
+Evaluation runs on integers over one common denominator (the lcm L of
+the coefficient denominators) and builds a Fraction only at the end:
+fold_first(a/b) fixes the first variable, giving the integer polynomial
+sum_i L*coeff a^i b^(n-i) in the second over L b^n.
+BivariatePolynomial(a/b, c/d) is that fold, then Horner at c/d;
+UnivariatePolynomial(a/b) is the same rule.
 
 Representations:
 
@@ -479,68 +474,6 @@ def _horner(values: list[int], num: int, den: int) -> int:
         total = total * num + value * den_power
         den_power *= den
     return total
-
-
-def substitute_affine(
-    poly: BivariatePolynomial,
-    alpha: int,
-    beta: int,
-    gamma: int,
-    delta: int,
-    new_second: str,
-) -> BivariatePolynomial:
-    """Exact substitution second <- (alpha*first + beta + gamma*new) / delta,
-    into the variable pair (first, new).
-
-    Horner's rule in the second variable builds the integer numerator
-    sum_j L*q_j delta^(n-j) (alpha*first + beta + gamma*new)^j, with q_j the
-    coefficient of second^j and L the lcm of all coefficient denominators;
-    the one division by L delta^n comes last.
-    """
-    target = (poly.variables[0], new_second)
-    if not poly:
-        return BivariatePolynomial.zero(target)
-    scale, rows = _integer_rows(poly._terms)
-    n = len(rows[0]) - 1
-    acc: dict[tuple[int, int], int] = {}
-    for j in range(n, -1, -1):
-        step = {(i, 0): row[j] * delta ** (n - j) for i, row in enumerate(rows) if row[j]}
-        for (i, k), value in acc.items():
-            for key, factor in (((i + 1, k), alpha), ((i, k), beta), ((i, k + 1), gamma)):
-                if factor:
-                    step[key] = step.get(key, 0) + value * factor
-        acc = step
-    return BivariatePolynomial(
-        {key: Fraction(value, scale * delta**n) for key, value in acc.items()}, target
-    )
-
-
-def substitute_half(
-    poly: BivariatePolynomial, new_second: str = "s"
-) -> BivariatePolynomial:
-    """Exact substitution second <- (first - 1)/2 - new_second.
-
-    Used to pass from the even-color variable c to the odd-color variable s
-    via c = (p - 1)/2 - s.  The first variable is fixed; the result lives in
-    the variable pair (first, new_second).
-    """
-    return substitute_affine(poly, 1, -1, -2, 2, new_second)
-
-
-def binomial_poly_in_c(g: int, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
-    """binom(c + g - 1, 2g - 2) expanded as a polynomial in c (no p terms).
-
-    This is the degree-(2g-2) polynomial
-    (c+g-1)(c+g-2)...(c-g+2) / (2g-2)!, with the empty product 1 at g = 1.
-    """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    k = 2 * g - 2
-    c = BivariatePolynomial.second(variables)
-    product = BivariatePolynomial.constant(1, variables)
-    for t in range(k):
-        product = product * (c + (g - 1 - t))
-    return product / Fraction(math.factorial(k))
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:

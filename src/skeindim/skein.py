@@ -22,10 +22,20 @@ are computed exactly through the cyclotomic module.  Every quantum
 denominator they need, D^2 and both flat-curve closed forms included, is
 a root difference A^u - A^v with an even exponent gap, inverted by the
 field's closed form R(u, v) = 1/(A^u - A^v) rather than extended Euclid.
+
+The curve summands R(e, -e)^(2g-2) fall into Galois orbits: with
+h = gcd(e, 2p) and k = e/h (mod 2p/h) lifted to a unit mod 2p, kh = e
+(mod 2p), so sigma_k: A -> A^k maps R(h, -h) to R(e, -e).  One power is
+built per divisor h of 2p and its conjugates are summed by
+`CyclotomicField.conjugate_sum`, reduced modulo Phi_2p once; that is
+sound because Phi_2p(x) divides Phi_2p(x^k) for k coprime to 2p.  Only
+the audit variant (`alternate_form=True`, `--alternate-form`) keeps the
+per-summand route.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -227,17 +237,26 @@ def eval_nonseparating_curve(
     """Invariant of a flat nonseparating curve colored m in a genus-g
     surface times a circle, as an exact element of Q(zeta_2p).
 
-    Even m:  D_g(0) - sum_{i=1..m/2} (-p)^(g-1) / (A^2i - A^-2i)^(2g-2).
-    Odd m:   sum_{i=1..(m+1)/2} (-p)^(g-1) / (A^(2i-1) - A^-(2i-1))^(2g-2).
+    Even m:  D_g(0) - sum_{i=1..m/2} (-p)^(g-1) R(2i, -2i)^(2g-2).
+    Odd m:   sum_{i=1..(m+1)/2} (-p)^(g-1) R(2i-1, -(2i-1))^(2g-2).
 
+    Here R(u, v) = 1/(A^u - A^v), the closed-form root-difference inverse
+    of the field (every gap u - v is even, so no Euclidean inverse runs).
     The odd case at m = 1 reduces to the flat-curve closed form, which
-    pins the sign of the inner exponent; `alternate_form=True` switches
-    the second exponent of the odd denominator to -(2i+1) for audit
-    comparison (that variant does not match the m = 1 closed form).
+    pins the sign of the inner exponent.
 
-    Every denominator A^u - A^v has an even exponent gap, so each summand
-    is built from the closed-form root-difference inverse of the field,
-    without a general (Euclidean) inverse.
+    The summands form Galois orbits.  Write e for 2i (even m) or 2i - 1
+    (odd m) and h = gcd(e, 2p).  Lift e/h, a unit modulo 2p/h, to the
+    smallest k = e/h (mod 2p/h) coprime to 2p; then kh = e (mod 2p), so the
+    automorphism sigma_k: A -> A^k sends R(h, -h) to R(e, -e), and it fixes
+    the rationals (-p)^(g-1) and D_g(0).  So one power R(h, -h)^(2g-2) is
+    built per divisor h of 2p, and `CyclotomicField.conjugate_sum` adds
+    all its conjugates with a single reduction modulo Phi_2p.
+
+    `alternate_form=True` is for audit only: it keeps the per-summand
+    route, one power per summand, and reads the second exponent of the odd
+    denominator as -(2i+1) (that variant does not match the m = 1 closed
+    form).
 
     Raises VanishingDenominator for a color above p - 2 (the colors that
     `dimension` rejects), before any summand is built; no quantum
@@ -255,19 +274,28 @@ def eval_nonseparating_curve(
             f"vanishing quantum denominator at p={p}, color {m} "
             f"(colors run 0..{p - 2})"
         )
-    prefactor = (-p) ** (g - 1)
-
-    def summand(u: int, v: int) -> CyclotomicElement:
-        # the gap (u - v)/2 lies in 1..m+1 <= p-1, so p never divides it
-        return prefactor * field.root_difference_inverse(u, v) ** (2 * g - 2)
-
-    if m % 2 == 0:
-        total = field.from_rational(dimension(g, p, 0))
-        for i in range(1, m // 2 + 1):
-            total = total - summand(2 * i, -2 * i)
-        return total
-    total = field.zero()
-    for i in range(1, (m + 1) // 2 + 1):
-        low = -(2 * i + 1) if alternate_form else -(2 * i - 1)
-        total = total + summand(2 * i - 1, low)
+    even = m % 2 == 0
+    # e runs up to m <= p - 2, so no half-gap (at most m + 1) is a multiple of p
+    exponents = range(2 if even else 1, m + 1, 2)
+    if alternate_form:
+        total = field.zero()
+        for e in exponents:
+            low = -e if even else -(e + 2)
+            total = total + field.root_difference_inverse(e, low) ** (2 * g - 2)
+    else:
+        period = 2 * p
+        powers: dict[int, CyclotomicElement] = {}
+        pairs = []
+        for e in exponents:
+            h = math.gcd(e, period)
+            if h not in powers:
+                powers[h] = field.root_difference_inverse(h, -h) ** (2 * g - 2)
+            k = e // h  # a unit mod 2p/h, lifted to a unit mod 2p
+            while math.gcd(k, period) != 1:
+                k += period // h
+            pairs.append((powers[h], k))
+        total = field.conjugate_sum(pairs)
+    total = total * (-p) ** (g - 1)
+    if even:
+        return field.from_rational(dimension(g, p, 0)) - total
     return total

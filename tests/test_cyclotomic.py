@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -198,3 +199,82 @@ def test_caches_stay_within_their_bound(cache, keys):
     for key in keys:
         cache(key)
         assert cache.cache_info().currsize <= maxsize
+
+
+# ------------------------------------------------------ Galois conjugates
+
+
+def _units(p):
+    return [k for k in range(1, 2 * p) if math.gcd(k, 2 * p) == 1]
+
+
+def _sigma(x, k):
+    return x.field.conjugate_sum([(x, k)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([7, 9, 15, 21]), st.data())
+def test_conjugation_is_a_ring_automorphism(p, data):
+    field = cyclotomic_field(p)
+    x = data.draw(field_elements(field))
+    y = data.draw(field_elements(field))
+    k = data.draw(st.sampled_from(_units(p)))
+    assert _sigma(x, 1) == x
+    assert _sigma(x + y, k) == _sigma(x, k) + _sigma(y, k)
+    assert field.conjugate_sum([(x, k), (y, k)]) == _sigma(x + y, k)
+    assert _sigma(x * y, k) == _sigma(x, k) * _sigma(y, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([7, 9, 15, 21]), st.data())
+def test_conjugations_compose_by_multiplying_exponents(p, data):
+    field = cyclotomic_field(p)
+    x = data.draw(field_elements(field))
+    k = data.draw(st.sampled_from(_units(p)))
+    l = data.draw(st.sampled_from(_units(p)))
+    # an exponent k + 2p names the same automorphism as k
+    assert _sigma(_sigma(x, l), k + 2 * p) == _sigma(x, k * l % (2 * p))
+
+
+@pytest.mark.parametrize("p", [3, 9, 15, 21, 25])
+def test_conjugation_permutes_root_powers(p):
+    field = cyclotomic_field(p)
+    for k in _units(p):
+        for j in range(-2, 2 * p + 2):
+            assert _sigma(field.gen_power(j), k) == field.gen_power(j * k)
+
+
+@pytest.mark.parametrize("p", [5, 9, 15])
+def test_conjugate_embeds_at_the_conjugate_root(p):
+    field = cyclotomic_field(p)
+    x = field.element([Fraction(1, 3), -2, 0, Fraction(5, 7)])
+    for k in _units(p):
+        assert abs(_sigma(x, k).embed(1) - x.embed(k)) < 1e-9
+
+
+@pytest.mark.parametrize("p", [3, 9, 15])
+def test_conjugate_sum_rejects_non_units_and_foreign_elements(p):
+    field = cyclotomic_field(p)
+    x = field.gen() + 1
+    for k in (0, 2, p, 2 * p, -4):
+        with pytest.raises(ValueError, match="not coprime"):
+            field.conjugate_sum([(x, 1), (x, k)])
+    with pytest.raises(ValueError, match="different field"):
+        field.conjugate_sum([(cyclotomic_field(p + 2).gen(), 1)])
+
+
+@pytest.mark.parametrize("p", [7, 9, 15])
+def test_conjugate_sums_hash_like_equal_elements(p):
+    field = cyclotomic_field(p)
+    a = field.gen()
+    x = a * Fraction(3, 4) + a**3 * Fraction(1, 6) - 2
+    y = a**2 / 5
+    k = _units(p)[-1]
+    split = field.conjugate_sum([(x, k), (y, k), (y, 1)])
+    joined = field.conjugate_sum([(x + y, k), (y, 1)])
+    assert split == joined and hash(split) == hash(joined)
+    # summed over the whole Galois group the result is the rational trace
+    trace = field.conjugate_sum((x, k) for k in _units(p))
+    assert not any(trace.numerators[1:])
+    assert hash(trace) == hash(trace.coefficients[0])
+    assert field.conjugate_sum([]) == field.zero()

@@ -19,12 +19,10 @@ from skeindim.exact import (
     UnivariatePolynomial,
     _convolve,
     _scaled,
-    binomial_poly_in_c,
     rank,
-    substitute_affine,
-    substitute_half,
 )
 from series_oracle import series_inverse, series_mul
+from substitution_oracle import binomial_poly_in_c, substitute_affine, substitute_half
 
 PC = ("p", "c")
 

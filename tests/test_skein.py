@@ -393,6 +393,56 @@ def test_curve_matches_euclid_route(p):
                 assert eval_nonseparating_curve(g, m, field, alternate_form) == expected
 
 
+@functools.lru_cache(maxsize=None)
+def _summand_per_power(g, p, u, v):
+    field = cyclotomic_field(p)
+    return (-p) ** (g - 1) * field.root_difference_inverse(u, v) ** (2 * g - 2)
+
+
+def _curve_per_summand(g, m, field):
+    """The per-summand route: one closed-form power for every summand,
+    with no use of the Galois action; summands are memoised because
+    colors share them."""
+    from skeindim.verlinde import dimension
+
+    p = field.p
+    if m % 2 == 0:
+        total = field.from_rational(dimension(g, p, 0))
+        for i in range(1, m // 2 + 1):
+            total = total - _summand_per_power(g, p, 2 * i, -2 * i)
+        return total
+    total = field.zero()
+    for i in range(1, (m + 1) // 2 + 1):
+        total = total + _summand_per_power(g, p, 2 * i - 1, -(2 * i - 1))
+    return total
+
+
+def _assert_same_element(actual, expected):
+    assert (actual.numerators, actual.denominator) == (
+        expected.numerators,
+        expected.denominator,
+    )
+
+
+@pytest.mark.parametrize("p", ODD_P)
+def test_curve_orbit_route_matches_per_summand_route(p):
+    field = cyclotomic_field(p)
+    for g in (1, 2, 3, 4):
+        for m in range(p - 1):
+            expected = _curve_per_summand(g, m, field)
+            _assert_same_element(eval_nonseparating_curve(g, m, field), expected)
+
+
+@pytest.mark.parametrize("p", [45, 63, 75, 81, 105])
+def test_curve_orbit_route_matches_per_summand_route_at_composite_levels(p):
+    # several divisor classes h = gcd(e, 2p), each with its own power
+    field = cyclotomic_field(p)
+    for g in (2, 3):
+        for m in (p - 2, p - 3, (p - 1) // 2):
+            expected = _curve_per_summand(g, m, field)
+            _assert_same_element(eval_nonseparating_curve(g, m, field), expected)
+
+
 @pytest.mark.parametrize("p", ODD_P)
 def test_curve_rejects_colors_above_p_minus_two(p):
     field = cyclotomic_field(p)

@@ -13,13 +13,7 @@ from fractions import Fraction
 import pytest
 
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number, bernoulli_numbers
-from skeindim.exact import (
-    BivariatePolynomial,
-    UnivariatePolynomial,
-    binomial_poly_in_c,
-    substitute_affine,
-    substitute_half,
-)
+from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim import verlinde
 from skeindim.certify import check_leading_term
 from skeindim.verlinde import (
@@ -44,6 +38,7 @@ from skeindim.verlinde import (
     verlinde_polynomial,
 )
 from series_oracle import series_inverse, series_mul
+from substitution_oracle import binomial_poly_in_c, substitute_affine, substitute_half
 
 PC = ("p", "c")
 PS = ("p", "s")
