@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument(
         "--alternate-form",
         action="store_true",
-        help="use the alternative odd-denominator exponent, summand by summand (audit only)",
+        help="use the alternative odd-denominator exponent (audit only)",
     )
 
     p_ver = add("verify", _cmd_verify, "run a verification battery", text_or_json, output)

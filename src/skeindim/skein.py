@@ -28,9 +28,9 @@ h = gcd(e, 2p) and k = e/h (mod 2p/h) lifted to a unit mod 2p, kh = e
 (mod 2p), so sigma_k: A -> A^k maps R(h, -h) to R(e, -e).  One power is
 built per divisor h of 2p and its conjugates are summed by
 `CyclotomicField.conjugate_sum`, reduced modulo Phi_2p once; that is
-sound because Phi_2p(x) divides Phi_2p(x^k) for k coprime to 2p.  Only
-the audit variant (`alternate_form=True`, `--alternate-form`) keeps the
-per-summand route.
+sound because Phi_2p(x) divides Phi_2p(x^k) for k coprime to 2p.  The
+audit variant (`alternate_form=True`, `--alternate-form`) runs the same
+route: its odd summands R(e, -(e+2)) are A R(e+1, -(e+1)).
 """
 
 from __future__ import annotations
@@ -253,10 +253,12 @@ def eval_nonseparating_curve(
     built per divisor h of 2p, and `CyclotomicField.conjugate_sum` adds
     all its conjugates with a single reduction modulo Phi_2p.
 
-    `alternate_form=True` is for audit only: it keeps the per-summand
-    route, one power per summand, and reads the second exponent of the odd
-    denominator as -(2i+1) (that variant does not match the m = 1 closed
-    form).
+    `alternate_form=True` is for audit only: it reads the second exponent
+    of the odd denominator as -(2i+1) (that variant does not match the
+    m = 1 closed form).  Since A^e - A^-(e+2) = A^-1 (A^(e+1) - A^-(e+1)),
+    each such summand is A^(2g-2) R(e+1, -(e+1))^(2g-2), so the variant
+    sums the orbits of the even exponents 2..m+1 and multiplies by
+    A^(2g-2).  For even m the flag changes nothing.
 
     Raises VanishingDenominator for a color above p - 2 (the colors that
     `dimension` rejects), before any summand is built; no quantum
@@ -275,26 +277,24 @@ def eval_nonseparating_curve(
             f"(colors run 0..{p - 2})"
         )
     even = m % 2 == 0
-    # e runs up to m <= p - 2, so no half-gap (at most m + 1) is a multiple of p
-    exponents = range(2 if even else 1, m + 1, 2)
-    if alternate_form:
-        total = field.zero()
-        for e in exponents:
-            low = -e if even else -(e + 2)
-            total = total + field.root_difference_inverse(e, low) ** (2 * g - 2)
-    else:
-        period = 2 * p
-        powers: dict[int, CyclotomicElement] = {}
-        pairs = []
-        for e in exponents:
-            h = math.gcd(e, period)
-            if h not in powers:
-                powers[h] = field.root_difference_inverse(h, -h) ** (2 * g - 2)
-            k = e // h  # a unit mod 2p/h, lifted to a unit mod 2p
-            while math.gcd(k, period) != 1:
-                k += period // h
-            pairs.append((powers[h], k))
-        total = field.conjugate_sum(pairs)
+    shifted = alternate_form and not even
+    # e runs up to m + 1 <= p - 1, so no half-gap e is a multiple of p;
+    # with even m, range(2, m + 2, 2) stops at m
+    exponents = range(2, m + 2, 2) if even or shifted else range(1, m + 1, 2)
+    period = 2 * p
+    powers: dict[int, CyclotomicElement] = {}
+    pairs = []
+    for e in exponents:
+        h = math.gcd(e, period)
+        if h not in powers:
+            powers[h] = field.root_difference_inverse(h, -h) ** (2 * g - 2)
+        k = e // h  # a unit mod 2p/h, lifted to a unit mod 2p
+        while math.gcd(k, period) != 1:
+            k += period // h
+        pairs.append((powers[h], k))
+    total = field.conjugate_sum(pairs)
+    if shifted:
+        total = total * field.gen_power(2 * g - 2)
     total = total * (-p) ** (g - 1)
     if even:
         return field.from_rational(dimension(g, p, 0)) - total

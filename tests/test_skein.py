@@ -364,9 +364,16 @@ def _summand_by_euclid(g, p, u, v):
     return prefactor * (denominator ** (2 * g - 2)).inverse()
 
 
-def _curve_by_euclid(g, m, field, alternate_form):
-    """The curve evaluation with every summand inverted by the general
-    (Euclidean) inverse instead of the closed form; summands are memoised
+@functools.lru_cache(maxsize=None)
+def _summand_by_closed_form(g, p, u, v):
+    field = cyclotomic_field(p)
+    return (-p) ** (g - 1) * field.root_difference_inverse(u, v) ** (2 * g - 2)
+
+
+def _curve_by_euclid(g, m, field, alternate_form, summand=_summand_by_euclid):
+    """The curve evaluation summed one summand at a time, with no use of
+    the Galois action; by default every summand is inverted by the general
+    (Euclidean) inverse instead of the closed form.  Summands are memoised
     because colors share them."""
     from skeindim.verlinde import dimension
 
@@ -374,12 +381,12 @@ def _curve_by_euclid(g, m, field, alternate_form):
     if m % 2 == 0:
         total = field.from_rational(dimension(g, p, 0))
         for i in range(1, m // 2 + 1):
-            total = total - _summand_by_euclid(g, p, 2 * i, -2 * i)
+            total = total - summand(g, p, 2 * i, -2 * i)
         return total
     total = field.zero()
     for i in range(1, (m + 1) // 2 + 1):
         low = -(2 * i + 1) if alternate_form else -(2 * i - 1)
-        total = total + _summand_by_euclid(g, p, 2 * i - 1, low)
+        total = total + summand(g, p, 2 * i - 1, low)
     return total
 
 
@@ -393,54 +400,28 @@ def test_curve_matches_euclid_route(p):
                 assert eval_nonseparating_curve(g, m, field, alternate_form) == expected
 
 
-@functools.lru_cache(maxsize=None)
-def _summand_per_power(g, p, u, v):
-    field = cyclotomic_field(p)
-    return (-p) ** (g - 1) * field.root_difference_inverse(u, v) ** (2 * g - 2)
-
-
-def _curve_per_summand(g, m, field):
-    """The per-summand route: one closed-form power for every summand,
-    with no use of the Galois action; summands are memoised because
-    colors share them."""
-    from skeindim.verlinde import dimension
-
-    p = field.p
-    if m % 2 == 0:
-        total = field.from_rational(dimension(g, p, 0))
-        for i in range(1, m // 2 + 1):
-            total = total - _summand_per_power(g, p, 2 * i, -2 * i)
-        return total
-    total = field.zero()
-    for i in range(1, (m + 1) // 2 + 1):
-        total = total + _summand_per_power(g, p, 2 * i - 1, -(2 * i - 1))
-    return total
-
-
-def _assert_same_element(actual, expected):
-    assert (actual.numerators, actual.denominator) == (
-        expected.numerators,
-        expected.denominator,
-    )
-
-
 @pytest.mark.parametrize("p", ODD_P)
-def test_curve_orbit_route_matches_per_summand_route(p):
+def test_curve_matches_euclid_route_at_genus_four(p):
     field = cyclotomic_field(p)
-    for g in (1, 2, 3, 4):
-        for m in range(p - 1):
-            expected = _curve_per_summand(g, m, field)
-            _assert_same_element(eval_nonseparating_curve(g, m, field), expected)
+    for m in range(p - 1):
+        for alternate_form in (False, True):
+            expected = _curve_by_euclid(4, m, field, alternate_form)
+            assert eval_nonseparating_curve(4, m, field, alternate_form) == expected
 
 
 @pytest.mark.parametrize("p", [45, 63, 75, 81, 105])
-def test_curve_orbit_route_matches_per_summand_route_at_composite_levels(p):
-    # several divisor classes h = gcd(e, 2p), each with its own power
+def test_curve_matches_per_summand_route_at_composite_levels(p):
+    # several divisor classes h = gcd(e, 2p), each with its own power; the
+    # summands use the closed-form inverse, as Euclid takes seconds per
+    # level here
     field = cyclotomic_field(p)
     for g in (2, 3):
         for m in (p - 2, p - 3, (p - 1) // 2):
-            expected = _curve_per_summand(g, m, field)
-            _assert_same_element(eval_nonseparating_curve(g, m, field), expected)
+            for alternate_form in (False, True):
+                expected = _curve_by_euclid(
+                    g, m, field, alternate_form, summand=_summand_by_closed_form
+                )
+                assert eval_nonseparating_curve(g, m, field, alternate_form) == expected
 
 
 @pytest.mark.parametrize("p", ODD_P)
