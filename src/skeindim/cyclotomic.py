@@ -8,6 +8,12 @@ multiplication and reduction use integer arithmetic only.  The residue
 class of x, written A below, is a primitive 2p-th root of unity:
 A^(2p) = 1 and A^p = -1.
 
+The modulus is built from the Mobius form of Phi_p (Washington, ch. 2):
+for odd p, Phi_2p(x) = Phi_p(-x) = prod_{d | p} (x^d + 1)^mu(p/d), each
+factor two-term, so one sparse pass multiplies or exactly divides by it.
+Reduction folds x^p to -1 before dividing by Phi_2p; that is sound since
+Phi_2p divides x^p + 1 = prod_{d | p} Phi_2d.
+
 Phi_2p is irreducible over Q, so every nonzero element is invertible.
 General inverses run the extended Euclidean algorithm against Phi_2p (no
 factoring needed); it also serves the tests as the oracle for the closed
@@ -26,9 +32,9 @@ as a quantum integer, is built in one pass by `power_sum`.
 
 The Galois group acts by sigma_k: A -> A^k for k coprime to 2p, an
 exponent permutation.  `conjugate_sum` adds conjugates sigma_k(x) without
-reducing each one: it maps the representative f(x) to f(x^k) in
-Z[x]/(x^p + 1), accumulates over one lcm denominator, and reduces modulo
-Phi_2p once.  The result does not depend on the representative, because
+reducing each one: it maps the representative f(x) to f(x^k) with
+exponents taken mod 2p, accumulates over one lcm denominator, and
+reduces once.  The result does not depend on the representative, because
 Phi_2p(x) divides Phi_2p(x^k) when k is coprime to 2p (sigma_k permutes
 the primitive 2p-th roots of unity).  The curve evaluations use it to
 sum whole Galois orbits of one power.
@@ -39,7 +45,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .exact import RationalLike, _convolve, _power, _q, _scaled
@@ -47,50 +52,34 @@ from .exact import RationalLike, _convolve, _power, _q, _scaled
 _IntPoly = tuple[int, ...]  # ascending integer coefficients
 
 
-def _int_poly_divide(num: Sequence[int], den: Sequence[int]) -> _IntPoly:
-    """Exact division of integer polynomials with monic divisor."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    remainder = list(num)
-    quotient = [0] * (len(num) - len(den) + 1)
-    for k in range(len(quotient) - 1, -1, -1):
-        coeff = remainder[k + len(den) - 1]
-        quotient[k] = coeff
-        if coeff:
-            for i, d in enumerate(den):
-                remainder[k + i] -= coeff * d
-    if any(remainder):
-        raise ValueError("division not exact")
-    while quotient and quotient[-1] == 0:
-        quotient.pop()
-    return tuple(quotient)
+def _phi_2p(p: int) -> _IntPoly:
+    """Integer coefficients (ascending) of Phi_2p(x), odd p >= 3, as the
+    product of (x^d + 1)^mu(p/d) over the divisors d of p: the mu = +1
+    factors multiply in, then each mu = -1 factor divides out exactly."""
+    factors, rest = [(p, 1)], p  # (d, mu(p/d)) over squarefree p/d
+    for q in range(3, p + 1, 2):
+        if rest % q == 0:  # prime: every smaller prime is divided out
+            factors += [(d // q, -mu) for d, mu in factors]
+            while rest % q == 0:
+                rest //= q
+    poly = [1]
+    for d, mu in sorted(factors, key=lambda factor: -factor[1]):
+        if mu == 1:  # times x^d + 1, in place
+            poly += [0] * d
+            for i in range(len(poly) - 1, d - 1, -1):
+                poly[i] += poly[i - d]
+        else:  # divided by x^d + 1: the quotient overwrites poly
+            for i in range(d, len(poly)):
+                poly[i] -= poly[i - d]
+            if any(poly[-d:]):
+                raise AssertionError(f"x^{d} + 1 does not divide the product for p={p}")
+            del poly[-d:]
+    return tuple(poly)
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-@lru_cache(maxsize=128)
-def cyclotomic_int_coeffs(n: int) -> _IntPoly:
-    """Integer coefficients (ascending) of the n-th cyclotomic polynomial.
-
-    Built by exact division: x^n - 1 divided by the cyclotomic polynomials
-    of all proper divisors of n.
-    """
-    if n < 1:
-        raise ValueError("index must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly: _IntPoly = tuple([-1] + [0] * (n - 1) + [1])
-    for d in _divisors(n)[:-1]:
-        poly = _int_poly_divide(poly, cyclotomic_int_coeffs(d))
-    return poly
-
-
-@lru_cache(maxsize=32)
 def cyclotomic_field(p: int) -> CyclotomicField:
-    """The field Q(zeta_2p) for odd p >= 3; instances are cached per p."""
+    """The field Q(zeta_2p) for odd p >= 3, built afresh on each call;
+    fields compare and hash by p, so elements of separate builds mix."""
     return CyclotomicField(p)
 
 
@@ -103,13 +92,11 @@ class CyclotomicField:
         if p < 3 or p % 2 == 0:
             raise ValueError("p must be an odd integer >= 3")
         self.p = p
-        self.modulus: _IntPoly = cyclotomic_int_coeffs(2 * p)
+        self.modulus: _IntPoly = _phi_2p(p)
         self.degree: int = len(self.modulus) - 1
         self._modulus_tail = tuple(
             (i, c) for i, c in enumerate(self.modulus[:-1]) if c
         )
-        # reduction folds x^p to -1, which needs Phi_2p to divide x^p + 1
-        _int_poly_divide((1,) + (0,) * (p - 1) + (1,), self.modulus)
 
     def _reduce(self, coeffs: Sequence[int]) -> _IntPoly:
         """Residue of an integer coefficient list modulo Phi_2p, padded to
@@ -185,12 +172,12 @@ class CyclotomicField:
         automorphism A -> A^k; raises ValueError unless gcd(k, 2p) = 1.
 
         sigma_k permutes exponents: the representative f(x) of x becomes
-        f(x^k), folded into Z[x]/(x^p + 1).  The conjugates accumulate
-        there over one lcm denominator and are reduced modulo Phi_2p once.
+        f(x^k), with exponents taken mod 2p.  The conjugates accumulate
+        over one lcm denominator and are reduced modulo Phi_2p once.
         That is sound because Phi_2p(x) divides Phi_2p(x^k) for k coprime
         to 2p, so f(x^k) mod Phi_2p does not depend on the representative.
         """
-        p, period = self.p, 2 * self.p
+        period = 2 * self.p
         pairs = list(pairs)
         for element, k in pairs:
             if element.field != self:
@@ -198,13 +185,12 @@ class CyclotomicField:
             if math.gcd(k, period) != 1:
                 raise ValueError(f"k = {k} is not coprime to 2p = {period}")
         denominator = math.lcm(*(element.denominator for element, _ in pairs))
-        coeffs = [0] * p
+        coeffs = [0] * period
         for element, k in pairs:
             scale = denominator // element.denominator
             for j, n in enumerate(element.numerators):
                 if n:
-                    half, e = divmod(j * k % period, p)  # x^p = -1
-                    coeffs[e] += -n * scale if half else n * scale
+                    coeffs[j * k % period] += n * scale
         return CyclotomicElement(self, self._reduce(coeffs), denominator)
 
     def __eq__(self, other: object) -> bool:
@@ -389,8 +375,10 @@ class CyclotomicElement:
         return _power(base, abs(exponent), self.field.one())
 
     def embed(self, s: int = 1) -> complex:
-        """Numerical image under A -> exp(i pi s / p); s must be coprime
-        to 2p for the map to be a field embedding."""
+        """Numerical image under A -> exp(i pi s / p); raises ValueError
+        unless gcd(s, 2p) = 1, the condition for a field embedding."""
+        if math.gcd(s, 2 * self.field.p) != 1:
+            raise ValueError(f"s = {s} is not coprime to 2p = {2 * self.field.p}")
         root = cmath.exp(1j * cmath.pi * s / self.field.p)
         value = 0j
         for k, c in enumerate(self.coefficients):

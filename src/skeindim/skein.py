@@ -41,6 +41,7 @@ from typing import Iterable, Union
 
 from .cyclotomic import CyclotomicElement, CyclotomicField, cyclotomic_field
 from .exact import RationalLike, _convolve, _q, _scaled
+from .verlinde import dimension
 
 
 class VanishingDenominator(ZeroDivisionError):
@@ -268,7 +269,6 @@ def eval_nonseparating_curve(
         raise ValueError("genus must be at least 1")
     if m < 0:
         raise ValueError("color must be nonnegative")
-    from .verlinde import dimension  # deferred to avoid a module cycle
 
     p = field.p
     if m > p - 2:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -9,36 +10,72 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeindim.cyclotomic import cyclotomic_field, cyclotomic_int_coeffs
+from skeindim.cyclotomic import cyclotomic_field
 from skeindim.skein import quantum_integer
 
 ODD_P = [3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31]
 
 
+# ------------------------------------- modulus: recursive division oracle
+
+
+def _int_poly_divide(num, den):
+    """Exact division of integer polynomials (ascending) by a monic divisor."""
+    assert den[-1] == 1
+    remainder = list(num)
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        coeff = remainder[k + len(den) - 1]
+        quotient[k] = coeff
+        if coeff:
+            for i, d in enumerate(den):
+                remainder[k + i] -= coeff * d
+    assert not any(remainder), "division not exact"
+    while quotient and quotient[-1] == 0:
+        quotient.pop()
+    return tuple(quotient)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_division(n):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d of n,
+    the route the field used before the Mobius product."""
+    poly = tuple([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _int_poly_divide(poly, _cyclotomic_by_division(d))
+    return poly
+
+
 def test_sixth_cyclotomic_polynomial():
-    # p = 3: x^2 - x + 1 by the standard division
-    assert cyclotomic_int_coeffs(6) == (1, -1, 1)
+    # p = 3: x^2 - x + 1
+    assert cyclotomic_field(3).modulus == (1, -1, 1)
 
 
 def test_tenth_cyclotomic_polynomial():
     # p = 5: x^4 - x^3 + x^2 - x + 1
-    assert cyclotomic_int_coeffs(10) == (1, -1, 1, -1, 1)
+    assert cyclotomic_field(5).modulus == (1, -1, 1, -1, 1)
+
+
+@pytest.mark.parametrize("p", [*range(3, 302, 2), 615, 945, 1001])
+def test_modulus_matches_division_oracle(p):
+    field = cyclotomic_field(p)
+    assert field.modulus == _cyclotomic_by_division(2 * p)
+    assert field.degree == len(field.modulus) - 1
 
 
 @pytest.mark.parametrize("p", ODD_P)
 def test_modulus_divides_x_2p_minus_one(p):
-    from skeindim.cyclotomic import _int_poly_divide
-
-    modulus = cyclotomic_int_coeffs(2 * p)
+    modulus = cyclotomic_field(p).modulus
     full = tuple([-1] + [0] * (2 * p - 1) + [1])
-    _int_poly_divide(full, modulus)  # raises if not exact
+    _int_poly_divide(full, modulus)  # fails if not exact
 
 
 @pytest.mark.parametrize("p", ODD_P)
 def test_even_index_from_odd_by_sign_flip(p):
     # for odd n, the 2n-th cyclotomic polynomial is the n-th at -x
-    odd = cyclotomic_int_coeffs(p)
-    even = cyclotomic_int_coeffs(2 * p)
+    odd = _cyclotomic_by_division(p)
+    even = cyclotomic_field(p).modulus
     flipped = tuple(c if k % 2 == 0 else -c for k, c in enumerate(odd))
     # normalize sign so the polynomial is monic
     if flipped[-1] < 0:
@@ -121,6 +158,14 @@ def test_embedding_sends_gen_to_unit_root():
     assert abs(field.gen_power(5).embed(1) + 1) < 1e-12
 
 
+@pytest.mark.parametrize("p", [7, 9])
+def test_embedding_rejects_non_units(p):
+    x = cyclotomic_field(p).gen() + 1
+    for s in (0, 2, p, 2 * p):
+        with pytest.raises(ValueError, match="not coprime"):
+            x.embed(s)
+
+
 def test_laurent_quantum_integers():
     # [n] is the Laurent sum A^(2n-2) + A^(2n-6) + ... + A^(2-2n)
     for p in (3, 5, 7, 9, 15, 21):
@@ -186,19 +231,21 @@ def test_equal_elements_hash_equal():
     assert (a / 3) * 3 == a and hash((a / 3) * 3) == hash(a)
 
 
-@pytest.mark.parametrize(
-    "cache, keys",
-    [
-        (cyclotomic_int_coeffs, range(1, 200)),
-        (cyclotomic_field, range(3, 200, 2)),
-    ],
-)
-def test_caches_stay_within_their_bound(cache, keys):
-    maxsize = cache.cache_info().maxsize
-    assert maxsize is not None and len(keys) > maxsize
-    for key in keys:
-        cache(key)
-        assert cache.cache_info().currsize <= maxsize
+@pytest.mark.parametrize("p", [7, 9, 15])
+def test_separately_built_fields_interoperate(p):
+    first, second = cyclotomic_field(p), cyclotomic_field(p)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    a, b = first.gen(), second.gen()
+    assert a == b and hash(a) == hash(b)
+    x = a * Fraction(2, 3) + 1
+    y = b**2 - Fraction(1, 5)
+    assert x + y == b * Fraction(2, 3) + b**2 + Fraction(4, 5)
+    assert x * y == y * x == b**3 * Fraction(2, 3) + b**2 - b * Fraction(2, 15) - Fraction(1, 5)
+    assert (x * y) / y == x
+    k = 2 * p - 1
+    assert first.conjugate_sum([(y, k), (x, 1)]) == second.conjugate_sum([(y, k), (x, 1)])
+    assert first.conjugate_sum([(y, k)]) == b ** (-2) - Fraction(1, 5)
 
 
 # ------------------------------------------------------ Galois conjugates
