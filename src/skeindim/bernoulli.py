@@ -19,15 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import FaulhaberInconsistency
 from .exact import UnivariatePolynomial
-
-
-class FaulhaberInconsistency(ArithmeticError):
-    """The two closed forms of the power-sum polynomial disagree.
-
-    Both are built from the same Bernoulli table, so a mismatch signals a
-    bug in that table rather than bad user input.
-    """
 
 
 #: B_0, B_1, ... as far as any call has needed.  Calls replace it with a

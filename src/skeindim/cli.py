@@ -15,7 +15,11 @@ Each command builds one JSON payload and its text lines; `_emit` writes
 the form that --format selects.  Exit codes: 0 success, 1 check failure
 (a failed verify or certify check, or an internal consistency error),
 2 usage or validation error.  `main` alone maps exceptions to these codes
-and prints the message as one JSON line {"error": ...} on stderr.
+and prints the message as one JSON line {"error": ...} on stderr.  The
+exceptions it maps live in `skeindim.errors`, so this module imports no
+arithmetic; each command imports the modules it runs.  A reader that
+closes the pipe early (`| head`) ends the output quietly, and the command
+keeps its exit code.
 
 Exact-mode output never contains a floating-point number; floats appear
 only under the explicit --embed flag of eval-curve.
@@ -29,25 +33,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
-from .bernoulli import FaulhaberInconsistency, bernoulli_numbers, bernoulli_polynomial
-from .certify import build_certificate
-from .cyclotomic import cyclotomic_field
-from .skein import VanishingDenominator, eval_nonseparating_curve
-from .suites import SUITES, run_suite
-from .verlinde import (
+from .errors import (
+    FaulhaberInconsistency,
     IntegralityError,
     ParityViolation,
     StructureViolation,
-    decompose,
-    dimension,
-    level_dimensions,
-    odd_color_polynomial,
-    verlinde_polynomial,
+    VanishingDenominator,
 )
 
 OUTPUT_DIR_ENV = "SKEINDIM_OUTPUT_DIR"
+
+#: The names of `suites.SUITES`, spelled out so that parsing the arguments
+#: does not import the suites.
+SUITE_NAMES = ("bernoulli", "verlinde", "skein", "certify")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -66,7 +65,14 @@ def _emit(args: argparse.Namespace, payload: dict | None, lines: list[str]) -> N
         text = "\n".join(lines)
     output = getattr(args, "output", None)
     if output is None:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early (`| head`).  Point stdout at devnull
+            # so the flush at shutdown cannot raise again; the command
+            # keeps its own exit code.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     if not os.path.isabs(output):
         output = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), output)
@@ -94,14 +100,20 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------- commands
+# Each command imports what it runs, so a launch compiles only those
+# modules (see "Cold start" in the README).
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
+    from .verlinde import dimension
+
     _emit(args, None, [str(dimension(args.genus, args.p, args.color))])
     return EXIT_OK
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    from .verlinde import odd_color_polynomial, verlinde_polynomial
+
     poly = odd_color_polynomial(args.genus) if args.odd else verlinde_polynomial(args.genus)
     payload = {
         "genus": args.genus,
@@ -114,6 +126,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .verlinde import decompose
+
     parts = decompose(args.genus, args.kind)
     var = "c" if args.kind == "even" else "s"
     rows = [
@@ -130,6 +144,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    from .bernoulli import bernoulli_numbers, bernoulli_polynomial
+
     if args.max_index < 0:
         raise ValueError("max index must be nonnegative")
     if args.polynomials:
@@ -145,6 +161,9 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_curve(args: argparse.Namespace) -> int:
+    from .cyclotomic import cyclotomic_field
+    from .skein import eval_nonseparating_curve
+
     # ahead of building the field, so a bad color is reported before a bad level
     if args.color < 0:
         raise ValueError("color must be nonnegative")
@@ -170,6 +189,10 @@ def _cmd_eval_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .suites import run_suite
+
     results = run_suite(args.suite)
     passed = all(r.passed for r in results)
     payload = {
@@ -187,6 +210,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .certify import build_certificate
+
     certificate = build_certificate(args.genus)
     lines = [
         f"genus {certificate.genus}",
@@ -202,6 +227,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .verlinde import level_dimensions
+
     genus_range = _parse_range(args.genus)
     p_range = _parse_range(args.p)
     color_range = _parse_range(args.color)
@@ -275,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ver = add("verify", _cmd_verify, "run a verification battery", text_or_json, output)
-    p_ver.add_argument("--suite", choices=[*SUITES, "all"], default="all")
+    p_ver.add_argument("--suite", choices=[*SUITE_NAMES, "all"], default="all")
 
     p_cert = add("certify", _cmd_certify, "emit a lower-bound certificate", genus, output)
     p_cert.add_argument("--format", choices=["json", "text"], default="json")

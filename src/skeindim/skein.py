@@ -40,13 +40,9 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .cyclotomic import CyclotomicElement, CyclotomicField, cyclotomic_field
+from .errors import VanishingDenominator
 from .exact import RationalLike, _convolve, _q, _scaled
 from .verlinde import dimension
-
-
-class VanishingDenominator(ZeroDivisionError):
-    """A curve-evaluation summand has a vanishing quantum denominator;
-    the color is too large for the level p."""
 
 
 def quantum_integer(n: int, field: CyclotomicField) -> CyclotomicElement:

@@ -50,6 +50,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .bernoulli import bernoulli_numbers
+from .errors import IntegralityError, ParityViolation, StructureViolation
 from .exact import BivariatePolynomial, UnivariatePolynomial, _horner
 
 PC = ("p", "c")
@@ -63,20 +64,6 @@ CHECK_LEVELS = tuple(range(3, 14, 2))
 #: and the same as a tuple of ((i, j), n) pairs.
 _Terms = dict[tuple[int, int], int]
 _Pairs = tuple[tuple[tuple[int, int], int], ...]
-
-
-class StructureViolation(ValueError):
-    """The p-power decomposition does not have the required support or
-    exact degrees; points at a residue-formula bug."""
-
-
-class ParityViolation(ValueError):
-    """A parity constraint fails; carries the offending monomial."""
-
-
-class IntegralityError(ArithmeticError):
-    """A dimension evaluated to a non-integer or negative value; this is
-    an internal-bug signal, not a user error."""
 
 
 def _sinh_power(alpha: int, count: int) -> list[tuple[int, int]]:

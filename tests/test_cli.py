@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim import bernoulli, cli, verlinde
+from skeindim import bernoulli, verlinde
 from skeindim.cli import main
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim.verlinde import StructureViolation, verlinde_polynomial
@@ -150,7 +150,7 @@ def test_decompose_structure_violation_is_check_failure(monkeypatch, capsys):
     def planted(g, kind):
         raise StructureViolation(f"planted violation (genus {g}, kind {kind})")
 
-    monkeypatch.setattr(cli, "decompose", planted)
+    monkeypatch.setattr(verlinde, "decompose", planted)
     code, out, err = run_cli(capsys, "decompose", "--genus", "3", "--kind", "odd")
     assert code == 1
     assert out == ""

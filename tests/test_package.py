@@ -1,0 +1,163 @@
+"""The package surface and what a launch imports.
+
+`import skeindim` resolves its public names lazily, and each CLI command
+imports only the modules it runs; the launch tests check both in fresh
+interpreters, where nothing is loaded yet.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import skeindim
+from skeindim import certify, cli, errors, suites, verlinde
+from skeindim.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# ----------------------------------------------------------- package surface
+
+
+@pytest.mark.parametrize("name", skeindim.__all__)
+def test_public_name_is_the_object_of_its_home_module(name):
+    home = importlib.import_module(f"skeindim.{skeindim._EXPORTS[name]}")
+    assert getattr(skeindim, name) is getattr(home, name)
+
+
+def test_all_is_listed_by_dir_and_bound_by_star_import():
+    assert set(skeindim.__all__) <= set(dir(skeindim))
+    namespace: dict = {}
+    exec("from skeindim import *", namespace)
+    for name in skeindim.__all__:
+        assert namespace[name] is getattr(skeindim, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        skeindim.no_such_name
+    assert not hasattr(skeindim, "no_such_name")
+
+
+def test_suite_names_match_the_suites():
+    assert cli.SUITE_NAMES == tuple(suites.SUITES)
+
+
+# (exception, the module that raises it, base class, exit code)
+MOVED_ERRORS = [
+    ("FaulhaberInconsistency", "bernoulli", ArithmeticError, 1),
+    ("IntegralityError", "verlinde", ArithmeticError, 1),
+    ("ParityViolation", "verlinde", ValueError, 1),
+    ("StructureViolation", "verlinde", ValueError, 1),
+    ("VanishingDenominator", "skein", ZeroDivisionError, 2),
+]
+
+
+@pytest.mark.parametrize("name, module, base, code", MOVED_ERRORS,
+                         ids=[case[0] for case in MOVED_ERRORS])
+def test_moved_error_keeps_base_and_exit_code(monkeypatch, capsys, name, module, base, code):
+    error = getattr(errors, name)
+    assert getattr(importlib.import_module(f"skeindim.{module}"), name) is error
+    assert error.__bases__ == (base,)
+
+    def planted(g, p, m):
+        raise error(f"planted {name}")
+
+    monkeypatch.setattr(verlinde, "dimension", planted)
+    assert main(["dim", "--genus", "2", "--p", "7", "--color", "3"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": f"planted {name}"}) + "\n"
+
+
+# ------------------------------------------------------------------ launches
+
+
+def launch(code: str, *argv: str, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env, **kwargs)
+
+
+# Runs one command, then reports on stderr which package modules and
+# whether dataclasses were loaded.
+PROBE = """\
+import json, sys
+{setup}
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("skeindim."))
+print(json.dumps([loaded, "dataclasses" in sys.modules]), file=sys.stderr)
+"""
+RUN_MAIN = "from skeindim.cli import main\ncode = main(sys.argv[1:])"
+
+
+def loaded_modules(setup: str, *argv: str) -> tuple[set[str], bool]:
+    proc = launch(PROBE.format(setup=setup), *argv,
+                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    loaded, dataclasses = json.loads(err.splitlines()[-1])
+    return set(loaded), dataclasses
+
+
+BASE = {"cli", "errors"}
+VERLINDE = BASE | {"verlinde", "bernoulli", "exact"}
+CERTIFY = VERLINDE | {"cyclotomic", "skein", "certify"}
+COMMAND_LOADS = [
+    (["dim", "--genus", "2", "--p", "7", "--color", "3"], VERLINDE),
+    (["poly", "--genus", "2"], VERLINDE),
+    (["decompose", "--genus", "2"], VERLINDE),
+    (["table", "--genus", "1:2", "--p", "3:7", "--color", "0:3"], VERLINDE),
+    (["bernoulli", "--max-index", "4"], BASE | {"bernoulli", "exact"}),
+    # skein reads D_g(0) from verlinde for an even color
+    (["eval-curve", "--genus", "2", "--p", "7", "--color", "2"],
+     VERLINDE | {"cyclotomic", "skein"}),
+    (["verify", "--suite", "bernoulli"], CERTIFY | {"suites"}),
+    (["certify", "--genus", "2"], CERTIFY),
+]
+
+
+def test_import_skeindim_loads_no_submodule():
+    assert loaded_modules("import skeindim") == (set(), False)
+
+
+def test_import_cli_loads_only_cli_and_errors():
+    assert loaded_modules("import skeindim.cli") == (BASE, False)
+
+
+@pytest.mark.parametrize("argv, expected", COMMAND_LOADS,
+                         ids=[argv[0] for argv, _ in COMMAND_LOADS])
+def test_command_loads_only_what_it_runs(argv, expected):
+    loaded, dataclasses = loaded_modules(RUN_MAIN, *argv)
+    assert loaded == expected
+    # asdict serves verify, and the certificate records are dataclasses
+    assert dataclasses == (argv[0] in ("verify", "certify"))
+
+
+def test_closed_pipe_exits_quietly_with_the_command_code():
+    # 290,568 bytes, more than a pipe holds, so the write after the
+    # reader closes fails every time
+    proc = launch("from skeindim.cli import main; raise SystemExit(main())",
+                  "table", "--genus", "1:6", "--p", "3:99", "--color", "0:97",
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"genus,p,color,dimension\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_closed_pipe_keeps_a_failed_verify_exit_code(monkeypatch):
+    failed = [certify.CheckResult("planted", False, "planted failure")]
+    monkeypatch.setattr(suites, "run_suite", lambda name: failed)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["verify", "--suite", "bernoulli"]) == 1
