@@ -19,10 +19,10 @@ explicitly; everything downstream of it is verified by exact computation.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .cyclotomic import cyclotomic_field
-from .exact import _horner, _scaled, rank
+from .exact import _horner, rank
 from .skein import flat_curve_check
 from .verlinde import (
     CHECK_LEVELS,
@@ -71,8 +71,9 @@ def phi_rank(g: int, kind: str) -> int:
 
 def _value_rows(g: int, kind: str) -> list[list[int]]:
     """The value matrix with each row scaled to integers: every part is
-    scaled once by the lcm of its denominators, which leaves the rank
-    unchanged, and evaluated at each integer argument by Horner's rule."""
+    evaluated at each integer argument by Horner's rule on its numerators,
+    that is, scaled by its denominator (the lcm of its coefficient
+    denominators), which leaves the rank unchanged."""
     if kind not in ("even", "odd"):
         raise ValueError("kind must be 'even' or 'odd'")
     source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
@@ -85,20 +86,17 @@ def _value_rows(g: int, kind: str) -> list[list[int]]:
         arguments = range(1, columns + 1)
     rows = []
     for j in exponents:
-        _, values = _scaled(parts[j].coefficients)
-        rows.append([_horner(values, a, 1) for a in arguments])
+        rows.append([_horner(parts[j].numerators, a, 1) for a in arguments])
     return rows
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Audited lower bound for one genus.
 
     dim_00 and dim_01 hold the computed ranks; when all checks pass they
@@ -131,7 +129,7 @@ class Certificate:
                     "each_at_least": self.other_each,
                 },
             },
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "assumptions": [POWER_BASIS_ASSUMPTION],
         }
 

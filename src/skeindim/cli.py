@@ -189,8 +189,6 @@ def _cmd_eval_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .suites import run_suite
 
     results = run_suite(args.suite)
@@ -198,7 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "suite": args.suite,
         "passed": passed,
-        "checks": [asdict(r) for r in results],
+        "checks": [r._asdict() for r in results],
     }
     lines = _check_lines(results)
     lines.append(

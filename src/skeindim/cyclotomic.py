@@ -381,9 +381,9 @@ class CyclotomicElement:
             raise ValueError(f"s = {s} is not coprime to 2p = {2 * self.field.p}")
         root = cmath.exp(1j * cmath.pi * s / self.field.p)
         value = 0j
-        for k, c in enumerate(self.coefficients):
-            if c:
-                value += float(c) * root**k
+        for k, n in enumerate(self.numerators):
+            if n:
+                value += n / self.denominator * root**k
         return value
 
     def render(self) -> str:

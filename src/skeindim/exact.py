@@ -1,29 +1,32 @@
 """Exact arithmetic kernel: rationals, polynomials and exact matrix rank.
 
-Every stored scalar is a `fractions.Fraction`; no floating point enters
-any computation.  Polynomials keep canonical forms (no stored zero
-coefficients, stripped trailing zeros), so structural predicates such as
-"degree exactly n" or "only even powers of p" are decided exactly.
+No floating point enters any computation.  As a `CyclotomicElement`
+does, a polynomial stores int numerators over one positive denominator,
+divided through by the gcd of all of them (zero has denominator 1), so
+equal values have identical ints and `__eq__` and `__hash__` compare
+them directly; `coefficients`, `terms()` and evaluation return
+Fractions.  No zero coefficient is stored, so structural predicates such
+as "degree exactly n" or "only even powers of p" are decided exactly.
 
-Dense products of ascending coefficient lists, whether Fractions or ints,
-go through one convolution, `_convolve`; it serves the univariate
-polynomials here, the cyclotomic elements and the annulus skeins.
+Sums run over the lcm of the two denominators, products over their
+product.  Dense products of ascending integer lists go through one
+convolution, `_convolve`; it serves the univariate polynomials here, the
+cyclotomic elements and the annulus skeins.
 
-Evaluation runs on integers over one common denominator (the lcm L of
-the coefficient denominators) and builds a Fraction only at the end:
-fold_first(a/b) fixes the first variable, giving the integer polynomial
-sum_i L*coeff a^i b^(n-i) in the second over L b^n.
+Evaluation is a homogenized Horner rule on the stored ints, with one
+Fraction at the end: fold_first(a/b) fixes the first variable, giving
+the integer polynomial sum_i n_ij a^i b^(n-i) in the second over L b^n.
 BivariatePolynomial(a/b, c/d) is that fold, then Horner at c/d;
-UnivariatePolynomial(a/b) is the same rule.
+UnivariatePolynomial(a/b) is the same rule, and P(Q) runs it on
+integer lists with Q = q/M in place of a/b.
 
 Representations:
 
-  UnivariatePolynomial  dense coefficient tuple, lowest degree first.
-  BivariatePolynomial   sparse dict {(i, j): coeff} with a named variable
+  UnivariatePolynomial  dense numerator tuple, lowest degree first.
+  BivariatePolynomial   sparse dict {(i, j): numerator} with a named variable
                         pair such as ("p", "c"); many of the polynomials
                         produced downstream are structurally sparse.
-  integer rows          the input of `rank` (Bareiss); rational rows are
-                        scaled to integers first with `_scaled`.
+  integer rows          the input of `rank` (Bareiss).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int]
@@ -40,19 +44,29 @@ RationalLike = Union[Fraction, int]
 NEG_INFINITY = float("-inf")
 
 
-def _q(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _q(value: RationalLike) -> RationalLike:
+    """The value itself if it is an exact rational (an int or a Fraction)."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _scaled(values: Sequence[Fraction]):
+def _scaled(values: Sequence[RationalLike]):
     """The pair (L, [L*v for v in values]) of an int and a list of ints,
     with L the lcm of the denominators."""
     scale = math.lcm(*[v.denominator for v in values])
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _lowest(numerators, denominator):
+    """(tuple, denominator) for the values n / denominator, denominator > 0:
+    trailing zeros stripped, then all divided by their gcd, so that equal
+    values give identical ints and zero gets denominator 1."""
+    nums = list(numerators)
+    while nums and not nums[-1]:
+        nums.pop()
+    common = math.gcd(denominator, *nums)
+    return tuple(n // common for n in nums), denominator // common
 
 
 def _format_terms(terms: Sequence[tuple[Fraction, str]]) -> str:
@@ -106,21 +120,41 @@ def _power(base, exponent: int, one):
     return result
 
 
-class UnivariatePolynomial:
-    """Dense univariate polynomial over the rationals.
+class _Ring:
+    """Negation, subtraction, division by a scalar and powers, from the +
+    and * of a polynomial type whose scalars are ints and Fractions."""
 
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial has an empty coefficient tuple and degree ``NEG_INFINITY``.
-    Instances are immutable and hashable.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_coeffs",)
+    def __neg__(self):
+        return self * -1
 
-    def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = [_q(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / _q(scalar))
+
+    def __pow__(self, exponent):
+        return _power(self, exponent, self * 0 + 1)
+
+
+class UnivariatePolynomial(_Ring):
+    """Dense univariate polynomial over the rationals: the int `numerators`,
+    lowest degree first, over the int `denominator`; the zero polynomial
+    has no numerators and degree ``NEG_INFINITY``.  Immutable, hashable."""
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, coefficients: Iterable[RationalLike] = (), denominator: int | None = None):
+        """sum coefficients[k] x^k; with a positive int `denominator`, the
+        coefficients are int numerators over it and skip the scaling."""
+        if denominator is None:
+            denominator, coefficients = _scaled([_q(c) for c in coefficients])
+        self.numerators, self.denominator = _lowest(coefficients, denominator)
 
     @classmethod
     def zero(cls) -> UnivariatePolynomial:
@@ -138,97 +172,84 @@ class UnivariatePolynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     @property
     def degree(self) -> Union[int, float]:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self.numerators) - 1 if self.numerators else NEG_INFINITY
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return Fraction(self.numerators[-1] if self.numerators else 0, self.denominator)
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("coefficient index must be nonnegative")
-        return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
+        return Fraction((self.numerators[k:] or (0,))[0], self.denominator)
 
     def exponents(self) -> set[int]:
-        return {k for k, c in enumerate(self._coeffs) if c != 0}
+        return {k for k, n in enumerate(self.numerators) if n}
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, UnivariatePolynomial):
-            return self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
-            return self == UnivariatePolynomial.constant(other)
-        return NotImplemented
+            other = UnivariatePolynomial.constant(other)
+        if not isinstance(other, UnivariatePolynomial):
+            return NotImplemented
+        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
 
     def __hash__(self) -> int:
         # A constant polynomial equals its value, so it must hash like it.
-        if len(self._coeffs) <= 1:
+        if len(self.numerators) <= 1:
             return hash(self.coefficient(0))
-        return hash(self._coeffs)
-
-    def __neg__(self) -> UnivariatePolynomial:
-        return UnivariatePolynomial(-c for c in self._coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __add__(self, other: Union[UnivariatePolynomial, RationalLike]) -> UnivariatePolynomial:
         if isinstance(other, (int, Fraction)):
             other = UnivariatePolynomial.constant(other)
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UnivariatePolynomial(out)
+        den = math.lcm(self.denominator, other.denominator)
+        s, t = den // self.denominator, den // other.denominator
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return UnivariatePolynomial([a * s + b * t for a, b in pairs], den)
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union[UnivariatePolynomial, RationalLike]) -> UnivariatePolynomial:
-        return self + (-other)
-
-    def __rsub__(self, other: RationalLike) -> UnivariatePolynomial:
-        return (-self) + other
-
     def __mul__(self, other: Union[UnivariatePolynomial, RationalLike]) -> UnivariatePolynomial:
         if isinstance(other, (int, Fraction)):
-            scalar = _q(other)
-            return UnivariatePolynomial(c * scalar for c in self._coeffs)
+            other = UnivariatePolynomial.constant(other)
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented
-        return UnivariatePolynomial(_convolve(self._coeffs, other._coeffs))
+        return UnivariatePolynomial(
+            _convolve(self.numerators, other.numerators), self.denominator * other.denominator
+        )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: RationalLike) -> UnivariatePolynomial:
-        return self * (Fraction(1) / _q(scalar))
-
-    def __pow__(self, exponent: int) -> UnivariatePolynomial:
-        return _power(self, exponent, UnivariatePolynomial.constant(1))
 
     def __call__(
         self, point: Union[RationalLike, UnivariatePolynomial]
     ) -> Union[Fraction, UnivariatePolynomial]:
         """Evaluate at a rational point, or compose with another polynomial."""
+        nums = self.numerators or (0,)
         if isinstance(point, UnivariatePolynomial):
-            acc: UnivariatePolynomial = UnivariatePolynomial.zero()
-            for c in reversed(self._coeffs):
-                acc = acc * point + c
-            return acc
+            q, scale = point.numerators, point.denominator
+            acc = []  # sum_k n_k q^k M^(n-k) over L M^n, by Horner
+            for k, n in enumerate(reversed(nums)):
+                acc = _convolve(acc, q) or [0]
+                acc[0] += n * scale**k
+            return UnivariatePolynomial(acc, self.denominator * scale ** (len(nums) - 1))
         x = _q(point)
-        scale, values = _scaled(self._coeffs or (0,))
-        total = _horner(values, x.numerator, x.denominator)
-        return Fraction(total, scale * x.denominator ** (len(values) - 1))
+        return Fraction(
+            _horner(nums, x.numerator, x.denominator),
+            self.denominator * x.denominator ** (len(nums) - 1),
+        )
 
     def render(self, var: str = "x") -> str:
         terms = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coefficients):
             if c == 0:
                 continue
             if k == 0:
@@ -244,32 +265,31 @@ class UnivariatePolynomial:
         return f"UnivariatePolynomial({self.render()})"
 
 
-class BivariatePolynomial:
-    """Sparse exact polynomial in two named variables.
+class BivariatePolynomial(_Ring):
+    """Sparse exact polynomial in two named variables: exponent pairs (i, j)
+    map to nonzero int numerators over the int `denominator`, i the power
+    of the first variable and j of the second.  Arithmetic between two
+    polynomials requires identical variable pairs."""
 
-    Terms map exponent pairs (i, j) to nonzero rational coefficients where
-    i is the power of the first variable and j of the second.  Arithmetic
-    between two polynomials requires identical variable pairs.
-    """
+    __slots__ = ("_terms", "denominator", "_vars")
 
-    __slots__ = ("_terms", "_vars")
-
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, int], RationalLike] | None = None,
-        variables: tuple[str, str] = ("p", "c"),
-    ):
-        if len(variables) != 2 or variables[0] == variables[1]:
-            raise ValueError("need two distinct variable names")
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        for (i, j), value in (terms or {}).items():
-            if i < 0 or j < 0:
+    def __init__(self, terms: Mapping[tuple[int, int], RationalLike] | None = None,
+                 variables: tuple[str, str] = ("p", "c"), denominator: int | None = None):
+        """With a positive int `denominator`, the values of `terms` are int
+        numerators over it, and the checks and the scaling are skipped."""
+        terms = terms or {}
+        if denominator is None:
+            if len(variables) != 2 or variables[0] == variables[1]:
+                raise ValueError("need two distinct variable names")
+            if any(i < 0 or j < 0 for i, j in terms):
                 raise ValueError("exponents must be nonnegative")
-            coeff = _q(value)
-            if coeff != 0:
-                cleaned[(i, j)] = coeff
-        self._terms = cleaned
-        self._vars = (str(variables[0]), str(variables[1]))
+            denominator, values = _scaled([_q(v) for v in terms.values()])
+            terms = dict(zip(terms, values))
+            variables = tuple(map(str, variables))
+        terms = {key: n for key, n in terms.items() if n}
+        values, self.denominator = _lowest(terms.values(), denominator)
+        self._terms = dict(zip(terms, values))
+        self._vars = variables
 
     @classmethod
     def zero(cls, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
@@ -298,13 +318,13 @@ class BivariatePolynomial:
         return max(i + j for i, j in self._terms)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._terms.get((i, j), 0), self.denominator)
 
     def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms in graded order: total degree ascending, then powers of the
         first variable descending (so p precedes c within a degree)."""
         for key in sorted(self._terms, key=lambda ij: (ij[0] + ij[1], ij[1])):
-            yield key, self._terms[key]
+            yield key, Fraction(self._terms[key], self.denominator)
 
     def exponents(self, axis: int) -> set[int]:
         if axis not in (0, 1):
@@ -315,24 +335,23 @@ class BivariatePolynomial:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BivariatePolynomial):
-            return self._vars == other._vars and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self == BivariatePolynomial.constant(other, self._vars)
-        return NotImplemented
+            other = BivariatePolynomial.constant(other, self._vars)
+        if not isinstance(other, BivariatePolynomial):
+            return NotImplemented
+        return (self._vars, self.denominator, self._terms) == (
+            other._vars, other.denominator, other._terms
+        )
 
     def __hash__(self) -> int:
         # A constant polynomial equals its value, so it must hash like it.
         if self._terms.keys() <= {(0, 0)}:
             return hash(self.coefficient(0, 0))
-        return hash((self._vars, frozenset(self._terms.items())))
+        return hash((self._vars, frozenset(self._terms.items()), self.denominator))
 
     def _check_compatible(self, other: BivariatePolynomial) -> None:
         if self._vars != other._vars:
             raise ValueError(f"variable mismatch: {self._vars} vs {other._vars}")
-
-    def __neg__(self) -> BivariatePolynomial:
-        return BivariatePolynomial({k: -v for k, v in self._terms.items()}, self._vars)
 
     def __add__(self, other: Union[BivariatePolynomial, RationalLike]) -> BivariatePolynomial:
         if isinstance(other, (int, Fraction)):
@@ -340,42 +359,29 @@ class BivariatePolynomial:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for key, value in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + value
-        return BivariatePolynomial(out, self._vars)
+        den = math.lcm(self.denominator, other.denominator)
+        s, t = den // self.denominator, den // other.denominator
+        out = {key: n * s for key, n in self._terms.items()}
+        for key, n in other._terms.items():
+            out[key] = out.get(key, 0) + n * t
+        return BivariatePolynomial(out, self._vars, den)
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union[BivariatePolynomial, RationalLike]) -> BivariatePolynomial:
-        return self + (-other)
-
-    def __rsub__(self, other: RationalLike) -> BivariatePolynomial:
-        return (-self) + other
-
     def __mul__(self, other: Union[BivariatePolynomial, RationalLike]) -> BivariatePolynomial:
         if isinstance(other, (int, Fraction)):
-            scalar = _q(other)
-            return BivariatePolynomial(
-                {k: v * scalar for k, v in self._terms.items()}, self._vars
-            )
+            other = BivariatePolynomial.constant(other, self._vars)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict = {}
         for (i1, j1), a in self._terms.items():
             for (i2, j2), b in other._terms.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return BivariatePolynomial(out, self._vars)
+                out[key] = out.get(key, 0) + a * b
+        return BivariatePolynomial(out, self._vars, self.denominator * other.denominator)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: RationalLike) -> BivariatePolynomial:
-        return self * (Fraction(1) / _q(scalar))
-
-    def __pow__(self, exponent: int) -> BivariatePolynomial:
-        return _power(self, exponent, BivariatePolynomial.constant(1, self._vars))
 
     def __call__(self, first: RationalLike, second: RationalLike) -> Fraction:
         """Value at (first, c/d): fold_first, then the integer Horner rule
@@ -390,22 +396,23 @@ class BivariatePolynomial:
     def fold_first(self, first: RationalLike):
         """(D, values), ints, with self(first, y) = sum_j values[j] y^j / D.
 
-        At first = a/b, values[j] = sum_i L*coeff(i, j) a^i b^(n-i) by
-        homogenized Horner down each column, and D = L b^n with L the lcm
-        of the coefficient denominators.
+        At first = a/b, values[j] = sum_i n_ij a^i b^(n-i) over the stored
+        numerators n_ij, and D = L b^n with L the stored denominator.
         """
         x = _q(first)
-        if not self._terms:
-            return 1, [0]
-        scale, rows = _integer_rows(self._terms)
-        values = [_horner(column, x.numerator, x.denominator) for column in zip(*rows)]
-        return scale * x.denominator ** (len(rows) - 1), values
+        n = max((i for i, _ in self._terms), default=0)
+        weights = [x.numerator**i * x.denominator ** (n - i) for i in range(n + 1)]
+        values = [0] * (max((j for _, j in self._terms), default=0) + 1)
+        for (i, j), value in self._terms.items():
+            values[j] += value * weights[i]
+        return self.denominator * x.denominator**n, values
 
     def homogeneous_part(self, n: int) -> BivariatePolynomial:
         """Sum of the terms of total degree exactly n."""
         return BivariatePolynomial(
             {key: v for key, v in self._terms.items() if key[0] + key[1] == n},
             self._vars,
+            self.denominator,
         )
 
     def split_by_first(self) -> dict[int, UnivariatePolynomial]:
@@ -414,26 +421,25 @@ class BivariatePolynomial:
         Returns {i: q_i} with self == sum_i first^i * q_i(second); only
         nonzero q_i appear.
         """
-        buckets: dict[int, dict[int, Fraction]] = {}
-        for (i, j), coeff in self._terms.items():
-            buckets.setdefault(i, {})[j] = coeff
-        return {
-            i: UnivariatePolynomial(bucket.get(j, 0) for j in range(max(bucket) + 1))
-            for i, bucket in buckets.items()
-        }
+        rows: dict = {}
+        for (i, j), value in self._terms.items():
+            row = rows.setdefault(i, [])
+            row += [0] * (j + 1 - len(row))
+            row[j] = value
+        return {i: UnivariatePolynomial(row, self.denominator) for i, row in rows.items()}
 
     def divide_by_first_power(self, k: int) -> BivariatePolynomial:
         """Exact division by first^k; fails if some term has a lower power."""
         if k < 0:
             raise ValueError("power must be nonnegative")
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), coeff in self._terms.items():
+        out: dict = {}
+        for (i, j), value in self._terms.items():
             if i < k:
                 raise ValueError(
                     f"not divisible by {self._vars[0]}^{k}: term with exponent {i}"
                 )
-            out[(i - k, j)] = coeff
-        return BivariatePolynomial(out, self._vars)
+            out[(i - k, j)] = value
+        return BivariatePolynomial(out, self._vars, self.denominator)
 
     def render(self) -> str:
         v1, v2 = self._vars
@@ -455,18 +461,7 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.render()}; vars={self._vars})"
 
 
-def _integer_rows(terms):
-    """(L, rows) with L the lcm of the coefficient denominators and
-    rows[i][j] = L * coeff(i, j), ints dense over 0..max i by 0..max j."""
-    scale = math.lcm(*[coeff.denominator for coeff in terms.values()])
-    width = max(j for _, j in terms) + 1
-    rows = [[0] * width for _ in range(max(i for i, _ in terms) + 1)]
-    for (i, j), coeff in terms.items():
-        rows[i][j] = coeff.numerator * (scale // coeff.denominator)
-    return scale, rows
-
-
-def _horner(values: list[int], num: int, den: int) -> int:
+def _horner(values: Sequence[int], num: int, den: int) -> int:
     """sum_k values[k] num^k den^(n-k) with n = len(values) - 1."""
     total = 0
     den_power = 1

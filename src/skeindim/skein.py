@@ -13,9 +13,10 @@ constant satisfies D^2 = -p/(A^2 - A^-2)^2.  Only D^2 is ever used here
 root never enters).
 
 Products in this algebra convert to z-powers, multiply, and convert back,
-on integers over one lcm denominator: Clenshaw's rule for sum c_i e_i and
-Horner's rule with z e_i = e_(i+1) + e_(i-1) for the way back, so no
-table is stored and no recursion depth grows with the index.
+on the stored integer numerators over the product of the two
+denominators: Clenshaw's rule for sum c_i e_i and Horner's rule with
+z e_i = e_(i+1) + e_(i-1) for the way back, so no table is stored and no
+recursion depth grows with the index.
 
 Evaluations of curves in a surface times a circle land in Q(zeta_2p) and
 are computed exactly through the cyclotomic module.  Every quantum
@@ -37,12 +38,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import lru_cache
+from itertools import zip_longest
+from typing import Iterable, Sequence, Union
 
 from .cyclotomic import CyclotomicElement, CyclotomicField, cyclotomic_field
 from .errors import VanishingDenominator
-from .exact import RationalLike, _convolve, _q, _scaled
-from .verlinde import dimension
+from .exact import RationalLike, _convolve, _lowest, _q, _scaled
 
 
 def quantum_integer(n: int, field: CyclotomicField) -> CyclotomicElement:
@@ -78,7 +80,7 @@ def d_squared(field: CyclotomicField) -> CyclotomicElement:
 # ------------------------------------------------------- annulus algebra
 
 
-def _e_to_z(values: list[int]) -> list[int]:
+def _e_to_z(values: Sequence[int]) -> list[int]:
     """z-power coefficients of sum values[i] e_i, by Clenshaw's rule
     b_i = values[i] + z b_(i+1) - b_(i+2); the sum is b_0."""
     later: list[int] = []  # b_(i+1)
@@ -88,7 +90,7 @@ def _e_to_z(values: list[int]) -> list[int]:
     return later
 
 
-def _z_to_e(values: list[int]) -> list[int]:
+def _z_to_e(values: Sequence[int]) -> list[int]:
     """e-basis coefficients of sum values[k] z^k, by Horner's rule with
     z e_i = e_(i+1) + e_(i-1) (and z e_0 = e_1)."""
     acc: list[int] = []
@@ -98,20 +100,25 @@ def _z_to_e(values: list[int]) -> list[int]:
 
 
 class AnnulusSkein:
-    """A skein in the solid torus written in the e-basis.
+    """A skein in the solid torus written in the e-basis: the int
+    `numerators` of its e-coefficients over the int `denominator`, in
+    lowest terms as for the polynomials of `exact`.
 
     Multiplication converts to the z-power basis, multiplies there, and
     converts back; the two conversions are mutually inverse.  All three
-    steps run on integers over the lcm of the coefficient denominators.
+    steps run on the stored integers, over the product of the denominators.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("numerators", "denominator")
 
-    def __init__(self, e_coefficients: Iterable[RationalLike] = ()):
-        coeffs = [_q(c) for c in e_coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+    def __init__(
+        self, e_coefficients: Iterable[RationalLike] = (), denominator: int | None = None
+    ):
+        """sum e_coefficients[i] e_i; with a positive int `denominator`, the
+        coefficients are int numerators over it and skip the scaling."""
+        if denominator is None:
+            denominator, e_coefficients = _scaled([_q(c) for c in e_coefficients])
+        self.numerators, self.denominator = _lowest(e_coefficients, denominator)
 
     @classmethod
     def zero(cls) -> AnnulusSkein:
@@ -126,54 +133,50 @@ class AnnulusSkein:
     @classmethod
     def from_z_coefficients(cls, z_coefficients: Iterable[RationalLike]) -> AnnulusSkein:
         scale, values = _scaled([_q(c) for c in z_coefficients])
-        return cls(Fraction(c, scale) for c in _z_to_e(values))
+        return cls(_z_to_e(values), scale)
 
     @property
     def e_coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def to_z_coefficients(self) -> tuple[Fraction, ...]:
-        scale, values = _scaled(self._coeffs)
-        return tuple(Fraction(c, scale) for c in _e_to_z(values))
+        return tuple(Fraction(n, self.denominator) for n in _e_to_z(self.numerators))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnnulusSkein):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __add__(self, other: AnnulusSkein) -> AnnulusSkein:
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return AnnulusSkein(out)
+        if not isinstance(other, AnnulusSkein):
+            return NotImplemented
+        den = math.lcm(self.denominator, other.denominator)
+        s, t = den // self.denominator, den // other.denominator
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return AnnulusSkein([a * s + b * t for a, b in pairs], den)
 
     def __mul__(self, other: Union[AnnulusSkein, RationalLike]) -> AnnulusSkein:
         if isinstance(other, (int, Fraction)):
-            scalar = _q(other)
-            return AnnulusSkein(c * scalar for c in self._coeffs)
+            return AnnulusSkein(
+                [n * other.numerator for n in self.numerators],
+                self.denominator * other.denominator,
+            )
         if not isinstance(other, AnnulusSkein):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return AnnulusSkein.zero()
-        # integer z-power coefficients over the product of the two lcm scales
-        (sa, a), (sb, b) = _scaled(self._coeffs), _scaled(other._coeffs)
-        prod = _convolve(_e_to_z(a), _e_to_z(b))
-        return AnnulusSkein(Fraction(c, sa * sb) for c in _z_to_e(prod))
+        prod = _convolve(_e_to_z(self.numerators), _e_to_z(other.numerators))
+        return AnnulusSkein(_z_to_e(prod), self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         body = " + ".join(
-            f"{c}*e_{i}" for i, c in enumerate(self._coeffs) if c != 0
+            f"{c}*e_{i}" for i, c in enumerate(self.e_coefficients) if c != 0
         )
         return f"AnnulusSkein({body or '0'})"
 
@@ -183,10 +186,10 @@ def e_product(i: int, j: int) -> AnnulusSkein:
     up to i + j in steps of two."""
     if i < 0 or j < 0:
         raise ValueError("basis indices must be nonnegative")
-    coeffs = [Fraction(0)] * (i + j + 1)
+    coeffs = [0] * (i + j + 1)
     for k in range(abs(i - j), i + j + 1, 2):
-        coeffs[k] = Fraction(1)
-    return AnnulusSkein(coeffs)
+        coeffs[k] = 1
+    return AnnulusSkein(coeffs, 1)
 
 
 # ------------------------------------------------- curve-evaluation checks
@@ -206,14 +209,22 @@ def flat_curve_check(
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
+    lhs, rhs = _flat_curve_bases(field)
+    return lhs ** (g - 1), rhs ** (g - 1)
+
+
+@lru_cache(maxsize=64)
+def _flat_curve_bases(
+    field: CyclotomicField,
+) -> tuple[CyclotomicElement, CyclotomicElement]:
+    """The bases -p/(A - A^-1)^2 and D^2/<e_{d-1}>^2 of the two flat-curve
+    closed forms, built once per level (fields compare and hash by p)."""
     inverse = field.root_difference_inverse(1, -1)
-    lhs = (inverse * inverse * -field.p) ** (g - 1)
     d = (field.p - 1) // 2
     edge_inverse = (field.gen_power(2) - field.gen_power(-2)) * (
         field.root_difference_inverse(2 * d, -2 * d)
     )
-    rhs = (d_squared(field) * edge_inverse * edge_inverse) ** (g - 1)
-    return lhs, rhs
+    return inverse * inverse * -field.p, d_squared(field) * edge_inverse * edge_inverse
 
 
 def recoloring_check(s: int, field: CyclotomicField) -> bool:
@@ -292,6 +303,8 @@ def eval_nonseparating_curve(
     if shifted:
         total = total * field.gen_power(2 * g - 2)
     total = total * (-p) ** (g - 1)
-    if even:
-        return field.from_rational(dimension(g, p, 0)) - total
-    return total
+    if not even:
+        return total
+    from .verlinde import dimension  # only here, so odd colors load no verlinde
+
+    return field.from_rational(dimension(g, p, 0)) - total

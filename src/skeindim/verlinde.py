@@ -213,9 +213,8 @@ def _in_c(scale: int, pairs: Iterable[tuple[tuple[int, int], int]]) -> Bivariate
             for k in range(len(row) - 2, start - 1, -1):
                 row[k] += row[k + 1]
         for k, n in enumerate(row):
-            if n:
-                out[(i, k)] = Fraction(n << k, scale)
-    return BivariatePolynomial(out, PC)
+            out[(i, k)] = n << k
+    return BivariatePolynomial(out, PC, scale)
 
 
 def _formula_parts(g: int) -> tuple[BivariatePolynomial, BivariatePolynomial]:
@@ -252,9 +251,7 @@ def odd_color_polynomial(g: int) -> BivariatePolynomial:
         for k, weight in enumerate(expansions[b]):
             key = (i + b - k, k)
             out[key] = out.get(key, 0) + n * weight
-    return BivariatePolynomial(
-        {key: Fraction(n, scale) for key, n in out.items() if n}, PS
-    )
+    return BivariatePolynomial(out, PS, scale)
 
 
 def exponent_support(g: int, kind: str) -> set[int]:

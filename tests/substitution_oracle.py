@@ -8,7 +8,18 @@ reach the same polynomials by substituting into bivariate polynomials.
 import math
 from fractions import Fraction
 
-from skeindim.exact import BivariatePolynomial, _integer_rows
+from skeindim.exact import BivariatePolynomial
+
+
+def _integer_rows(terms):
+    """(L, rows) with L the lcm of the coefficient denominators and
+    rows[i][j] = L * coeff(i, j), ints dense over 0..max i by 0..max j."""
+    scale = math.lcm(*[coeff.denominator for coeff in terms.values()])
+    width = max(j for _, j in terms) + 1
+    rows = [[0] * width for _ in range(max(i for i, _ in terms) + 1)]
+    for (i, j), coeff in terms.items():
+        rows[i][j] = coeff.numerator * (scale // coeff.denominator)
+    return scale, rows
 
 
 def substitute_affine(poly, alpha, beta, gamma, delta, new_second):

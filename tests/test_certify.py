@@ -20,7 +20,7 @@ from skeindim.certify import (
     phi_rank,
 )
 from skeindim.cli import main
-from skeindim.exact import BivariatePolynomial, _scaled, rank
+from skeindim.exact import BivariatePolynomial, _horner, _scaled, rank
 from skeindim.verlinde import (
     ParityViolation,
     StructureViolation,
@@ -75,6 +75,31 @@ def test_value_rows_are_scaled_fraction_rows(g, kind):
         assert row == [scale * value for value in fractions]
         assert all(type(value) is int for value in row)
     assert phi_rank(g, kind) == rank([_scaled(row)[1] for row in expected])
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+@pytest.mark.parametrize("g", range(1, 9))
+def test_value_rows_equal_the_rows_of_the_scaled_coefficients(g, kind):
+    # the earlier rows: each part's Fraction coefficients scaled by the lcm
+    # of their denominators, then evaluated by Horner's rule
+    parts = decompose(g, kind)
+    columns = g + (kind == "even") + RANK_COLUMN_SLACK
+    arguments = range(columns) if kind == "even" else range(1, columns + 1)
+    expected = []
+    for j in sorted(parts):
+        _, values = _scaled(parts[j].coefficients)
+        expected.append([_horner(values, a, 1) for a in arguments])
+    assert _value_rows(g, kind) == expected
+
+
+def test_check_records_serialize_in_field_order():
+    record = certify.CheckResult("parity", True, "holds")
+    assert list(record._asdict().items()) == [
+        ("name", "parity"), ("passed", True), ("detail", "holds")
+    ]
+    assert certify.CheckResult("planted", False).detail == ""
+    data = build_certificate(1).to_dict()
+    assert [list(check) for check in data["checks"]] == [["name", "passed", "detail"]] * 7
 
 
 def test_lower_bound_known_values():

@@ -7,6 +7,7 @@ Derived expected values are computed by independent means stated inline
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -404,6 +405,114 @@ def test_univariate_call_zero_and_constant_polynomials():
     assert zero(Fraction(3, 5)) == 0 and isinstance(zero(-2), Fraction)
     assert UnivariatePolynomial.constant(Fraction(-2, 3))(Fraction(-9, 4)) == Fraction(-2, 3)
     assert isinstance(UnivariatePolynomial.constant(4)(7), Fraction)
+
+
+# ----------------------------------------------- one-denominator storage
+# Every container keeps int numerators over one positive denominator in
+# lowest terms; the references below work on plain Fraction lists.
+
+
+def _reference_add(a, b):
+    width = max(len(a), len(b))
+    return [sum(c[k] for c in (a, b) if k < len(c)) for k in range(width)]
+
+
+def _reference_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _reference_compose(a, b):
+    out = []
+    for c in reversed(a):
+        out = _reference_add(_reference_mul(out, b), [c])
+    return out
+
+
+def _stored_form_is_canonical(numerators, denominator):
+    return (
+        denominator > 0
+        and math.gcd(denominator, *numerators) == 1
+        and (numerators or denominator == 1)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_unipolys, small_unipolys, points)
+def test_univariate_kernels_match_fraction_list_reference(a, b, x):
+    fa, fb = list(a.coefficients), list(b.coefficients)
+    assert a + b == UnivariatePolynomial(_reference_add(fa, fb))
+    assert a - b == UnivariatePolynomial(_reference_add(fa, [-c for c in fb]))
+    assert a * b == UnivariatePolynomial(_reference_mul(fa, fb))
+    assert a * x == UnivariatePolynomial([c * x for c in fa])
+    assert a(b) == UnivariatePolynomial(_reference_compose(fa, fb))
+    assert a(x) == sum((c * x**k for k, c in enumerate(fa)), Fraction(0))
+    for poly in (a + b, a * b, a(b), -a):
+        assert _stored_form_is_canonical(poly.numerators, poly.denominator)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_bipolys(), small_bipolys())
+def test_bivariate_kernels_match_fraction_dict_reference(a, b):
+    fa, fb = dict(a.terms()), dict(b.terms())
+    total = {key: fa.get(key, 0) + fb.get(key, 0) for key in fa.keys() | fb.keys()}
+    product: dict = {}
+    for (i1, j1), x in fa.items():
+        for (i2, j2), y in fb.items():
+            key = (i1 + i2, j1 + j2)
+            product[key] = product.get(key, 0) + x * y
+    assert a + b == bipoly(total)
+    assert a * b == bipoly(product)
+    for poly in (a + b, a * b, a.homogeneous_part(2)):
+        assert _stored_form_is_canonical(tuple(poly._terms.values()), poly.denominator)
+    for part in a.split_by_first().values():
+        assert _stored_form_is_canonical(part.numerators, part.denominator)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ([Fraction(2, 4), 3], [Fraction(1, 2), Fraction(6, 2)]),
+        ([1, 2, 0, 0], [1, 2]),
+        ([0, 0, 0], []),
+        ([Fraction(-1, 3), Fraction(2, -3)], [Fraction(-2, 6), Fraction(-4, 6), 0]),
+    ],
+)
+def test_equal_values_from_different_inputs_store_the_same_ints(first, second):
+    a, b = UnivariatePolynomial(first), UnivariatePolynomial(second)
+    assert a == b and hash(a) == hash(b)
+    assert (a.numerators, a.denominator) == (b.numerators, b.denominator)
+    c = bipoly({(k, 1): v for k, v in enumerate(first)})
+    d = bipoly({(k, 1): v for k, v in enumerate(second)})
+    assert c == d and hash(c) == hash(d)
+
+
+def test_arithmetic_lands_in_lowest_terms():
+    half = UnivariatePolynomial([Fraction(1, 2), Fraction(1, 2)])
+    doubled = half + half
+    assert (doubled.numerators, doubled.denominator) == ((1, 1), 1)
+    assert doubled == UnivariatePolynomial([1, 1]) and hash(doubled) == hash(
+        UnivariatePolynomial([1, 1])
+    )
+    zero = half - half
+    assert (zero.numerators, zero.denominator) == ((), 1)
+    assert zero == 0 and hash(zero) == hash(0)
+    p = BivariatePolynomial.first(PC)
+    assert p / 3 * 3 == p and hash(p / 3 * 3) == hash(p)
+    assert (p / 3 - p / 3) == 0 and (p / 3 - p / 3).denominator == 1
+
+
+@pytest.mark.parametrize("value", [Fraction(4, 6), Fraction(-9, 3), -7])
+def test_computed_constants_hash_like_their_value(value):
+    x = UnivariatePolynomial([0, 1])
+    uni = (x + value) - x
+    p = BivariatePolynomial.first(PC)
+    bi = (p + value) - p
+    assert uni == value and bi == value
+    assert hash(uni) == hash(value) and hash(bi) == hash(value)
 
 
 # ------------------------------------------------------------ hash contract

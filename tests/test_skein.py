@@ -203,6 +203,42 @@ def test_annulus_zero_and_scalar_products():
     assert skein * Fraction(6, 5) == AnnulusSkein([Fraction(2, 5), 0, -3])
 
 
+def test_annulus_sum_with_a_scalar_is_a_type_error():
+    skein = AnnulusSkein([1])
+    with pytest.raises(TypeError):
+        skein + 1
+    with pytest.raises(TypeError):
+        1 + skein
+    with pytest.raises(TypeError):
+        skein + Fraction(1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skeins, skeins)
+def test_annulus_sum_matches_fraction_route(a, b):
+    a_e, b_e = list(a.e_coefficients), list(b.e_coefficients)
+    width = max(len(a_e), len(b_e))
+    a_e += [0] * (width - len(a_e))
+    b_e += [0] * (width - len(b_e))
+    assert a + b == AnnulusSkein([x + y for x, y in zip(a_e, b_e)])
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ([Fraction(2, 4), -1], [Fraction(1, 2), Fraction(-3, 3)]),
+        ([3, 0, 0], [Fraction(6, 2)]),
+        ([0, 0], []),
+        ([-Fraction(1, 3), Fraction(2, 3)], [Fraction(-2, 6), Fraction(4, 6), 0]),
+    ],
+)
+def test_equal_skeins_from_different_inputs_store_the_same_ints(first, second):
+    a, b = AnnulusSkein(first), AnnulusSkein(second)
+    assert a == b and hash(a) == hash(b)
+    assert (a.numerators, a.denominator) == (b.numerators, b.denominator)
+    assert math.gcd(a.denominator, *a.numerators) == 1 and a.denominator > 0
+
+
 def test_large_basis_product_has_no_recursion_limit():
     product = AnnulusSkein.basis_element(1200) * AnnulusSkein.basis_element(1)
     assert product == e_product(1200, 1)
