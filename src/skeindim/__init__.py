@@ -39,7 +39,6 @@ _EXPORTS = {
     "e_product": "skein",
     "eval_nonseparating_curve": "skein",
     "flat_curve_check": "skein",
-    "omega_coefficients": "skein",
     "quantum_integer": "skein",
     "recoloring_check": "skein",
     "decompose": "verlinde",

@@ -14,18 +14,18 @@ factor two-term, so one sparse pass multiplies or exactly divides by it.
 Reduction folds x^p to -1 before dividing by Phi_2p; that is sound since
 Phi_2p divides x^p + 1 = prod_{d | p} Phi_2d.
 
-Phi_2p is irreducible over Q, so every nonzero element is invertible.
-General inverses run the extended Euclidean algorithm against Phi_2p (no
-factoring needed); it also serves the tests as the oracle for the closed
-form below.  A difference of two roots with an even exponent gap
-u - v = 2a, p not dividing a, inverts without Euclid:
+Phi_2p is irreducible over Q, so every nonzero element is invertible,
+but the field inverts only a difference of two roots with an even
+exponent gap u - v = 2a, p not dividing a, and does so in closed form:
 
     1/(A^u - A^v) = A^-v (sum_{k=1..p-1} k A^(2ak)) / p,
 
 since z = A^(2a) satisfies z^p = 1 and z != 1, so (z - 1) sum k z^k = p.
 The quantum denominators of the skein module all have this shape: the
 curve evaluations, D^2 = -p/(A^2 - A^-2)^2 and both flat-curve closed
-forms, so no `verify` or `certify` check runs Euclid.
+forms.  So an element divides only by a rational and takes only
+nonnegative powers; the tests hold a general extended-Euclid inverse as
+the oracle for the closed form.
 
 A sum of root powers sum c A^e with integer exponents of any sign, such
 as a quantum integer, is built in one pass by `power_sum`.
@@ -47,7 +47,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import RationalLike, _convolve, _power, _q, _scaled
+from .exact import RationalLike, _Ring, _convolve, _power, _q, _scaled
 
 _IntPoly = tuple[int, ...]  # ascending integer coefficients
 
@@ -205,32 +205,14 @@ class CyclotomicField:
         return f"CyclotomicField(p={self.p}, degree={self.degree})"
 
 
-def _poly_divmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead_inv = Fraction(1) / den[-1]
-    for k in range(len(q) - 1, -1, -1):
-        coeff = num[k + len(den) - 1] * lead_inv
-        q[k] = coeff
-        if coeff:
-            for i, d in enumerate(den):
-                num[k + i] -= coeff * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-class CyclotomicElement:
+class CyclotomicElement(_Ring):
     """An element of Q(zeta_2p): integer numerators, already reduced modulo
     Phi_2p, over one positive denominator, divided through by their common
-    gcd on construction so that equal elements have equal tuples."""
+    gcd on construction so that equal elements have equal tuples.
+
+    Subtraction and division by a rational come from `_Ring`; negation
+    and powers are its own, as negation needs no product and a power
+    starts from the field's one."""
 
     __slots__ = ("field", "numerators", "denominator")
 
@@ -300,15 +282,6 @@ class CyclotomicElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other: object) -> CyclotomicElement:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self + (-coerced)
-
-    def __rsub__(self, other: object) -> CyclotomicElement:
-        return (-self) + other
-
     def __mul__(self, other: object) -> CyclotomicElement:
         if isinstance(other, (int, Fraction)):
             scalar = _q(other)
@@ -331,48 +304,8 @@ class CyclotomicElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> CyclotomicElement:
-        """Multiplicative inverse by the extended Euclidean algorithm
-        against the (irreducible) modulus."""
-        if not self:
-            raise ZeroDivisionError("zero has no inverse")
-        # invert the numerator vector; the denominator multiplies back in.
-        # r0 = numerators, r1 = modulus; track u with u * r0 = r (mod modulus)
-        r0 = [Fraction(n) for n in self.numerators]
-        r1 = [Fraction(c) for c in self.field.modulus]
-        u0: list[Fraction] = [Fraction(1)]
-        u1: list[Fraction] = []
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            # u_next = u0 - q * u1
-            prod = _convolve(q, u1)
-            u_next = u0 + [0] * (len(prod) - len(u0))
-            for i, x in enumerate(prod):
-                u_next[i] -= x
-            r0, r1 = r1, r
-            u0, u1 = u1, u_next
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
-            raise ArithmeticError("modulus is not coprime to the element")
-        scale = self.denominator / r0[0]
-        return self.field.element([c * scale for c in u0])
-
-    def __truediv__(self, other: object) -> CyclotomicElement:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self * coerced.inverse()
-
-    def __rtruediv__(self, other: object) -> CyclotomicElement:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced * self.inverse()
-
     def __pow__(self, exponent: int) -> CyclotomicElement:
-        base = self if exponent >= 0 else self.inverse()
-        return _power(base, abs(exponent), self.field.one())
+        return _power(self, exponent, self.field.one())
 
     def embed(self, s: int = 1) -> complex:
         """Numerical image under A -> exp(i pi s / p); raises ValueError

@@ -122,7 +122,7 @@ def _power(base, exponent: int, one):
 
 class _Ring:
     """Negation, subtraction, division by a scalar and powers, from the +
-    and * of a polynomial type whose scalars are ints and Fractions."""
+    and * of a ring type whose scalars are ints and Fractions."""
 
     __slots__ = ()
 
@@ -303,10 +303,6 @@ class BivariatePolynomial(_Ring):
     def first(cls, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
         return cls({(1, 0): 1}, variables)
 
-    @classmethod
-    def second(cls, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
-        return cls({(0, 1): 1}, variables)
-
     @property
     def variables(self) -> tuple[str, str]:
         return self._vars
@@ -325,11 +321,6 @@ class BivariatePolynomial(_Ring):
         first variable descending (so p precedes c within a degree)."""
         for key in sorted(self._terms, key=lambda ij: (ij[0] + ij[1], ij[1])):
             yield key, Fraction(self._terms[key], self.denominator)
-
-    def exponents(self, axis: int) -> set[int]:
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 or 1")
-        return {key[axis] for key in self._terms}
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -22,7 +22,7 @@ Evaluations of curves in a surface times a circle land in Q(zeta_2p) and
 are computed exactly through the cyclotomic module.  Every quantum
 denominator they need, D^2 and both flat-curve closed forms included, is
 a root difference A^u - A^v with an even exponent gap, inverted by the
-field's closed form R(u, v) = 1/(A^u - A^v) rather than extended Euclid.
+field's closed form R(u, v) = 1/(A^u - A^v).
 
 The curve summands R(e, -e)^(2g-2) fall into Galois orbits: with
 h = gcd(e, 2p) and k = e/h (mod 2p/h) lifted to a unit mod 2p, kh = e
@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
-from .cyclotomic import CyclotomicElement, CyclotomicField, cyclotomic_field
+from .cyclotomic import CyclotomicElement, CyclotomicField
 from .errors import VanishingDenominator
 from .exact import RationalLike, _convolve, _lowest, _q, _scaled
 
@@ -60,14 +60,6 @@ def bracket_e(i: int, field: CyclotomicField) -> CyclotomicElement:
         raise ValueError("color must be nonnegative")
     value = quantum_integer(i + 1, field)
     return -value if i % 2 else value
-
-
-def omega_coefficients(p: int) -> tuple[CyclotomicElement, ...]:
-    """Coefficients (<e_0>, ..., <e_{d-1}>) of the surgery element at
-    level p, with d = (p-1)/2."""
-    field = cyclotomic_field(p)
-    d = (p - 1) // 2
-    return tuple(bracket_e(i, field) for i in range(d))
 
 
 def d_squared(field: CyclotomicField) -> CyclotomicElement:
@@ -130,17 +122,9 @@ class AnnulusSkein:
             raise ValueError("basis index must be nonnegative")
         return cls((0,) * i + (1,))
 
-    @classmethod
-    def from_z_coefficients(cls, z_coefficients: Iterable[RationalLike]) -> AnnulusSkein:
-        scale, values = _scaled([_q(c) for c in z_coefficients])
-        return cls(_z_to_e(values), scale)
-
     @property
     def e_coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.denominator) for n in self.numerators)
-
-    def to_z_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in _e_to_z(self.numerators))
 
     def __bool__(self) -> bool:
         return bool(self.numerators)
@@ -249,7 +233,7 @@ def eval_nonseparating_curve(
     Odd m:   sum_{i=1..(m+1)/2} (-p)^(g-1) R(2i-1, -(2i-1))^(2g-2).
 
     Here R(u, v) = 1/(A^u - A^v), the closed-form root-difference inverse
-    of the field (every gap u - v is even, so no Euclidean inverse runs).
+    of the field (every gap u - v is even).
     The odd case at m = 1 reduces to the flat-curve closed form, which
     pins the sign of the inner exponent.
 

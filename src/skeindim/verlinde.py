@@ -205,7 +205,7 @@ def _in_c(scale: int, pairs: Iterable[tuple[tuple[int, int], int]]) -> Bivariate
     rows: dict[int, list[int]] = {}
     for (i, b), n in pairs:
         row = rows.setdefault(i, [])
-        row.extend([0] * (b + 1 - len(row)))
+        row += [0] * (b + 1 - len(row))
         row[b] += n
     out = {}
     for i, row in rows.items():
@@ -292,12 +292,11 @@ def decompose(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
                 f"(genus {g}, kind {kind})"
             )
     terms = {
-        (j, k): coeff
+        (j, k): n * source.denominator // poly.denominator
         for j, poly in parts.items()
-        for k, coeff in enumerate(poly.coefficients)
-        if coeff
+        for k, n in enumerate(poly.numerators)
     }
-    if BivariatePolynomial(terms, source.variables) != source:
+    if BivariatePolynomial(terms, source.variables, source.denominator) != source:
         raise StructureViolation(
             f"decomposition does not reconstruct the source (genus {g}, kind {kind})"
         )
@@ -330,16 +329,15 @@ def parity_checks(g: int) -> None:
     Raises ParityViolation with the offending monomial on failure.
     """
     x_part, y_part = _formula_parts(g)
-    v1, v2 = PC
     for (i, j), coeff in x_part.terms():
         if i % 2 != 0:
             raise ParityViolation(
-                f"residue component has odd power of p: {coeff}*{v1}^{i}*{v2}^{j}"
+                f"residue component has odd power of p: {coeff}*p^{i}*c^{j}"
             )
     for (i, j), coeff in y_part.terms():
         if i != 0:
             raise ParityViolation(
-                f"binomial component depends on p: {coeff}*{v1}^{i}*{v2}^{j}"
+                f"binomial component depends on p: {coeff}*p^{i}*c^{j}"
             )
     p = BivariatePolynomial.first(PC)
     if p ** (g - 1) * x_part + p**g * y_part != verlinde_polynomial(g):

@@ -61,7 +61,7 @@ def binomial_poly_in_c(g, variables=("p", "c")):
     if g < 1:
         raise ValueError("genus must be at least 1")
     k = 2 * g - 2
-    c = BivariatePolynomial.second(variables)
+    c = BivariatePolynomial({(0, 1): 1}, variables)
     product = BivariatePolynomial.constant(1, variables)
     for t in range(k):
         product = product * (c + (g - 1 - t))

@@ -7,7 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from euclid_oracle import euclid_inverse
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skeindim.cyclotomic import cyclotomic_field
@@ -100,7 +101,8 @@ def test_gen_is_primitive_2p_th_root(p):
 
 def test_gen_power_handles_negative_exponents():
     field = cyclotomic_field(7)
-    assert field.gen_power(-3) == field.gen() ** (-3)
+    assert field.gen_power(-3) == euclid_inverse(field.gen() ** 3)
+    assert field.gen_power(-3) * field.gen() ** 3 == field.one()
     assert field.gen_power(-3) * field.gen_power(3) == field.one()
 
 
@@ -109,23 +111,49 @@ def test_power_sum_folds_exponents(p):
     field = cyclotomic_field(p)
     a = field.gen()
     # exponents that agree modulo 2p accumulate; A^p = -1 cancels A^0
-    assert field.power_sum({1: 2, 1 + 2 * p: 3, -1: -1}) == a * 5 - a ** (-1)
+    assert field.power_sum({1: 2, 1 + 2 * p: 3, -1: -1}) == a * 5 - field.gen_power(-1)
+    assert field.gen_power(-1) * a == field.one()
     assert field.power_sum({0: 4, p: 4}) == field.zero()
 
 
 def test_inverse_round_trip():
     field = cyclotomic_field(5)
     x = field.gen() + field.from_rational(Fraction(2, 3))
-    assert x * x.inverse() == field.one()
+    assert x * euclid_inverse(x) == field.one()
     with pytest.raises(ZeroDivisionError):
-        field.zero().inverse()
+        euclid_inverse(field.zero())
 
 
 def test_division_and_power():
     field = cyclotomic_field(7)
     a = field.gen()
-    assert (field.one() / a) == a ** (-1)
-    assert a**3 / a == a**2
+    assert field.one() * euclid_inverse(a) == field.gen_power(-1)
+    assert a**3 * euclid_inverse(a) == a**2
+
+
+def test_only_rational_divisors_and_nonnegative_powers():
+    field = cyclotomic_field(7)
+    x, y = field.gen() + 2, field.gen_power(3) - Fraction(1, 2)
+    with pytest.raises(TypeError):
+        x / y
+    with pytest.raises(TypeError):
+        3 / x
+    with pytest.raises(TypeError):
+        Fraction(1, 2) / x
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        x ** -1
+
+
+@pytest.mark.parametrize("divisor", [3, -7, Fraction(2, 5), Fraction(-9, 4)])
+def test_scalar_division_is_multiplication_by_the_reciprocal(divisor):
+    field = cyclotomic_field(9)
+    x = field.gen() * Fraction(2, 3) + field.gen_power(4) - 5
+    assert x / divisor == x * (1 / Fraction(divisor))
+    assert hash(x / divisor) == hash(x * (1 / Fraction(divisor)))
+    assert field.from_rational(6) / divisor == Fraction(6) / divisor
+    assert hash(field.from_rational(6) / divisor) == hash(Fraction(6) / divisor)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
 
 
 small_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -148,7 +176,25 @@ def test_field_axioms(p, data):
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
     if x:
-        assert x * x.inverse() == field.one()
+        assert x * euclid_inverse(x) == field.one()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 7, 9, 15, 21, 25]), st.data())
+def test_euclid_oracle_inverts_every_nonzero_element(p, data):
+    field = cyclotomic_field(p)
+    x = data.draw(field_elements(field))
+    assume(x)
+    inverse = euclid_inverse(x)
+    assert x * inverse == field.one()
+    assert inverse * x == field.one()
+    assert euclid_inverse(inverse) == x
+
+
+@pytest.mark.parametrize("p", [3, 9, 15])
+def test_euclid_oracle_rejects_zero(p):
+    with pytest.raises(ZeroDivisionError):
+        euclid_inverse(cyclotomic_field(p).zero())
 
 
 def test_embedding_sends_gen_to_unit_root():
@@ -173,19 +219,23 @@ def test_laurent_quantum_integers():
         a = field.gen()
         assert quantum_integer(0, field) == field.zero()
         assert quantum_integer(1, field) == field.one()
-        assert quantum_integer(2, field) == a**2 + a ** (-2)
-        assert quantum_integer(-2, field) == -(a**2) - a ** (-2)
-        assert quantum_integer(3, field) == a**4 + 1 + a ** (-4)
+        for k in (2, 4):
+            assert field.gen_power(-k) * a**k == field.one()
+        assert quantum_integer(2, field) == a**2 + field.gen_power(-2)
+        assert quantum_integer(-2, field) == -(a**2) - field.gen_power(-2)
+        assert quantum_integer(3, field) == a**4 + 1 + field.gen_power(-4)
 
 
 def test_laurent_specialization_matches_field_arithmetic():
-    # [n] = (A^2n - A^-2n)/(A^2 - A^-2) computed by honest field division
+    # [n] = (A^2n - A^-2n)/(A^2 - A^-2) computed by honest field division,
+    # the divisor inverted by the extended-Euclid oracle
     for p in (5, 7, 9, 11, 15, 25):
         field = cyclotomic_field(p)
         a = field.gen()
-        delta = a**2 - a ** (-2)
+        assert field.gen_power(-2) * a**2 == field.one()
+        delta = a**2 - field.gen_power(-2)
         for n in (0, 1, -2, 2, 3):
-            direct = (a ** (2 * n) - a ** (-2 * n)) / delta
+            direct = (field.gen_power(2 * n) - field.gen_power(-2 * n)) * euclid_inverse(delta)
             assert quantum_integer(n, field) == direct, (p, n)
 
 
@@ -200,7 +250,7 @@ def test_root_difference_inverse_matches_euclid(p):
                 with pytest.raises(ZeroDivisionError):
                     field.root_difference_inverse(u, v)
                 continue
-            euclid = (field.gen_power(u) - field.gen_power(v)).inverse()
+            euclid = euclid_inverse(field.gen_power(u) - field.gen_power(v))
             assert field.root_difference_inverse(u, v) == euclid
 
 
@@ -242,10 +292,11 @@ def test_separately_built_fields_interoperate(p):
     y = b**2 - Fraction(1, 5)
     assert x + y == b * Fraction(2, 3) + b**2 + Fraction(4, 5)
     assert x * y == y * x == b**3 * Fraction(2, 3) + b**2 - b * Fraction(2, 15) - Fraction(1, 5)
-    assert (x * y) / y == x
+    assert (x * y) * euclid_inverse(y) == x
     k = 2 * p - 1
     assert first.conjugate_sum([(y, k), (x, 1)]) == second.conjugate_sum([(y, k), (x, 1)])
-    assert first.conjugate_sum([(y, k)]) == b ** (-2) - Fraction(1, 5)
+    assert second.gen_power(-2) * b**2 == second.one()
+    assert first.conjugate_sum([(y, k)]) == second.gen_power(-2) - Fraction(1, 5)
 
 
 # ------------------------------------------------------ Galois conjugates

@@ -279,7 +279,7 @@ def _power_cache_substitute(poly, replacement):
     replacement polynomial, one BivariatePolynomial product per term."""
     target = replacement.variables
     powers = [BivariatePolynomial.constant(1, target)]
-    max_j = max(poly.exponents(1), default=0)
+    max_j = max((j for (_, j), _ in poly.terms()), default=0)
     while len(powers) <= max_j:
         powers.append(powers[-1] * replacement)
     result = BivariatePolynomial.zero(target)
