@@ -1,10 +1,10 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_2p) for odd p >= 3.
 
-An element is an integer coefficient vector over one positive common
-denominator, kept canonical: the vector is reduced modulo the monic integer
-2p-th cyclotomic polynomial Phi_2p, and the gcd of all numerators and the
-denominator is 1.  Equality and hashing compare these tuples directly, and
-multiplication and reduction use integer arithmetic only.  The residue
+An element is an integer coefficient vector reduced modulo the monic
+integer 2p-th cyclotomic polynomial Phi_2p, stored over one positive
+denominator in the dense format of `exact._Dense`, which gives it
+equality, hashing, sums and rational multiples.  Multiplication and
+reduction use integer arithmetic only.  The residue
 class of x, written A below, is a primitive 2p-th root of unity:
 A^(2p) = 1 and A^p = -1.
 
@@ -47,7 +47,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import RationalLike, _Ring, _convolve, _power, _q, _scaled
+from .exact import RationalLike, _convolve, _Dense, _q, _scaled
 
 _IntPoly = tuple[int, ...]  # ascending integer coefficients
 
@@ -98,9 +98,9 @@ class CyclotomicField:
             (i, c) for i, c in enumerate(self.modulus[:-1]) if c
         )
 
-    def _reduce(self, coeffs: Sequence[int]) -> _IntPoly:
-        """Residue of an integer coefficient list modulo Phi_2p, padded to
-        length `degree`.  Phi_2p divides x^p + 1, so x^p is first folded
+    def _reduce(self, coeffs: Sequence[int]) -> list[int]:
+        """Residue of an integer coefficient list modulo Phi_2p, at most
+        `degree` ints.  Phi_2p divides x^p + 1, so x^p is first folded
         to -1; long division by the monic Phi_2p finishes the job."""
         p, degree = self.p, self.degree
         out = list(coeffs)
@@ -114,8 +114,7 @@ class CyclotomicField:
                 for i, c in self._modulus_tail:
                     out[offset + i] -= lead * c
         del out[degree:]
-        out += [0] * (degree - len(out))
-        return tuple(out)
+        return out
 
     def element(self, coefficients: Sequence[RationalLike]) -> CyclotomicElement:
         denominator, numerators = _scaled([_q(c) for c in coefficients])
@@ -205,91 +204,38 @@ class CyclotomicField:
         return f"CyclotomicField(p={self.p}, degree={self.degree})"
 
 
-class CyclotomicElement(_Ring):
+class CyclotomicElement(_Dense):
     """An element of Q(zeta_2p): integer numerators, already reduced modulo
-    Phi_2p, over one positive denominator, divided through by their common
-    gcd on construction so that equal elements have equal tuples.
+    Phi_2p, over one positive denominator.  It mixes with ints and
+    Fractions; elements of different fields compare unequal, and any
+    arithmetic between them raises ValueError.  `__mul__` and `__pow__`
+    are defined on the class itself, since `perfbench/trace_child.py`
+    wraps only the methods that a public class defines."""
 
-    Subtraction and division by a rational come from `_Ring`; negation
-    and powers are its own, as negation needs no product and a power
-    starts from the field's one."""
-
-    __slots__ = ("field", "numerators", "denominator")
+    __slots__ = ("field",)
 
     def __init__(
-        self, field: CyclotomicField, numerators: _IntPoly, denominator: int = 1
+        self, field: CyclotomicField, numerators: Sequence[int], denominator: int = 1
     ):
-        if denominator <= 0:
-            raise ValueError("denominator must be positive")
-        common = math.gcd(denominator, *numerators)
-        if common != 1:
-            numerators = tuple(n // common for n in numerators)
-            denominator //= common
         self.field = field
-        self.numerators = numerators
-        self.denominator = denominator
+        super().__init__(numerators, denominator)
+
+    def _like(self, numerators: Sequence[int], denominator: int) -> CyclotomicElement:
+        return CyclotomicElement(self.field, numerators, denominator)
+
+    def _coerce(self, other: object) -> CyclotomicElement | None:
+        if isinstance(other, CyclotomicElement) and other.field != self.field:
+            raise ValueError("elements belong to different fields")
+        return super()._coerce(other)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """Rational coefficients in the power basis 1, A, ..., A^(degree-1)."""
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
-
-    def _coerce(self, other: object) -> CyclotomicElement | None:
-        if isinstance(other, CyclotomicElement):
-            if other.field != self.field:
-                raise ValueError("elements belong to different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
-
-    def __bool__(self) -> bool:
-        return any(self.numerators)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CyclotomicElement) and other.field != self.field:
-            return False
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return (self.numerators, self.denominator) == (
-            coerced.numerators,
-            coerced.denominator,
-        )
-
-    def __hash__(self) -> int:
-        if not any(self.numerators[1:]):  # equal to a rational: hash like it
-            return hash(Fraction(self.numerators[0], self.denominator))
-        return hash((self.field.p, self.numerators, self.denominator))
-
-    def __neg__(self) -> CyclotomicElement:
-        return CyclotomicElement(
-            self.field, tuple(-n for n in self.numerators), self.denominator
-        )
-
-    def __add__(self, other: object) -> CyclotomicElement:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        denominator = math.lcm(self.denominator, coerced.denominator)
-        s = denominator // self.denominator
-        t = denominator // coerced.denominator
-        return CyclotomicElement(
-            self.field,
-            tuple(a * s + b * t for a, b in zip(self.numerators, coerced.numerators)),
-            denominator,
-        )
-
-    __radd__ = __add__
+        return super().coefficients + (Fraction(0),) * (self.field.degree - len(self.numerators))
 
     def __mul__(self, other: object) -> CyclotomicElement:
         if isinstance(other, (int, Fraction)):
-            scalar = _q(other)
-            return CyclotomicElement(
-                self.field,
-                tuple(n * scalar.numerator for n in self.numerators),
-                self.denominator * scalar.denominator,
-            )
+            return self._times(other)
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
@@ -305,7 +251,7 @@ class CyclotomicElement(_Ring):
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> CyclotomicElement:
-        return _power(self, exponent, self.field.one())
+        return super().__pow__(exponent)
 
     def embed(self, s: int = 1) -> complex:
         """Numerical image under A -> exp(i pi s / p); raises ValueError

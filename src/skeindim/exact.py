@@ -1,17 +1,20 @@
 """Exact arithmetic kernel: rationals, polynomials and exact matrix rank.
 
-No floating point enters any computation.  As a `CyclotomicElement`
-does, a polynomial stores int numerators over one positive denominator,
-divided through by the gcd of all of them (zero has denominator 1), so
-equal values have identical ints and `__eq__` and `__hash__` compare
-them directly; `coefficients`, `terms()` and evaluation return
-Fractions.  No zero coefficient is stored, so structural predicates such
-as "degree exactly n" or "only even powers of p" are decided exactly.
+No floating point enters any computation.  Exact values store int
+numerators over one positive denominator, divided through by the gcd of
+all of them (zero has denominator 1), so equal values have identical
+ints and `__eq__` and `__hash__` compare them directly; `coefficients`,
+`terms()` and evaluation return Fractions.  No zero coefficient is
+stored, so structural predicates such as "degree exactly n" or "only
+even powers of p" are decided exactly.
 
-Sums run over the lcm of the two denominators, products over their
-product.  Dense products of ascending integer lists go through one
-convolution, `_convolve`; it serves the univariate polynomials here, the
-cyclotomic elements and the annulus skeins.
+The dense form of that format, a numerator tuple lowest index first,
+lives in one private base, `_Dense`: normalization, equality, hashing,
+negation, sums, powers and scalar multiples.  `UnivariatePolynomial` here,
+`skein.AnnulusSkein` and `cyclotomic.CyclotomicElement` subclass it and
+add only their product.  Sums run over the lcm of the two denominators,
+products over their product.  Dense products of ascending integer lists
+go through one convolution, `_convolve`.
 
 Evaluation is a homogenized Horner rule on the stored ints, with one
 Fraction at the end: fold_first(a/b) fixes the first variable, giving
@@ -142,19 +145,85 @@ class _Ring:
         return _power(self, exponent, self * 0 + 1)
 
 
-class UnivariatePolynomial(_Ring):
-    """Dense univariate polynomial over the rationals: the int `numerators`,
-    lowest degree first, over the int `denominator`; the zero polynomial
-    has no numerators and degree ``NEG_INFINITY``.  Immutable, hashable."""
+class _Dense(_Ring):
+    """A dense exact value: the int `numerators`, lowest index first, over
+    the positive int `denominator`, in lowest terms as `_lowest` leaves
+    them.  Immutable, hashable.  A subclass adds its product and, where
+    its kind needs them, its own `_like` and `_coerce`."""
 
     __slots__ = ("numerators", "denominator")
 
     def __init__(self, coefficients: Iterable[RationalLike] = (), denominator: int | None = None):
-        """sum coefficients[k] x^k; with a positive int `denominator`, the
-        coefficients are int numerators over it and skip the scaling."""
+        """The values coefficients[k]; with a positive int `denominator`,
+        they are int numerators over it and skip the scaling."""
         if denominator is None:
             denominator, coefficients = _scaled([_q(c) for c in coefficients])
+        elif denominator <= 0:
+            raise ValueError("denominator must be positive")
         self.numerators, self.denominator = _lowest(coefficients, denominator)
+
+    def _like(self, numerators, denominator: int):
+        """The value numerators / denominator, of the same kind as self."""
+        return type(self)(numerators, denominator)
+
+    def _coerce(self, other):
+        """other as a value of self's kind, an int or Fraction as a
+        constant; None if it is neither.  Raises ValueError for a value of
+        the kind that cannot mix with self."""
+        if isinstance(other, (int, Fraction)):
+            return self._like((other.numerator,), other.denominator)
+        return other if isinstance(other, type(self)) else None
+
+    def _times(self, scalar: RationalLike):
+        """self * scalar, for an int or a Fraction."""
+        return self._like(
+            [n * scalar.numerator for n in self.numerators], self.denominator * scalar.denominator
+        )
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
+    def __bool__(self) -> bool:
+        return bool(self.numerators)
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            other = self._coerce(other)
+        except ValueError:  # of self's kind, but it cannot mix: unequal
+            return False
+        if other is None:
+            return NotImplemented
+        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
+
+    def __hash__(self) -> int:
+        if len(self.numerators) <= 1:  # a constant equals its value: hash like it
+            return hash(Fraction((self.numerators or (0,))[0], self.denominator))
+        return hash((self.numerators, self.denominator))
+
+    def __neg__(self):
+        return self._like([-n for n in self.numerators], self.denominator)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = math.lcm(self.denominator, other.denominator)
+        s, t = den // self.denominator, den // other.denominator
+        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
+        return self._like([a * s + b * t for a, b in pairs], den)
+
+    __radd__ = __add__
+
+    def __pow__(self, exponent):
+        return _power(self, exponent, self._like((1,), 1))
+
+
+class UnivariatePolynomial(_Dense):
+    """Dense univariate polynomial over the rationals, lowest degree first;
+    the zero polynomial has no numerators and degree ``NEG_INFINITY``."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> UnivariatePolynomial:
@@ -169,10 +238,6 @@ class UnivariatePolynomial(_Ring):
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
         return cls((0,) * degree + (coefficient,))
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     @property
     def degree(self) -> Union[int, float]:
@@ -190,37 +255,9 @@ class UnivariatePolynomial(_Ring):
     def exponents(self) -> set[int]:
         return {k for k, n in enumerate(self.numerators) if n}
 
-    def __bool__(self) -> bool:
-        return bool(self.numerators)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UnivariatePolynomial.constant(other)
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
-
-    def __hash__(self) -> int:
-        # A constant polynomial equals its value, so it must hash like it.
-        if len(self.numerators) <= 1:
-            return hash(self.coefficient(0))
-        return hash((self.numerators, self.denominator))
-
-    def __add__(self, other: Union[UnivariatePolynomial, RationalLike]) -> UnivariatePolynomial:
-        if isinstance(other, (int, Fraction)):
-            other = UnivariatePolynomial.constant(other)
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        den = math.lcm(self.denominator, other.denominator)
-        s, t = den // self.denominator, den // other.denominator
-        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
-        return UnivariatePolynomial([a * s + b * t for a, b in pairs], den)
-
-    __radd__ = __add__
-
     def __mul__(self, other: Union[UnivariatePolynomial, RationalLike]) -> UnivariatePolynomial:
         if isinstance(other, (int, Fraction)):
-            other = UnivariatePolynomial.constant(other)
+            return self._times(other)
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented
         return UnivariatePolynomial(

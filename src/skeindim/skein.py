@@ -12,9 +12,11 @@ constant satisfies D^2 = -p/(A^2 - A^-2)^2.  Only D^2 is ever used here
 (products of circles have odd first Betti number, so the choice of square
 root never enters).
 
-Products in this algebra convert to z-powers, multiply, and convert back,
-on the stored integer numerators over the product of the two
-denominators: Clenshaw's rule for sum c_i e_i and Horner's rule with
+An annulus skein stores its e-coefficients in the dense format of
+`exact._Dense`, which gives it equality, hashing and sums.  Products in
+this algebra convert to z-powers, multiply, and convert back, on the
+stored integer numerators over the product of the two denominators:
+Clenshaw's rule for sum c_i e_i and Horner's rule with
 z e_i = e_(i+1) + e_(i-1) for the way back, so no table is stored and no
 recursion depth grows with the index.
 
@@ -39,12 +41,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .cyclotomic import CyclotomicElement, CyclotomicField
 from .errors import VanishingDenominator
-from .exact import RationalLike, _convolve, _lowest, _q, _scaled
+from .exact import RationalLike, _convolve, _Dense
 
 
 def quantum_integer(n: int, field: CyclotomicField) -> CyclotomicElement:
@@ -91,26 +92,18 @@ def _z_to_e(values: Sequence[int]) -> list[int]:
     return acc
 
 
-class AnnulusSkein:
-    """A skein in the solid torus written in the e-basis: the int
-    `numerators` of its e-coefficients over the int `denominator`, in
-    lowest terms as for the polynomials of `exact`.
+class AnnulusSkein(_Dense):
+    """A skein in the solid torus written in the e-basis: the numerators of
+    its e-coefficients over one denominator, in the format of
+    `exact._Dense`; `AnnulusSkein(values)` is sum values[i] e_i.  A sum
+    needs two skeins; an int or a Fraction only multiplies.
 
     Multiplication converts to the z-power basis, multiplies there, and
     converts back; the two conversions are mutually inverse.  All three
     steps run on the stored integers, over the product of the denominators.
     """
 
-    __slots__ = ("numerators", "denominator")
-
-    def __init__(
-        self, e_coefficients: Iterable[RationalLike] = (), denominator: int | None = None
-    ):
-        """sum e_coefficients[i] e_i; with a positive int `denominator`, the
-        coefficients are int numerators over it and skip the scaling."""
-        if denominator is None:
-            denominator, e_coefficients = _scaled([_q(c) for c in e_coefficients])
-        self.numerators, self.denominator = _lowest(e_coefficients, denominator)
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> AnnulusSkein:
@@ -122,35 +115,14 @@ class AnnulusSkein:
             raise ValueError("basis index must be nonnegative")
         return cls((0,) * i + (1,))
 
-    @property
-    def e_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+    e_coefficients = _Dense.coefficients
 
-    def __bool__(self) -> bool:
-        return bool(self.numerators)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AnnulusSkein):
-            return NotImplemented
-        return (self.numerators, self.denominator) == (other.numerators, other.denominator)
-
-    def __hash__(self) -> int:
-        return hash((self.numerators, self.denominator))
-
-    def __add__(self, other: AnnulusSkein) -> AnnulusSkein:
-        if not isinstance(other, AnnulusSkein):
-            return NotImplemented
-        den = math.lcm(self.denominator, other.denominator)
-        s, t = den // self.denominator, den // other.denominator
-        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
-        return AnnulusSkein([a * s + b * t for a, b in pairs], den)
+    def _coerce(self, other: object) -> AnnulusSkein | None:
+        return other if isinstance(other, AnnulusSkein) else None
 
     def __mul__(self, other: Union[AnnulusSkein, RationalLike]) -> AnnulusSkein:
         if isinstance(other, (int, Fraction)):
-            return AnnulusSkein(
-                [n * other.numerator for n in self.numerators],
-                self.denominator * other.denominator,
-            )
+            return self._times(other)
         if not isinstance(other, AnnulusSkein):
             return NotImplemented
         prod = _convolve(_e_to_z(self.numerators), _e_to_z(other.numerators))

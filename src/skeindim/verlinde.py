@@ -119,34 +119,31 @@ def _exponential_coefficients(order: int) -> tuple[Fraction, ...]:
     return table[: order + 1]
 
 
-def _residue_coefficient_at(g: int, order: int) -> tuple[int, _Terms]:
-    """t^(2g-2) coefficient R of the kernel product, every kernel truncated
-    at t^order, as (L, {(a, b): n}), ints in lowest terms, with
-    R = sum n p^a u^b / L and u = 2c + 1.
+def _residue_coefficient(g: int) -> tuple[int, _Terms]:
+    """t^(2g-2) coefficient R of the kernel product, as (L, {(a, b): n}),
+    ints in lowest terms, with R = sum n p^a u^b / L and u = 2c + 1.
 
     The three kernels are e_a p^a t^a, u^b t^b / (b+1)! for even b, and
     S_k t^(2k) with S = s(t)^-(2g-1) a series in x = t^2.  The coefficient
-    is the finite sum over a + b + 2k = 2g - 2, collected in integers over
-    one denominator, lcm(e_a) times the largest W_k and (b+1)!, and
-    reduced once.
+    is the finite sum over a + b + 2k = 2g - 2, so no kernel term beyond
+    t^(2g-2) enters; it is collected in integers over one denominator,
+    lcm(e_a) times the largest W_k and (b+1)!, and reduced once.
     """
     target = 2 * g - 2
-    half = order // 2
-    top = min(order, target)
-    exponential = _exponential_coefficients(top)
-    sinh_power = _sinh_power(-(2 * g - 1), half + 1)
+    exponential = _exponential_coefficients(target)
+    sinh_power = _sinh_power(-(2 * g - 1), g)
     e_scale = math.lcm(*[e.denominator for e in exponential])
     w_top = sinh_power[-1][1]
-    f_top = math.factorial(top + 1)
+    f_top = math.factorial(target + 1)
     sinh = [h * (w_top // w) for h, w in sinh_power]
     terms = {}
     for a, e_a in enumerate(exponential):
         if not e_a:
             continue
         e_int = e_a.numerator * (e_scale // e_a.denominator)
-        for b in range(0, min(order, target - a) + 1, 2):
+        for b in range(0, target - a + 1, 2):
             k, odd = divmod(target - a - b, 2)
-            if not odd and k <= half:
+            if not odd:
                 terms[(a, b)] = e_int * sinh[k] * (f_top // math.factorial(b + 1))
     scale = e_scale * w_top * f_top
     divisor = math.gcd(scale, *terms.values())
@@ -159,17 +156,14 @@ def _integer_parts(g: int) -> tuple[int, _Pairs, _Pairs]:
     where X and Y are tuples of pairs ((i, b), n), ints, meaning
     sum n p^i u^b / L; tuples, because every caller shares them.
 
-    X = (-1)^g 4^(1-g)/2 u R(p, u) is the residue component; R is built at
-    truncation order 2g-2 and again with one guard term, and the guard must
-    not change it.  Y = -(-1)^g/2 prod_{j=1..g-1} (u^2 - (2j-1)^2)
-    / (2^(2g-2) (2g-2)!) is binom(c+g-1, 2g-2) written in u.  Both sit
-    over L = 2 4^(g-1) lcm(L_R, (2g-2)!), with L_R the denominator of R.
+    X = (-1)^g 4^(1-g)/2 u R(p, u) is the residue component, and
+    Y = -(-1)^g/2 prod_{j=1..g-1} (u^2 - (2j-1)^2) / (2^(2g-2) (2g-2)!)
+    is binom(c+g-1, 2g-2) written in u.  Both sit over
+    L = 2 4^(g-1) lcm(L_R, (2g-2)!), with L_R the denominator of R.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    residue_scale, residue = _residue_coefficient_at(g, 2 * g - 2)
-    if (residue_scale, residue) != _residue_coefficient_at(g, 2 * g - 1):
-        raise AssertionError("series truncation guard tripped in residue extraction")
+    residue_scale, residue = _residue_coefficient(g)
     product = [1]
     for j in range(1, g):
         square = (2 * j - 1) ** 2

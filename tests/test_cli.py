@@ -157,14 +157,6 @@ def test_decompose_structure_violation_is_check_failure(monkeypatch, capsys):
     assert err == json.dumps({"error": "planted violation (genus 3, kind odd)"}) + "\n"
 
 
-def _guard_term_differs(real):
-    def plant(g, order):
-        scale, terms = real(g, order)
-        return scale + (order == 2 * g - 1), terms
-
-    return plant
-
-
 # Internal consistency errors raised inside `verify` and `certify`: (argv,
 # module, name, plant applied to the real function, error message).
 INTERNAL_ERRORS = {
@@ -175,11 +167,11 @@ INTERNAL_ERRORS = {
         "power-sum closed forms disagree at exponent 3: "
         "1/4*N^2 + 1/2*N^3 + 1/4*N^4 vs 1 + 1/4*N^2 + 1/2*N^3 + 1/4*N^4",
     ),
-    "residue_guard": (
+    "total_degree": (
         ["certify", "--genus", "3"],
-        verlinde, "_residue_coefficient_at",
-        _guard_term_differs,
-        "series truncation guard tripped in residue extraction",
+        verlinde, "_integer_form",
+        lambda real: lambda g: (real(g)[0], {**real(g)[1], (0, 3 * g - 1): 1}),
+        "dimension polynomial has total degree 8, expected 7",
     ),
     "integrality": (
         ["verify", "--suite", "verlinde"],
@@ -194,7 +186,8 @@ INTERNAL_ERRORS = {
 def test_internal_consistency_error_is_check_failure(monkeypatch, capsys, case):
     argv, module, name, plant, message = INTERNAL_ERRORS[case]
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    # the residue guard runs only when a polynomial is built, not from cache
+    # a plant in the genus construction shows only when a polynomial is
+    # built, not from cache
     for cached in (verlinde._integer_parts, verlinde_polynomial, verlinde.odd_color_polynomial):
         cached.cache_clear()
     code, out, err = run_cli(capsys, *argv)
@@ -246,8 +239,8 @@ def test_eval_curve_color_zero_matches_dim(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["coefficients"][0] == "5"
-    assert all(c == "0" for c in payload["coefficients"][1:])
+    # all degree(Q(zeta_10)) = 4 power-basis coefficients, zeros included
+    assert payload["coefficients"] == ["5", "0", "0", "0"]
 
 
 def test_eval_curve_vanishing_denominator_is_usage_error(capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeindim.cyclotomic import CyclotomicElement, cyclotomic_field
 from skeindim.exact import (
     NEG_INFINITY,
     BivariatePolynomial,
@@ -22,6 +23,7 @@ from skeindim.exact import (
     _scaled,
     rank,
 )
+from skeindim.skein import AnnulusSkein
 from series_oracle import series_inverse, series_mul
 from substitution_oracle import binomial_poly_in_c, substitute_affine, substitute_half
 
@@ -513,6 +515,56 @@ def test_computed_constants_hash_like_their_value(value):
     bi = (p + value) - p
     assert uni == value and bi == value
     assert hash(uni) == hash(value) and hash(bi) == hash(value)
+
+
+# ------------------------------------------------ the shared dense format
+
+DENSE_FIELD = cyclotomic_field(9)  # degree 6, so inputs of 7 or 8 entries get reduced
+
+# the three dense kinds, each built from a list of rationals
+DENSE_KINDS = {
+    "univariate": UnivariatePolynomial,
+    "annulus": AnnulusSkein,
+    "cyclotomic": DENSE_FIELD.element,
+}
+
+dense_inputs = st.builds(
+    lambda numerators, denominator: [Fraction(n, denominator) for n in numerators],
+    st.lists(st.integers(-6, 6), max_size=8),
+    st.integers(1, 6),
+)
+nonzero_scalars = st.one_of(st.integers(-5, 5), rationals).filter(bool)
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(a=dense_inputs, b=dense_inputs, scalar=nonzero_scalars)
+def test_dense_kinds_keep_the_stored_form(kind, a, b, scalar):
+    make = DENSE_KINDS[kind]
+    x, y = make(a), make(b)
+    for value in (x + y, x - y, x * y, x * scalar, scalar * x, x / scalar):
+        assert type(value) is type(x)
+        assert value.denominator > 0
+        assert math.gcd(value.denominator, *value.numerators) == 1
+        assert not value.numerators or value.numerators[-1] != 0
+    for value, twin in ((x, (x + y) - y), (x, x * scalar / scalar), (x * x, x ** 2)):
+        assert value == twin and hash(value) == hash(twin)
+    with pytest.raises(TypeError):
+        x / y
+    with pytest.raises(TypeError):
+        3 / x
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        x ** -1
+    if kind == "annulus":
+        with pytest.raises(TypeError):
+            x + 1
+    if kind == "cyclotomic":
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            CyclotomicElement(DENSE_FIELD, x.numerators, 0)
+        other = cyclotomic_field(7).element(a)
+        assert x != other
+        with pytest.raises(ValueError, match="different fields"):
+            x + other
 
 
 # ------------------------------------------------------------ hash contract

@@ -22,7 +22,7 @@ from skeindim.verlinde import (
     _fusion_vector,
     _integer_form,
     _integer_parts,
-    _residue_coefficient_at,
+    _residue_coefficient,
     CHECK_LEVELS,
     IntegralityError,
     decompose,
@@ -466,7 +466,7 @@ def test_genus_caches_stay_within_their_bound(monkeypatch, genus_caches):
     # each stand-in replaces the function behind one cache by a cheap form
     # of the right shape: a zero residue, and D_g = p^g u^(2g-2), of total
     # degree 3g - 2, behind both polynomial caches
-    monkeypatch.setattr(verlinde, "_residue_coefficient_at", lambda g, order: (1, {}))
+    monkeypatch.setattr(verlinde, "_residue_coefficient", lambda g: (1, {}))
     monkeypatch.setattr(verlinde, "_integer_parts", lambda g: (1, (), (((0, 2 * g - 2), 1),)))
     for cache in genus_caches:
         maxsize = cache.cache_info().maxsize
@@ -563,12 +563,11 @@ def test_integer_form_is_the_polynomial_in_u(g):
 
 @pytest.mark.parametrize("g", [2, 5, 9])
 def test_residue_integer_sum_matches_fraction_sum(g):
-    for order in (2 * g - 3, 2 * g - 2, 2 * g - 1):
-        scale, terms = _residue_coefficient_at(g, order)
-        assert math.gcd(scale, *terms.values()) == 1
-        assert BivariatePolynomial(
-            {key: Fraction(n, scale) for key, n in terms.items()}, ("p", "u")
-        ) == _fraction_residue_at(g, order)
+    scale, terms = _residue_coefficient(g)
+    assert math.gcd(scale, *terms.values()) == 1
+    assert BivariatePolynomial(
+        {key: Fraction(n, scale) for key, n in terms.items()}, ("p", "u")
+    ) == _fraction_residue_at(g, 2 * g - 2)
 
 
 @pytest.mark.parametrize(
@@ -642,22 +641,6 @@ def test_residue_matches_series_route(g):
     assert _residue_part(g) == _series_route_residue(g)
     assert verlinde_polynomial(g) == _series_route_polynomial(g)
     assert odd_color_polynomial(g) == substitute_half(_series_route_polynomial(g))
-
-
-def test_kernel_raises_when_the_guard_build_differs(monkeypatch, genus_caches):
-    # a residue that still moves at the guard order must not be used
-    monkeypatch.setattr(
-        verlinde, "_residue_coefficient_at", lambda g, order: (1, {(0, 0): order})
-    )
-    with pytest.raises(AssertionError, match="truncation guard tripped"):
-        verlinde_polynomial(3)
-
-
-@pytest.mark.parametrize("g", [2, 3, 6])
-def test_residue_guard_sees_a_short_truncation(g):
-    full = _residue_coefficient_at(g, 2 * g - 2)
-    assert _residue_coefficient_at(g, 2 * g - 1) == full
-    assert _residue_coefficient_at(g, 2 * g - 3) != full
 
 
 # ------------------------------------------------ fusion: iteration depth
