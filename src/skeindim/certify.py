@@ -171,15 +171,11 @@ def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
 
 def check_leading_term(g: int) -> CheckResult:
     """The degree-(3g-2) homogeneous part of the dimension polynomial
-    against its Bernoulli closed form; every higher part must vanish."""
-    poly = verlinde_polynomial(g)
-    if poly.homogeneous_part(3 * g - 2) != leading_term_closed_form(g):
+    against its Bernoulli closed form.  No higher part can be nonzero:
+    `verlinde_polynomial` raises AssertionError unless the total degree
+    is exactly 3g - 2."""
+    if verlinde_polynomial(g).homogeneous_part(3 * g - 2) != leading_term_closed_form(g):
         return CheckResult("leading_term", False, "top homogeneous part mismatch")
-    for n in range(3 * g - 1, 3 * g + 3):
-        if poly.homogeneous_part(n):
-            return CheckResult(
-                "leading_term", False, f"nonzero homogeneous part at degree {n}"
-            )
     return CheckResult(
         "leading_term", True, "top homogeneous part matches its closed form"
     )

@@ -255,14 +255,20 @@ class CyclotomicElement(_Dense):
 
     def embed(self, s: int = 1) -> complex:
         """Numerical image under A -> exp(i pi s / p); raises ValueError
-        unless gcd(s, 2p) = 1, the condition for a field embedding."""
+        unless gcd(s, 2p) = 1 (a field embedding) and it is a finite float."""
         if math.gcd(s, 2 * self.field.p) != 1:
             raise ValueError(f"s = {s} is not coprime to 2p = {2 * self.field.p}")
         root = cmath.exp(1j * cmath.pi * s / self.field.p)
+        message = f"embedding at s = {s} is not a finite float"
         value = 0j
-        for k, n in enumerate(self.numerators):
-            if n:
-                value += n / self.denominator * root**k
+        try:
+            for k, n in enumerate(self.numerators):
+                if n:
+                    value += n / self.denominator * root**k
+        except OverflowError:
+            raise ValueError(message) from None
+        if not cmath.isfinite(value):
+            raise ValueError(message)
         return value
 
     def render(self) -> str:

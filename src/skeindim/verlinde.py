@@ -47,7 +47,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bernoulli import bernoulli_numbers
 from .errors import IntegralityError, ParityViolation, StructureViolation
@@ -375,32 +375,30 @@ def fusion_table(p: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=512)
-def _fusion_vector(g: int, p: int) -> tuple[int, ...]:
-    """Odd-color dimensions (D_g at s = 1..d) by the fusion recursion.
-
-    Iterates D_(g+1)[s] = sum_y K[s][y] D_g[y] from D_1 = (1..d), without
-    recursion, so any genus is reachable.  Values grow beyond 64 bits
-    quickly; Python integers keep this exact.  An evicted entry is
-    recomputed to the same tuple, so shared concurrent use is safe.
-    """
-    d = _check_level(p)
+def _fusion_walk(g_max: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Yield D_1..D_(g_max) at level p, each the odd-color dimensions at
+    s = 1..d, by one walk of the fusion recursion D_(g+1)[s] =
+    sum_y K[s][y] D_g[y] from D_1 = (1..d); a loop on exact ints, so any
+    genus is reachable, holding one step at a time."""
     entries = fusion_table(p)
-    vector = tuple(range(1, d + 1))
-    for _ in range(g - 1):
+    vector = tuple(range(1, len(entries) + 1))
+    yield vector
+    for _ in range(g_max - 1):
         vector = tuple(sum(k * v for k, v in zip(row, vector)) for row in entries)
-    return vector
+        yield vector
 
 
 def fusion_dimension(g: int, p: int, s: int) -> int:
-    """Odd-color dimension at genus g by the fusion recursion; the
-    independent integer route against the residue polynomial."""
+    """Odd-color dimension at genus g, the last step of the fusion walk;
+    the independent integer route against the residue polynomial."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     d = _check_level(p)
     if not 1 <= s <= d:
         raise ValueError(f"s must lie in 1..{d}, got {s}")
-    return _fusion_vector(g, p)[s - 1]
+    for vector in _fusion_walk(g, p):
+        pass
+    return vector[s - 1]
 
 
 def level_dimensions(g: int, p: int, colors: Iterable[int]) -> list[int]:
@@ -454,21 +452,22 @@ def oracle_crosscheck(
 ) -> tuple[int, list[tuple[int, int, int, Fraction, int]]]:
     """Evaluate the odd-color polynomial at every (p, s) with p in
     CHECK_LEVELS, 1 <= s <= (p-1)/2, g <= g_max, and compare with the
-    fusion recursion.  The polynomial is folded once per (g, p) and each s
-    costs one integer Horner evaluation.  Returns (checked, mismatches),
-    each mismatch (g, p, s, polynomial value, fusion value); mismatches
-    are reported, not raised."""
+    fusion recursion, walked once per level up to g_max.  The polynomial
+    is folded once per (g, p) and each s costs one integer Horner
+    evaluation.  Returns (checked, mismatches), each mismatch
+    (g, p, s, polynomial value, fusion value) in (g, p, s) order;
+    mismatches are reported, not raised."""
     if g_max < 1:
         raise ValueError("genus must be at least 1")
+    walks = {p: list(_fusion_walk(g_max, p)) for p in CHECK_LEVELS}
     checked = 0
     mismatches = []
     for g in range(1, g_max + 1):
         poly = odd_color_polynomial(g)
         for p in CHECK_LEVELS:
             denominator, values = poly.fold_first(p)
-            for s in range(1, (p - 1) // 2 + 1):
+            for s, rhs in enumerate(walks[p][g - 1], 1):
                 numerator = _horner(values, s, 1)
-                rhs = fusion_dimension(g, p, s)
                 checked += 1
                 if numerator != rhs * denominator:
                     mismatches.append((g, p, s, Fraction(numerator, denominator), rhs))

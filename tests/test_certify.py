@@ -231,13 +231,17 @@ def test_failing_shared_check_fails_certificate_and_verify(monkeypatch, capsys, 
 
 # Checks that only the certificate runs per genus: (module the certificate
 # reads the name from, name, plant applied to the real function, detail
-# at genus 2).  The crosscheck mismatch is planted in the fusion route,
-# which `oracle_crosscheck` reads from `verlinde` for both `certify` and
-# `verify`; the rank shortfall hits only the even-color matrix.
+# at genus 2).  The crosscheck mismatch is planted in the fusion walk,
+# at (g, p, s) = (1, 3, 1), which `oracle_crosscheck` reads from `verlinde`
+# for both `certify` and `verify`; the rank shortfall hits only the
+# even-color matrix.
 CERTIFICATE_ONLY_FAILURES = {
     "residue_vs_fusion": (
-        verlinde, "fusion_dimension",
-        lambda real: lambda g, p, s: real(g, p, s) + ((g, p, s) == (1, 3, 1)),
+        verlinde, "_fusion_walk",
+        lambda real: lambda g_max, p: (
+            (v[0] + 1, *v[1:]) if (g, p) == (1, 3) else v
+            for g, v in enumerate(real(g_max, p), 1)
+        ),
         "42 dimension values compared, 1 mismatches",
     ),
     "phi_rank_even": (

@@ -231,6 +231,18 @@ def test_eval_curve_embed_flag_adds_float(capsys):
     assert "." in out
 
 
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_eval_curve_embed_overflow_is_usage_error(capsys, output_format):
+    # the genus-600 invariant at p = 5 has coefficients beyond the float range
+    code, out, err = run_cli(
+        capsys, "eval-curve", "--genus", "600", "--p", "5", "--color", "3",
+        "--embed", "--format", output_format,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == json.dumps({"error": "embedding at s = 1 is not a finite float"}) + "\n"
+
+
 def test_eval_curve_color_zero_matches_dim(capsys):
     code, out, _ = run_cli(
         capsys,

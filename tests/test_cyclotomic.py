@@ -212,6 +212,14 @@ def test_embedding_rejects_non_units(p):
             x.embed(s)
 
 
+def test_embedding_rejects_values_beyond_the_float_range():
+    field = cyclotomic_field(7)
+    with pytest.raises(ValueError, match="not a finite float"):
+        field.from_rational(10**400).embed(1)  # one term overflows
+    with pytest.raises(ValueError, match="not a finite float"):
+        ((field.gen() + 1) * 10**308).embed(1)  # two finite terms, infinite sum
+
+
 def test_laurent_quantum_integers():
     # [n] is the Laurent sum A^(2n-2) + A^(2n-6) + ... + A^(2-2n)
     for p in (3, 5, 7, 9, 15, 21):

@@ -19,7 +19,7 @@ from skeindim.certify import check_leading_term
 from skeindim.verlinde import (
     _exponential_coefficients,
     _formula_parts,
-    _fusion_vector,
+    _fusion_walk,
     _integer_form,
     _integer_parts,
     _residue_coefficient,
@@ -432,6 +432,31 @@ def test_crosscheck_reports_a_wrong_polynomial(monkeypatch):
     assert all(lhs - rhs == Fraction(1, 3) for *_, lhs, rhs in mismatches)
 
 
+def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
+    # p - 5 added at genus 2 and (s - 1)/2 at genus 3: mismatches at every
+    # level but 5, then at every s >= 2, reported in (g, p, s) order
+    real = verlinde.odd_color_polynomial
+    extra = {
+        2: BivariatePolynomial({(1, 0): 1, (0, 0): -5}, PS),
+        3: BivariatePolynomial({(0, 1): Fraction(1, 2), (0, 0): Fraction(-1, 2)}, PS),
+    }
+
+    def planted(g):
+        return real(g) + extra[g] if g in extra else real(g)
+
+    monkeypatch.setattr(verlinde, "odd_color_polynomial", planted)
+    checked, mismatches = 0, []
+    for g in range(1, 4):
+        for p in CHECK_LEVELS:
+            for s in range(1, (p - 1) // 2 + 1):
+                lhs, rhs = planted(g)(p, s), fusion_dimension(g, p, s)
+                checked += 1
+                if lhs != rhs:
+                    mismatches.append((g, p, s, lhs, rhs))
+    assert len(mismatches) == 21 - 2 + 21 - 6
+    assert oracle_crosscheck(3) == (checked, mismatches)
+
+
 # --------------------------------------------------------------- caches
 
 
@@ -439,7 +464,6 @@ def test_crosscheck_reports_a_wrong_polynomial(monkeypatch):
     "cache, call, keys",
     [
         (fusion_table, fusion_table, range(3, 160, 2)),
-        (_fusion_vector, lambda g: _fusion_vector(g, 3), range(1, 540)),
     ],
 )
 def test_fusion_caches_stay_within_their_bound(cache, call, keys):
@@ -671,3 +695,9 @@ def test_fusion_deep_genus_matches_matrix_power(g, p):
     # into the one below
     expected = _fusion_matrix_power_route(g, p)
     assert tuple(fusion_dimension(g, p, s) for s in range(1, (p + 1) // 2)) == expected
+
+
+@pytest.mark.parametrize("p", CHECK_LEVELS)
+def test_fusion_walk_matches_matrix_power_at_every_genus(p):
+    walk = list(_fusion_walk(12, p))
+    assert walk == [_fusion_matrix_power_route(g, p) for g in range(1, 13)]
