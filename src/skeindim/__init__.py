@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "FaulhaberInconsistency": "errors",
     "IntegralityError": "errors",
-    "ParityViolation": "errors",
     "StructureViolation": "errors",
     "VanishingDenominator": "errors",
     "bernoulli_half_value": "bernoulli",
@@ -48,7 +47,6 @@ _EXPORTS = {
     "level_dimensions": "verlinde",
     "odd_color_polynomial": "verlinde",
     "oracle_crosscheck": "verlinde",
-    "parity_checks": "verlinde",
     "verlinde_polynomial": "verlinde",
 }
 

@@ -10,6 +10,11 @@ assembled from three ingredients:
   * a nonvanishing curve invariant covers each of the remaining
     2^(2g+1) - 2 mod-2 homology classes with at least one dimension each.
 
+The checks behind a certificate all live here, each returning one
+CheckResult: the decomposition structure, the curve witness, the
+leading term against its Bernoulli closed form (`leading_term_closed_form`)
+and the parity constraints; `verify` runs the same per-genus functions.
+
 One ingredient is taken as an assumption rather than computed: the family
 of power functions p^j on the admissible roots of unity is linearly
 independent over the scalar field.  Certificates record this assumption
@@ -18,19 +23,23 @@ explicitly; everything downstream of it is verified by exact computation.
 
 from __future__ import annotations
 
+import math
 import operator
+from fractions import Fraction
 from typing import NamedTuple
 
+from .bernoulli import bernoulli_numbers
 from .cyclotomic import cyclotomic_field
-from .exact import _horner, rank
+from .errors import StructureViolation
+from .exact import BivariatePolynomial, _horner, rank
 from .skein import flat_curve_check
 from .verlinde import (
     CHECK_LEVELS,
+    PC,
+    _formula_parts,
     decompose,
-    leading_term_closed_form,
     odd_color_polynomial,
     oracle_crosscheck,
-    parity_checks,
     verlinde_polynomial,
 )
 
@@ -136,13 +145,14 @@ class Certificate(NamedTuple):
 
 # The per-genus checks below each return one CheckResult and never raise on
 # a failed identity; `verify` runs the same functions over its genus range.
+# A genus below one is a usage error and raises ValueError.
 
 
 def check_structure(g: int) -> CheckResult:
     try:
         decompose(g, "even")
         decompose(g, "odd")
-    except ValueError as exc:
+    except StructureViolation as exc:
         return CheckResult("decomposition_structure", False, str(exc))
     return CheckResult(
         "decomposition_structure",
@@ -169,6 +179,21 @@ def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
     )
 
 
+def leading_term_closed_form(g: int) -> BivariatePolynomial:
+    """(-1)^g p^(g-1) sum_k B_k / (k! (2g-1-k)!) c^(2g-1-k) p^k."""
+    table = bernoulli_numbers(2 * g - 1)
+    terms = {}
+    for k in range(2 * g):
+        coeff = (
+            Fraction((-1) ** g)
+            * table[k]
+            / (math.factorial(k) * math.factorial(2 * g - 1 - k))
+        )
+        if coeff != 0:
+            terms[(g - 1 + k, 2 * g - 1 - k)] = coeff
+    return BivariatePolynomial(terms, PC)
+
+
 def check_leading_term(g: int) -> CheckResult:
     """The degree-(3g-2) homogeneous part of the dimension polynomial
     against its Bernoulli closed form.  No higher part can be nonzero:
@@ -182,10 +207,49 @@ def check_leading_term(g: int) -> CheckResult:
 
 
 def check_parity(g: int) -> CheckResult:
+    """The two parity constraints of the dimension polynomial:
+
+    (a) D_g = p^(g-1) X + p^g Y with X (the residue component) even in p
+        and Y (the binomial component) free of p;
+    (b) the odd-color polynomial divided by p^(g-1) is a polynomial, even
+        in p and odd in s.
+
+    The first violation fails the check, naming the offending monomial.
+    """
+    x_part, y_part = _formula_parts(g)
+    for (i, j), coeff in x_part.terms():
+        if i % 2 != 0:
+            return CheckResult(
+                "parity", False, f"residue component has odd power of p: {coeff}*p^{i}*c^{j}"
+            )
+    for (i, j), coeff in y_part.terms():
+        if i != 0:
+            return CheckResult(
+                "parity", False, f"binomial component depends on p: {coeff}*p^{i}*c^{j}"
+            )
+    p = BivariatePolynomial.first(PC)
+    if p ** (g - 1) * x_part + p**g * y_part != verlinde_polynomial(g):
+        return CheckResult(
+            "parity", False, "p^(g-1) X + p^g Y does not reconstruct the polynomial"
+        )
+
     try:
-        parity_checks(g)
-    except ValueError as exc:
-        return CheckResult("parity", False, str(exc))
+        reduced = odd_color_polynomial(g).divide_by_first_power(g - 1)
+    except ValueError:
+        return CheckResult("parity", False, f"odd-color polynomial not divisible by p^{g-1}")
+    for (i, j), coeff in reduced.terms():
+        if i % 2 != 0:
+            return CheckResult(
+                "parity",
+                False,
+                f"odd-color polynomial / p^{g-1} has odd power of p: {coeff}*p^{i}*s^{j}",
+            )
+        if j % 2 != 1:
+            return CheckResult(
+                "parity",
+                False,
+                f"odd-color polynomial / p^{g-1} has even power of s: {coeff}*p^{i}*s^{j}",
+            )
     return CheckResult("parity", True, "even-in-p and odd-in-s structure holds")
 
 

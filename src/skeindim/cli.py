@@ -37,7 +37,6 @@ import sys
 from .errors import (
     FaulhaberInconsistency,
     IntegralityError,
-    ParityViolation,
     StructureViolation,
     VanishingDenominator,
 )
@@ -320,9 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(getattr(args, "genus", None), int) and args.genus < 1:
             raise ValueError("genus must be at least 1")
         return args.func(args)
-    # StructureViolation and ParityViolation are ValueErrors: catch them first
-    except (StructureViolation, ParityViolation, IntegralityError,
-            FaulhaberInconsistency, AssertionError) as exc:
+    # StructureViolation is a ValueError: catch it first
+    except (StructureViolation, IntegralityError, FaulhaberInconsistency,
+            AssertionError) as exc:
         code, error = EXIT_CHECK_FAILURE, exc
     except (ValueError, VanishingDenominator, _OutputError) as exc:
         code, error = EXIT_USAGE, exc

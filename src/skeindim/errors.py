@@ -25,10 +25,6 @@ class StructureViolation(ValueError):
     exact degrees; points at a residue-formula bug."""
 
 
-class ParityViolation(ValueError):
-    """A parity constraint fails; carries the offending monomial."""
-
-
 class IntegralityError(ArithmeticError):
     """A dimension evaluated to a non-integer or negative value; this is
     an internal-bug signal, not a user error."""

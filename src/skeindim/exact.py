@@ -247,11 +247,6 @@ class UnivariatePolynomial(_Dense):
     def leading_coefficient(self) -> Fraction:
         return Fraction(self.numerators[-1] if self.numerators else 0, self.denominator)
 
-    def coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        return Fraction((self.numerators[k:] or (0,))[0], self.denominator)
-
     def exponents(self) -> set[int]:
         return {k for k, n in enumerate(self.numerators) if n}
 
@@ -323,6 +318,8 @@ class BivariatePolynomial(_Ring):
             denominator, values = _scaled([_q(v) for v in terms.values()])
             terms = dict(zip(terms, values))
             variables = tuple(map(str, variables))
+        elif denominator <= 0:
+            raise ValueError("denominator must be positive")
         terms = {key: n for key, n in terms.items() if n}
         values, self.denominator = _lowest(terms.values(), denominator)
         self._terms = dict(zip(terms, values))
@@ -350,9 +347,6 @@ class BivariatePolynomial(_Ring):
             return NEG_INFINITY
         return max(i + j for i, j in self._terms)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return Fraction(self._terms.get((i, j), 0), self.denominator)
-
     def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms in graded order: total degree ascending, then powers of the
         first variable descending (so p precedes c within a degree)."""
@@ -374,7 +368,7 @@ class BivariatePolynomial(_Ring):
     def __hash__(self) -> int:
         # A constant polynomial equals its value, so it must hash like it.
         if self._terms.keys() <= {(0, 0)}:
-            return hash(self.coefficient(0, 0))
+            return hash(Fraction(self._terms.get((0, 0), 0), self.denominator))
         return hash((self._vars, frozenset(self._terms.items()), self.denominator))
 
     def _check_compatible(self, other: BivariatePolynomial) -> None:

@@ -25,8 +25,9 @@ S = s(t)^-(2g-1) = sum S_k t^(2k) from J.C.P. Miller's power recurrence,
 cleared of denominators so that it runs on integers; no bivariate series
 or polynomial is ever multiplied, and X and Y are placed by exponent
 shifts.  The e_a are built here rather than taken from
-`bernoulli_numbers`, so the leading-term check against the Bernoulli
-closed form stays independent.
+`bernoulli_numbers`, so the leading-term check of `certify` against its
+Bernoulli closed form stays independent; this module never imports
+`bernoulli`.
 
 Two substitutions leave the integer form:
 
@@ -49,8 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .bernoulli import bernoulli_numbers
-from .errors import IntegralityError, ParityViolation, StructureViolation
+from .errors import IntegralityError, StructureViolation
 from .exact import BivariatePolynomial, UnivariatePolynomial, _horner
 
 PC = ("p", "c")
@@ -102,7 +102,7 @@ def _exponential_coefficients(order: int) -> tuple[Fraction, ...]:
     That series inverts sum 2^k x^k/(k+1)!, so e_m = -sum_{k=1..m}
     2^k/(k+1)! e_(m-k); the one module-level table grows to `order` on
     demand.  Built here, not from `bernoulli_numbers`, so the leading-term
-    check against the Bernoulli closed form stays independent.
+    check of `certify` stays independent.
     """
     global _EXPONENTIAL
     table = _EXPONENTIAL
@@ -213,7 +213,8 @@ def _in_c(scale: int, pairs: Iterable[tuple[tuple[int, int], int]]) -> Bivariate
 
 def _formula_parts(g: int) -> tuple[BivariatePolynomial, BivariatePolynomial]:
     """(X, Y) in (p, c) with D_g = p^(g-1) X + p^g Y; X collects the
-    residue term, Y the binomial term (Y carries no p)."""
+    residue term, Y the binomial term (Y carries no p).  Read by
+    `certify.check_parity`."""
     scale, x_part, y_part = _integer_parts(g)
     return _in_c(scale, x_part), _in_c(scale, y_part)
 
@@ -295,64 +296,6 @@ def decompose(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
             f"decomposition does not reconstruct the source (genus {g}, kind {kind})"
         )
     return parts
-
-
-def leading_term_closed_form(g: int) -> BivariatePolynomial:
-    """(-1)^g p^(g-1) sum_k B_k / (k! (2g-1-k)!) c^(2g-1-k) p^k."""
-    table = bernoulli_numbers(2 * g - 1)
-    terms = {}
-    for k in range(2 * g):
-        coeff = (
-            Fraction((-1) ** g)
-            * table[k]
-            / (math.factorial(k) * math.factorial(2 * g - 1 - k))
-        )
-        if coeff != 0:
-            terms[(g - 1 + k, 2 * g - 1 - k)] = coeff
-    return BivariatePolynomial(terms, PC)
-
-
-def parity_checks(g: int) -> None:
-    """Verify the two parity constraints of the dimension polynomial:
-
-    (a) D_g = p^(g-1) X + p^g Y with X (the residue component) even in p
-        and Y (the binomial component) free of p;
-    (b) the odd-color polynomial divided by p^(g-1) is a polynomial, even
-        in p and odd in s.
-
-    Raises ParityViolation with the offending monomial on failure.
-    """
-    x_part, y_part = _formula_parts(g)
-    for (i, j), coeff in x_part.terms():
-        if i % 2 != 0:
-            raise ParityViolation(
-                f"residue component has odd power of p: {coeff}*p^{i}*c^{j}"
-            )
-    for (i, j), coeff in y_part.terms():
-        if i != 0:
-            raise ParityViolation(
-                f"binomial component depends on p: {coeff}*p^{i}*c^{j}"
-            )
-    p = BivariatePolynomial.first(PC)
-    if p ** (g - 1) * x_part + p**g * y_part != verlinde_polynomial(g):
-        raise ParityViolation("p^(g-1) X + p^g Y does not reconstruct the polynomial")
-
-    odd = odd_color_polynomial(g)
-    try:
-        reduced = odd.divide_by_first_power(g - 1)
-    except ValueError as exc:
-        raise ParityViolation(f"odd-color polynomial not divisible by p^{g-1}") from exc
-    for (i, j), coeff in reduced.terms():
-        if i % 2 != 0:
-            raise ParityViolation(
-                f"odd-color polynomial / p^{g-1} has odd power of p: "
-                f"{coeff}*p^{i}*s^{j}"
-            )
-        if j % 2 != 1:
-            raise ParityViolation(
-                f"odd-color polynomial / p^{g-1} has even power of s: "
-                f"{coeff}*p^{i}*s^{j}"
-            )
 
 
 # ------------------------------------------------------------------ fusion

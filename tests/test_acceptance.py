@@ -24,7 +24,7 @@ from skeindim.bernoulli import (
     bernoulli_polynomial,
     faulhaber_poly,
 )
-from skeindim.certify import build_certificate, check_leading_term, lower_bound
+from skeindim.certify import build_certificate, check_leading_term, check_parity, lower_bound
 from skeindim.cyclotomic import cyclotomic_field
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim.skein import (
@@ -41,7 +41,6 @@ from skeindim.verlinde import (
     fusion_dimension,
     odd_color_polynomial,
     oracle_crosscheck,
-    parity_checks,
     verlinde_polynomial,
 )
 
@@ -137,10 +136,9 @@ def test_criterion_05_parity():
     ok = True
     detail = ""
     for g in range(1, 7):
-        try:
-            parity_checks(g)
-        except ValueError as exc:
-            ok, detail = False, f"g={g}: {exc}"
+        check = check_parity(g)
+        if not check.passed:
+            ok, detail = False, f"g={g}: {check.detail}"
     _report("5 parity structure", ok, detail or "g <= 6")
 
 

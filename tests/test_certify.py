@@ -21,11 +21,7 @@ from skeindim.certify import (
 )
 from skeindim.cli import main
 from skeindim.exact import BivariatePolynomial, _horner, _scaled, rank
-from skeindim.verlinde import (
-    ParityViolation,
-    StructureViolation,
-    decompose,
-)
+from skeindim.verlinde import StructureViolation, decompose
 
 
 def test_phi_rank_genus_one_even():
@@ -174,6 +170,7 @@ def _raises(exc):
 
 
 _ZERO = BivariatePolynomial.zero()
+_P = BivariatePolynomial.first()
 
 # (name patched in certify, fake, verify suite, verify check, certificate
 # check, certificate detail)
@@ -187,8 +184,9 @@ FAILING_CHECKS = {
         "verlinde", "leading_term_identity", "leading_term", "top homogeneous part mismatch",
     ),
     "parity": (
-        "parity_checks", _raises(ParityViolation("planted monomial")),
-        "verlinde", "parity_structure", "parity", "planted monomial",
+        "_formula_parts", lambda g: (_P, _ZERO),
+        "verlinde", "parity_structure", "parity",
+        "residue component has odd power of p: 1*p^1*c^0",
     ),
     "flat_curve_unequal": (
         "flat_curve_check", lambda g, field: (field.one(), field.zero()),
@@ -227,6 +225,46 @@ def test_failing_shared_check_fails_certificate_and_verify(monkeypatch, capsys, 
     assert main(["verify", "--suite", "certify"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL certificates_valid: g=1: {cert_check}" in out
+
+
+# Each parity violation, planted at genus 2 in a name that `check_parity`
+# reads from `certify`: (name, plant applied to the real function, detail).
+PARITY_VIOLATIONS = {
+    "residue_odd_in_p": (
+        "_formula_parts", lambda real: lambda g: (real(g)[0] + _P, real(g)[1]),
+        "residue component has odd power of p: 1*p^1*c^0",
+    ),
+    "binomial_has_p": (
+        "_formula_parts",
+        lambda real: lambda g: (real(g)[0], real(g)[1] + BivariatePolynomial({(1, 1): 1})),
+        "binomial component depends on p: 1*p^1*c^1",
+    ),
+    "no_reconstruction": (
+        "_formula_parts", lambda real: lambda g: (real(g)[0], real(g)[1] + 1),
+        "p^(g-1) X + p^g Y does not reconstruct the polynomial",
+    ),
+    "odd_not_divisible": (
+        "odd_color_polynomial", lambda real: lambda g: real(g) + 1,
+        "odd-color polynomial not divisible by p^1",
+    ),
+    "odd_in_p_after_division": (
+        "odd_color_polynomial",
+        lambda real: lambda g: real(g) + BivariatePolynomial({(2, 1): 1}, ("p", "s")),
+        "odd-color polynomial / p^1 has odd power of p: 1*p^1*s^1",
+    ),
+    "even_in_s_after_division": (
+        "odd_color_polynomial",
+        lambda real: lambda g: real(g) + BivariatePolynomial.first(("p", "s")),
+        "odd-color polynomial / p^1 has even power of s: 1*p^0*s^0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARITY_VIOLATIONS)
+def test_parity_violation_is_reported_not_raised(monkeypatch, case):
+    name, plant, detail = PARITY_VIOLATIONS[case]
+    monkeypatch.setattr(certify, name, plant(getattr(certify, name)))
+    assert certify.check_parity(2) == ("parity", False, detail)
 
 
 # Checks that only the certificate runs per genus: (module the certificate

@@ -555,6 +555,12 @@ def test_dense_kinds_keep_the_stored_form(kind, a, b, scalar):
         3 / x
     with pytest.raises(ValueError, match="exponent must be nonnegative"):
         x ** -1
+    # every stored form, the sparse one too, refuses a denominator <= 0
+    for denominator in (0, -1):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            x._like(x.numerators, denominator)
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            BivariatePolynomial({(0, 0): 1}, PC, denominator)
     if kind == "annulus":
         with pytest.raises(TypeError):
             x + 1

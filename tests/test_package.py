@@ -53,7 +53,6 @@ def test_suite_names_match_the_suites():
 MOVED_ERRORS = [
     ("FaulhaberInconsistency", "bernoulli", ArithmeticError, 1),
     ("IntegralityError", "verlinde", ArithmeticError, 1),
-    ("ParityViolation", "verlinde", ValueError, 1),
     ("StructureViolation", "verlinde", ValueError, 1),
     ("VanishingDenominator", "skein", ZeroDivisionError, 2),
 ]
@@ -106,8 +105,8 @@ def loaded_modules(setup: str, *argv: str) -> tuple[set[str], bool]:
 
 
 BASE = {"cli", "errors"}
-VERLINDE = BASE | {"verlinde", "bernoulli", "exact"}
-CERTIFY = VERLINDE | {"cyclotomic", "skein", "certify"}
+VERLINDE = BASE | {"verlinde", "exact"}
+CERTIFY = VERLINDE | {"bernoulli", "cyclotomic", "skein", "certify"}
 # (test id, argv, the package modules it loads)
 COMMAND_LOADS = [
     ("dim", ["dim", "--genus", "2", "--p", "7", "--color", "3"], VERLINDE),

@@ -15,7 +15,12 @@ import pytest
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number, bernoulli_numbers
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim import verlinde
-from skeindim.certify import check_leading_term
+from skeindim.certify import (
+    check_leading_term,
+    check_parity,
+    check_structure,
+    leading_term_closed_form,
+)
 from skeindim.verlinde import (
     _exponential_coefficients,
     _formula_parts,
@@ -30,11 +35,9 @@ from skeindim.verlinde import (
     exponent_support,
     fusion_dimension,
     fusion_table,
-    leading_term_closed_form,
     level_dimensions,
     odd_color_polynomial,
     oracle_crosscheck,
-    parity_checks,
     verlinde_polynomial,
 )
 from series_oracle import series_inverse, series_mul
@@ -199,7 +202,7 @@ def test_leading_coefficient_bernoulli_links(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_parity_checks_pass(g):
-    assert parity_checks(g) is None
+    assert check_parity(g).passed
 
 
 def test_genus_two_reduced_odd_polynomial_structure():
@@ -602,7 +605,8 @@ def test_residue_integer_sum_matches_fraction_sum(g):
         _formula_parts,
         _integer_parts,
         _integer_form,
-        parity_checks,
+        check_structure,
+        pytest.param(check_parity, id="parity_checks"),
         pytest.param(check_leading_term, id="leading_term_check"),
         lambda g: decompose(g, "even"),
         lambda g: decompose(g, "odd"),
