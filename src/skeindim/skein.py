@@ -31,9 +31,11 @@ h = gcd(e, 2p) and k = e/h (mod 2p/h) lifted to a unit mod 2p, kh = e
 (mod 2p), so sigma_k: A -> A^k maps R(h, -h) to R(e, -e).  One power is
 built per divisor h of 2p and its conjugates are summed by
 `CyclotomicField.conjugate_sum`, reduced modulo Phi_2p once; that is
-sound because Phi_2p(x) divides Phi_2p(x^k) for k coprime to 2p.  The
-audit variant (`alternate_form=True`, `--alternate-form`) runs the same
-route: its odd summands R(e, -(e+2)) are A R(e+1, -(e+1)).
+sound because Phi_2p(x) divides Phi_2p(x^k) for k coprime to 2p.  An
+even color m is recolored to the odd color p - 2 - m (BHMV), so every
+color is one orbit sum.  The audit variant (`alternate_form=True`,
+`--alternate-form`) runs the same route: its odd summands R(e, -(e+2))
+are A R(e+1, -(e+1)).
 """
 
 from __future__ import annotations
@@ -201,21 +203,25 @@ def eval_nonseparating_curve(
     """Invariant of a flat nonseparating curve colored m in a genus-g
     surface times a circle, as an exact element of Q(zeta_2p).
 
-    Even m:  D_g(0) - sum_{i=1..m/2} (-p)^(g-1) R(2i, -2i)^(2g-2).
     Odd m:   sum_{i=1..(m+1)/2} (-p)^(g-1) R(2i-1, -(2i-1))^(2g-2).
+    Even m:  the odd formula at the recolored color p - 2 - m (BHMV).
 
     Here R(u, v) = 1/(A^u - A^v), the closed-form root-difference inverse
     of the field (every gap u - v is even).
     The odd case at m = 1 reduces to the flat-curve closed form, which
     pins the sign of the inner exponent.
 
-    The summands form Galois orbits.  Write e for 2i (even m) or 2i - 1
-    (odd m) and h = gcd(e, 2p).  Lift e/h, a unit modulo 2p/h, to the
-    smallest k = e/h (mod 2p/h) coprime to 2p; then kh = e (mod 2p), so the
-    automorphism sigma_k: A -> A^k sends R(h, -h) to R(e, -e), and it fixes
-    the rationals (-p)^(g-1) and D_g(0).  So one power R(h, -h)^(2g-2) is
-    built per divisor h of 2p, and `CyclotomicField.conjugate_sum` adds
-    all its conjugates with a single reduction modulo Phi_2p.
+    The even value D_g(0) - sum_{i=1..m/2} (-p)^(g-1) R(2i, -2i)^(2g-2)
+    sums the exponents 2i = m+2..p-1, since D_g(0) sums all d of them,
+    and A^p = -1 gives R(p - e, -(p - e)) = R(e, -e).
+
+    The summands form Galois orbits.  Write e for an exponent and
+    h = gcd(e, 2p).  Lift e/h, a unit modulo 2p/h, to the smallest
+    k = e/h (mod 2p/h) coprime to 2p; then kh = e (mod 2p), so the
+    automorphism sigma_k: A -> A^k sends R(h, -h) to R(e, -e), and it
+    fixes the rational (-p)^(g-1).  So one power R(h, -h)^(2g-2) is built
+    per divisor h of 2p, and `CyclotomicField.conjugate_sum` adds all its
+    conjugates with a single reduction modulo Phi_2p.
 
     `alternate_form=True` is for audit only: it reads the second exponent
     of the odd denominator as -(2i+1) (that variant does not match the
@@ -239,11 +245,10 @@ def eval_nonseparating_curve(
             f"vanishing quantum denominator at p={p}, color {m} "
             f"(colors run 0..{p - 2})"
         )
-    even = m % 2 == 0
-    shifted = alternate_form and not even
-    # e runs up to m + 1 <= p - 1, so no half-gap e is a multiple of p;
-    # with even m, range(2, m + 2, 2) stops at m
-    exponents = range(2, m + 2, 2) if even or shifted else range(1, m + 1, 2)
+    if m % 2 == 0:  # recolor; the alternate reading is for odd colors
+        m, alternate_form = p - 2 - m, False
+    # e runs up to m + 1 <= p - 1, so no half-gap e is a multiple of p
+    exponents = range(2, m + 2, 2) if alternate_form else range(1, m + 1, 2)
     period = 2 * p
     powers: dict[int, CyclotomicElement] = {}
     pairs = []
@@ -256,11 +261,6 @@ def eval_nonseparating_curve(
             k += period // h
         pairs.append((powers[h], k))
     total = field.conjugate_sum(pairs)
-    if shifted:
+    if alternate_form:
         total = total * field.gen_power(2 * g - 2)
-    total = total * (-p) ** (g - 1)
-    if not even:
-        return total
-    from .verlinde import dimension  # only here, so odd colors load no verlinde
-
-    return field.from_rational(dimension(g, p, 0)) - total
+    return total * (-p) ** (g - 1)

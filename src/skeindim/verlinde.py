@@ -51,7 +51,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import IntegralityError, StructureViolation
-from .exact import BivariatePolynomial, UnivariatePolynomial, _horner
+from .exact import BivariatePolynomial, UnivariatePolynomial, _convolve, _horner
 
 PC = ("p", "c")
 PS = ("p", "s")
@@ -166,8 +166,7 @@ def _integer_parts(g: int) -> tuple[int, _Pairs, _Pairs]:
     residue_scale, residue = _residue_coefficient(g)
     product = [1]
     for j in range(1, g):
-        square = (2 * j - 1) ** 2
-        product = [h - square * n for h, n in zip([0, 0, *product], [*product, 0, 0])]
+        product = _convolve((-(2 * j - 1) ** 2, 0, 1), product)
     factorial = math.factorial(2 * g - 2)
     common = math.lcm(residue_scale, factorial)
     sign = (-1) ** g

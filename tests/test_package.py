@@ -114,9 +114,8 @@ COMMAND_LOADS = [
     ("decompose", ["decompose", "--genus", "2"], VERLINDE),
     ("table", ["table", "--genus", "1:2", "--p", "3:7", "--color", "0:3"], VERLINDE),
     ("bernoulli", ["bernoulli", "--max-index", "4"], BASE | {"bernoulli", "exact"}),
-    # skein reads D_g(0) from verlinde for an even color, and only then
     ("eval-curve", ["eval-curve", "--genus", "2", "--p", "7", "--color", "2"],
-     VERLINDE | {"cyclotomic", "skein"}),
+     BASE | {"exact", "cyclotomic", "skein"}),
     ("eval-curve-odd", ["eval-curve", "--genus", "2", "--p", "7", "--color", "3"],
      BASE | {"exact", "cyclotomic", "skein"}),
     ("verify", ["verify", "--suite", "bernoulli"], CERTIFY | {"suites"}),

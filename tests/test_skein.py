@@ -32,6 +32,7 @@ from skeindim.skein import (
     quantum_integer,
     recoloring_check,
 )
+from skeindim.verlinde import dimension
 
 ODD_P = [3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31]
 
@@ -359,14 +360,17 @@ def test_recoloring_rejects_out_of_range():
 # --------------------------------------------------------- curve evaluation
 
 
-def test_curve_color_zero_is_closed_dimension():
-    from skeindim.verlinde import dimension
-
-    for g, p in [(1, 5), (2, 7), (3, 5)]:
-        field = cyclotomic_field(p)
-        assert eval_nonseparating_curve(g, 0, field) == field.from_rational(
-            dimension(g, p, 0)
-        )
+@pytest.mark.parametrize(
+    "g, p",
+    [(1, 5), (2, 7), (3, 5)] + [(g, p) for p in (101, 105, 401, 945) for g in (2, 3, 6)],
+)
+def test_curve_end_colors_are_closed_dimension(g, p):
+    # color 0 and the top color p - 2 both sum every orbit, so each equals
+    # D_g(p, 0) from the residue polynomial at any level
+    field = cyclotomic_field(p)
+    expected = field.from_rational(dimension(g, p, 0))
+    assert eval_nonseparating_curve(g, 0, field) == expected
+    assert eval_nonseparating_curve(g, p - 2, field) == expected
 
 
 def test_curve_color_one_matches_flat_curve_value():
@@ -385,7 +389,7 @@ def test_curve_vanishing_denominator():
     # at p = 3 the odd color 3 hits the summand with index 2i-1 = 3 = p
     with pytest.raises(VanishingDenominator):
         eval_nonseparating_curve(1, 3, cyclotomic_field(3))
-    # at p = 5 the even color 10 hits index i = 5 = p
+    # at p = 5 the even color 10 lies above p - 2 and has no recolored color
     with pytest.raises(VanishingDenominator):
         eval_nonseparating_curve(2, 10, cyclotomic_field(5))
 
@@ -408,10 +412,9 @@ def _summand_by_closed_form(g, p, u, v):
 def _curve_by_euclid(g, m, field, alternate_form, summand=_summand_by_euclid):
     """The curve evaluation summed one summand at a time, with no use of
     the Galois action; by default every summand is inverted by the general
-    (Euclidean) inverse instead of the closed form.  Summands are memoised
-    because colors share them."""
-    from skeindim.verlinde import dimension
-
+    (Euclidean) inverse instead of the closed form.  An even color is
+    D_g(0) minus its partial sum, not the library's recoloring.  Summands
+    are memoised because colors share them."""
     p = field.p
     if m % 2 == 0:
         total = field.from_rational(dimension(g, p, 0))
