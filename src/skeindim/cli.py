@@ -11,15 +11,18 @@ Commands:
   certify     emit the lower-bound certificate for one genus
   table       CSV of dimensions over (genus, p, color) ranges
 
-Each command builds one JSON payload and its text lines; `_emit` writes
-the form that --format selects.  Exit codes: 0 success, 1 check failure
+Each command builds one JSON payload and its text chunks; `_emit`, the
+one writer, writes the form that --format selects, each chunk as soon as
+it is produced.  `table` yields one chunk per level, so its memory does
+not grow with the row count.  Exit codes: 0 success, 1 check failure
 (a failed verify or certify check, or an internal consistency error),
-2 usage or validation error.  `main` alone maps exceptions to these codes
-and prints the message as one JSON line {"error": ...} on stderr.  The
-exceptions it maps live in `skeindim.errors`, so this module imports no
-arithmetic; each command imports the modules it runs.  A reader that
-closes the pipe early (`| head`) ends the output quietly, and the command
-keeps its exit code.
+2 usage or validation error, unwritable output included.  `main` alone
+maps exceptions to these codes and prints the message as one JSON line
+{"error": ...} on stderr.  The exceptions it maps live in
+`skeindim.errors`, so this module imports no arithmetic; each command
+imports the modules it runs.  A reader that closes the pipe early
+(`| head`) ends the output quietly and the computation with it, and the
+command keeps its exit code.
 
 Exact-mode output never contains a floating-point number; floats appear
 only under the explicit --embed flag of eval-curve.
@@ -33,6 +36,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 
 from .errors import (
     FaulhaberInconsistency,
@@ -53,32 +58,34 @@ EXIT_USAGE = 2
 
 
 class _OutputError(Exception):
-    """The --output path could not be written."""
+    """stdout or the --output path could not be written."""
 
 
-def _emit(args: argparse.Namespace, payload: dict | None, lines: list[str]) -> None:
-    """The payload as JSON under --format json, else the lines, to stdout or --output."""
+def _emit(args: argparse.Namespace, payload: dict | None, chunks: Iterable[str]) -> None:
+    """The payload as JSON under --format json, else each text chunk and a
+    newline as soon as the chunk is produced, to stdout or --output."""
     if getattr(args, "format", "text") == "json":
-        text = json.dumps(payload, indent=2)
-    else:
-        text = "\n".join(lines)
+        chunks = [json.dumps(payload, indent=2)]
     output = getattr(args, "output", None)
-    if output is None:
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader stopped early (`| head`).  Point stdout at devnull
-            # so the flush at shutdown cannot raise again; the command
-            # keeps its own exit code.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return
-    if not os.path.isabs(output):
+    if output is not None and not os.path.isabs(output):
         output = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), output)
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError as exc:
+        # opened before the first chunk is pulled, so a bad path costs no work
+        with (nullcontext(sys.stdout) if output is None
+              else open(output, "w", encoding="utf-8")) as stream:
+            for chunk in chunks:
+                stream.write(chunk + "\n")
+            stream.flush()
+    except OSError as exc:  # the output's: exact arithmetic raises no OSError
+        if output is None:
+            # Point stdout at devnull so the flush at shutdown cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                # The reader stopped early (`| head`): pull no further chunk;
+                # the command keeps its own exit code.
+                return
         raise _OutputError(f"cannot write output: {exc}") from exc
 
 
@@ -231,15 +238,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
     color_range = _parse_range(args.color)
     if genus_range[0] < 1:
         raise ValueError("genus must be at least 1")
-    lines = ["genus,p,color,dimension"]
-    for g in range(genus_range[0], genus_range[1] + 1):
-        for p in range(max(p_range[0], 3), p_range[1] + 1):
-            if p % 2 == 0:
-                continue
-            colors = range(max(color_range[0], 0), min(color_range[1], p - 2) + 1)
-            values = level_dimensions(g, p, colors)
-            lines += [f"{g},{p},{m},{value}" for m, value in zip(colors, values)]
-    _emit(args, None, lines)
+
+    def chunks():
+        # one chunk per level, so a closed reader stops the computation
+        yield "genus,p,color,dimension"
+        for g in range(genus_range[0], genus_range[1] + 1):
+            for p in range(max(p_range[0], 3) | 1, p_range[1] + 1, 2):  # odd levels
+                colors = range(max(color_range[0], 0), min(color_range[1], p - 2) + 1)
+                if colors:
+                    values = level_dimensions(g, p, colors)
+                    yield "\n".join(f"{g},{p},{m},{value}" for m, value in zip(colors, values))
+
+    _emit(args, None, chunks())
     return EXIT_OK
 
 

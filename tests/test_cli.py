@@ -396,6 +396,7 @@ def test_table_windows_match_per_value_loop(capsys, genus, levels, colors):
 
 
 NON_INTEGRAL = BivariatePolynomial({(0, 1): 1, (0, 0): Fraction(1, 3)}, ("p", "c"))
+HEADER = "genus,p,color,dimension\n"
 
 
 @pytest.mark.parametrize(
@@ -409,10 +410,27 @@ def test_integrality_error_is_check_failure(monkeypatch, capsys, argv):
     monkeypatch.setattr(verlinde, "verlinde_polynomial", lambda g: NON_INTEGRAL)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
-    assert out == ""
+    # the table streams: its header is out before the first level fails
+    assert out == (HEADER if argv[0] == "table" else "")
     assert json.loads(err) == {
         "error": "dimension at genus 2, p=7, color 2 evaluated to 4/3"
     }
+
+
+def test_table_error_keeps_the_finished_levels(monkeypatch, capsys):
+    real = verlinde.level_dimensions
+
+    def fails_at_nine(g, p, colors):
+        if p == 9:
+            raise verlinde.IntegralityError("planted at p=9")
+        return real(g, p, colors)
+
+    monkeypatch.setattr(verlinde, "level_dimensions", fails_at_nine)
+    code, out, err = run_cli(capsys, "table", "--genus", "2", "--p", "3:13", "--color", "0:4")
+    assert code == 1
+    # every row of p = 3, 5, 7 and none of the failing level
+    assert out == _per_value_table((2, 2), (3, 7), (0, 4))
+    assert json.loads(err) == {"error": "planted at p=9"}
 
 
 def test_table_deterministic(capsys):
@@ -428,8 +446,10 @@ def test_usage_error_exit_code_on_unknown_command(capsys):
 
 
 def test_usage_error_on_bad_range(capsys):
-    code, _, _ = run_cli(capsys, "table", "--genus", "3:1", "--p", "5", "--color", "0")
+    code, out, _ = run_cli(capsys, "table", "--genus", "3:1", "--p", "5", "--color", "0")
     assert code == 2
+    # every range is checked before the header
+    assert out == ""
 
 
 @pytest.mark.parametrize(

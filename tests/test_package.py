@@ -162,3 +162,75 @@ def test_closed_pipe_keeps_a_failed_verify_exit_code(monkeypatch):
     with open(write_end, "w") as closed:
         monkeypatch.setattr(sys, "stdout", closed)
         assert main(["verify", "--suite", "bernoulli"]) == 1
+
+
+def test_closed_pipe_stops_the_table(monkeypatch, capsys):
+    # the table streams one level at a time, so once the reader is gone no
+    # further level is computed
+    levels = []
+    real = verlinde.level_dimensions
+
+    def counted(g, p, colors):
+        levels.append(p)
+        return real(g, p, colors)
+
+    monkeypatch.setattr(verlinde, "level_dimensions", counted)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        # 500 levels of up to 31 rows, 266 kB in all
+        assert main(["table", "--genus", "2", "--p", "3:1001", "--color", "0:30"]) == 0
+    assert capsys.readouterr().err == ""
+    assert 0 < len(levels) < 50
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_write_error_is_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = launch("from skeindim.cli import main; raise SystemExit(main())",
+                      "dim", "--genus", "1", "--p", "5", "--color", "0",
+                      stdout=full, stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    # one JSON line, and no "Exception ignored" from the flush at shutdown
+    [line] = err.splitlines()
+    assert json.loads(line)["error"].startswith("cannot write output: ")
+
+
+# Runs one command and, at exit, reports the process's own peak RSS
+# (VmHWM, kB) on stderr, as perfbench's bootstrap does.
+PEAK_PROBE = """\
+import atexit, sys
+def report():
+    with open("/proc/self/status") as status:
+        print(next(line for line in status if line.startswith("VmHWM:")).split()[1],
+              file=sys.stderr)
+atexit.register(report)
+from skeindim.cli import main
+raise SystemExit(main())
+"""
+
+
+def peak_rss_kib(*argv: str) -> int:
+    proc = launch(PEAK_PROBE, *argv,
+                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return int(err.split()[-1])
+
+
+def has_peak_rss() -> bool:
+    try:
+        with open("/proc/self/status") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not has_peak_rss(), reason="no VmHWM in /proc/self/status")
+def test_table_memory_does_not_grow_with_the_row_count():
+    small = peak_rss_kib("table", "--genus", "1:2", "--p", "3:9", "--color", "0:7")
+    # 241,201 rows
+    large = peak_rss_kib("table", "--genus", "1:6", "--p", "3:401", "--color", "0:399")
+    assert abs(large - small) < 4 * 1024, (small, large)
