@@ -11,9 +11,10 @@ assembled from three ingredients:
     2^(2g+1) - 2 mod-2 homology classes with at least one dimension each.
 
 The checks behind a certificate all live here, each returning one
-CheckResult: the decomposition structure, the curve witness, the
-leading term against its Bernoulli closed form (`leading_term_closed_form`)
-and the parity constraints; `verify` runs the same per-genus functions.
+CheckResult: the decomposition structure, the curve witness, the residue
+polynomial against the fusion recursion (`check_crosscheck`), the leading
+term against its Bernoulli closed form (`leading_term_closed_form`) and
+the parity constraints; `verify` runs the same functions.
 
 One ingredient is taken as an assumption rather than computed: the family
 of power functions p^j on the admissible roots of unity is linearly
@@ -37,6 +38,7 @@ from .verlinde import (
     CHECK_LEVELS,
     PC,
     _formula_parts,
+    _p_parts,
     decompose,
     odd_color_polynomial,
     oracle_crosscheck,
@@ -83,10 +85,7 @@ def _value_rows(g: int, kind: str) -> list[list[int]]:
     evaluated at each integer argument by Horner's rule on its numerators,
     that is, scaled by its denominator (the lcm of its coefficient
     denominators), which leaves the rank unchanged."""
-    if kind not in ("even", "odd"):
-        raise ValueError("kind must be 'even' or 'odd'")
-    source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
-    parts = source.split_by_first()
+    _, parts = _p_parts(g, kind)
     exponents = sorted(parts)
     columns = len(exponents) + RANK_COLUMN_SLACK
     if kind == "even":
@@ -143,9 +142,9 @@ class Certificate(NamedTuple):
         }
 
 
-# The per-genus checks below each return one CheckResult and never raise on
-# a failed identity; `verify` runs the same functions over its genus range.
-# A genus below one is a usage error and raises ValueError.
+# The checks below each return one CheckResult and never raise on a failed
+# identity; `verify` runs the same functions, the per-genus ones over its
+# genus range.  A genus below one is a usage error and raises ValueError.
 
 
 def check_structure(g: int) -> CheckResult:
@@ -176,6 +175,19 @@ def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
         "nonseparating_curve_witness",
         True,
         f"curve invariant nonzero and consistent for p in {list(p_values)}",
+    )
+
+
+def check_crosscheck(g_max: int, counted: str) -> CheckResult:
+    """The odd-color polynomial against the fusion recursion at every
+    CHECK_LEVELS point of every genus up to g_max (`oracle_crosscheck`);
+    the detail counts the compared values as `counted`."""
+    checked, mismatches = oracle_crosscheck(g_max)
+    return CheckResult(
+        "residue_vs_fusion",
+        not mismatches,
+        f"{checked} {counted} compared"
+        + (f", {len(mismatches)} mismatches" if mismatches else ""),
     )
 
 
@@ -267,42 +279,26 @@ def build_certificate(g: int) -> Certificate:
 
     checks.append(check_structure(g))
 
-    even_rank = phi_rank(g, "even")
-    checks.append(
-        CheckResult(
-            "phi_rank_even",
-            even_rank == g + 1,
-            f"rank {even_rank}, required {g + 1}",
+    ranks = {}
+    for kind, required in (("even", g + 1), ("odd", g)):
+        ranks[kind] = phi_rank(g, kind)
+        checks.append(
+            CheckResult(
+                f"phi_rank_{kind}",
+                ranks[kind] == required,
+                f"rank {ranks[kind]}, required {required}",
+            )
         )
-    )
-    odd_rank = phi_rank(g, "odd")
-    checks.append(
-        CheckResult(
-            "phi_rank_odd",
-            odd_rank == g,
-            f"rank {odd_rank}, required {g}",
-        )
-    )
 
     checks.append(check_witness(g, CHECK_LEVELS))
-
-    checked, mismatches = oracle_crosscheck(g)
-    checks.append(
-        CheckResult(
-            "residue_vs_fusion",
-            not mismatches,
-            f"{checked} dimension values compared"
-            + (f", {len(mismatches)} mismatches" if mismatches else ""),
-        )
-    )
-
+    checks.append(check_crosscheck(g, "dimension values"))
     checks.append(check_leading_term(g))
     checks.append(check_parity(g))
 
     return Certificate(
         genus=g,
-        dim_00=even_rank,
-        dim_01=odd_rank,
+        dim_00=ranks["even"],
+        dim_01=ranks["odd"],
         other_class_count=2 ** (2 * g + 1) - 2,
         other_each=1,
         lower_bound=lower_bound(g),

@@ -255,6 +255,15 @@ def exponent_support(g: int, kind: str) -> set[int]:
     return base | {g} if kind == "even" else base
 
 
+def _p_parts(g: int, kind: str) -> tuple[BivariatePolynomial, dict[int, UnivariatePolynomial]]:
+    """The even- or odd-color dimension polynomial and its parts {j: part
+    at p^j}, for `decompose` to validate and the rank rows to read."""
+    if kind not in ("even", "odd"):
+        raise ValueError("kind must be 'even' or 'odd'")
+    source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
+    return source, source.split_by_first()
+
+
 def decompose(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
     """Split the dimension polynomial by powers of p and validate its
     structure: support exactly the expected exponent set, and the part at
@@ -266,10 +275,7 @@ def decompose(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    if kind not in ("even", "odd"):
-        raise ValueError("kind must be 'even' or 'odd'")
-    source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
-    parts = source.split_by_first()
+    source, parts = _p_parts(g, kind)
     expected = exponent_support(g, kind)
     for j in sorted(set(parts) - expected):
         raise StructureViolation(
@@ -306,7 +312,6 @@ def _check_level(p: int) -> int:
     return (p - 1) // 2
 
 
-@lru_cache(maxsize=64)
 def fusion_table(p: int) -> tuple[tuple[int, ...], ...]:
     """Rows K[s-1][y-1] = (p - 2*max(s, y)) * min(s, y), 1 <= s, y <= (p-1)/2,
     as a tuple of tuples of ints; symmetric, all entries >= 1."""

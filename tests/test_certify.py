@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim import certify, verlinde
+from skeindim import certify, suites, verlinde
 from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
     RANK_COLUMN_SLACK,
@@ -316,6 +316,37 @@ def test_planted_crosscheck_mismatch_fails_verlinde_suite(monkeypatch, capsys):
     failed = [line for line in lines if line.startswith("FAIL")]
     assert failed == ["FAIL residue_vs_fusion: 105 values compared, 1 mismatches"]
     assert lines[-1].startswith("CHECK FAILURES PRESENT")
+
+
+def test_planted_oracle_crosscheck_fails_certificate_and_verlinde_suite(monkeypatch, capsys):
+    # both report through `check_crosscheck`, which reads the crosscheck
+    # from `certify`
+    mismatch = (1, 3, 1, Fraction(2), 1)
+    monkeypatch.setattr(certify, "oracle_crosscheck", lambda g_max: (7, [mismatch]))
+
+    cert = build_certificate(2)
+    assert [(c.name, c.detail) for c in cert.checks if not c.passed] == [
+        ("residue_vs_fusion", "7 dimension values compared, 1 mismatches")
+    ]
+
+    assert main(["verify", "--suite", "verlinde"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL residue_vs_fusion: 7 values compared, 1 mismatches"]
+
+
+def test_wrong_even_leading_coefficient_fails_verlinde_suite(monkeypatch, capsys):
+    real = suites.decompose
+
+    def planted(g, kind):
+        parts = real(g, kind)
+        if (g, kind) == (2, "even"):
+            parts = {**parts, 3: parts[3] * 2}
+        return parts
+
+    monkeypatch.setattr(suites, "decompose", planted)
+    assert main(["verify", "--suite", "verlinde"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL leading_coefficient_bernoulli_multiples: even g=2 j=3"]
 
 
 def test_certificate_schema_fields():

@@ -7,6 +7,7 @@ interpreters, where nothing is loaded yet.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -47,6 +48,20 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_suite_names_match_the_suites():
     assert cli.SUITE_NAMES == tuple(suites.SUITES)
+
+
+def test_absolute_imports_are_standard_library():
+    # the package has no runtime dependencies, however much the test
+    # environment has installed
+    names = set()
+    for path in (SRC / "skeindim").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    assert "fractions" in names
+    assert {name for name in names if name.split(".")[0] not in sys.stdlib_module_names} == set()
 
 
 # (exception, the module that raises it, base class, exit code)

@@ -23,6 +23,7 @@ from skeindim.skein import (
     AnnulusSkein,
     VanishingDenominator,
     _e_to_z,
+    _flat_curve_bases,
     _z_to_e,
     bracket_e,
     d_squared,
@@ -306,6 +307,15 @@ def test_flat_curve_all_small_levels(p, g):
     lhs, rhs = flat_curve_check(g, cyclotomic_field(p))
     assert lhs == rhs
     assert lhs  # nonvanishing witness
+
+
+def test_flat_curve_bases_cache_stays_within_its_bound():
+    maxsize = _flat_curve_bases.cache_info().maxsize
+    assert maxsize is not None
+    levels = range(3, 2 * maxsize + 14, 2)  # maxsize + 6 fields
+    for p in levels:
+        _flat_curve_bases(cyclotomic_field(p))
+        assert _flat_curve_bases.cache_info().currsize <= maxsize
 
 
 def _flat_rhs_by_euclid(g, field):

@@ -463,20 +463,6 @@ def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
 # --------------------------------------------------------------- caches
 
 
-@pytest.mark.parametrize(
-    "cache, call, keys",
-    [
-        (fusion_table, fusion_table, range(3, 160, 2)),
-    ],
-)
-def test_fusion_caches_stay_within_their_bound(cache, call, keys):
-    maxsize = cache.cache_info().maxsize
-    assert maxsize is not None and len(keys) > maxsize
-    for key in keys:
-        call(key)
-        assert cache.cache_info().currsize <= maxsize
-
-
 @pytest.fixture
 def genus_caches():
     """The three per-genus caches, emptied before and after the test: the
