@@ -46,7 +46,6 @@ _EXPORTS = {
     "fusion_table": "verlinde",
     "level_dimensions": "verlinde",
     "odd_color_polynomial": "verlinde",
-    "oracle_crosscheck": "verlinde",
     "verlinde_polynomial": "verlinde",
 }
 

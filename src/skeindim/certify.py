@@ -14,7 +14,9 @@ The checks behind a certificate all live here, each returning one
 CheckResult: the decomposition structure, the curve witness, the residue
 polynomial against the fusion recursion (`check_crosscheck`), the leading
 term against its Bernoulli closed form (`leading_term_closed_form`) and
-the parity constraints; `verify` runs the same functions.
+the parity constraints; `verify` runs the same functions.  Each reads
+what `verlinde` builds and stores; the crosscheck and the curve witness
+run at the levels in CHECK_LEVELS.
 
 One ingredient is taken as an assumption rather than computed: the family
 of power functions p^j on the admissible roots of unity is linearly
@@ -35,13 +37,12 @@ from .errors import StructureViolation
 from .exact import BivariatePolynomial, _horner, rank
 from .skein import flat_curve_check
 from .verlinde import (
-    CHECK_LEVELS,
     PC,
-    _formula_parts,
+    _fusion_walk,
+    _integer_parts,
     _p_parts,
     decompose,
     odd_color_polynomial,
-    oracle_crosscheck,
     verlinde_polynomial,
 )
 
@@ -49,6 +50,10 @@ POWER_BASIS_ASSUMPTION = (
     "distinct power functions p^j on the admissible roots of unity are "
     "linearly independent over the scalar field"
 )
+
+#: The odd levels at which the residue polynomial is compared with the
+#: fusion recursion and the curve witness is checked.
+CHECK_LEVELS = tuple(range(3, 14, 2))
 
 #: Extra value columns beyond the minimal square matrix, so a rank
 #: deficiency would be a genuine property rather than bad truncation.
@@ -180,15 +185,26 @@ def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
 
 def check_crosscheck(g_max: int, counted: str) -> CheckResult:
     """The odd-color polynomial against the fusion recursion at every
-    CHECK_LEVELS point of every genus up to g_max (`oracle_crosscheck`);
-    the detail counts the compared values as `counted`."""
-    checked, mismatches = oracle_crosscheck(g_max)
-    return CheckResult(
-        "residue_vs_fusion",
-        not mismatches,
-        f"{checked} {counted} compared"
-        + (f", {len(mismatches)} mismatches" if mismatches else ""),
-    )
+    (p, s) with p in CHECK_LEVELS, 1 <= s <= (p-1)/2, for every genus up
+    to g_max: one walk per level, one fold per (g, p) and one integer
+    Horner evaluation per s.  The detail counts the compared values as
+    `counted` and names up to three mismatches."""
+    if g_max < 1:
+        raise ValueError("genus must be at least 1")
+    walks = {p: list(_fusion_walk(g_max, p)) for p in CHECK_LEVELS}
+    checked, mismatches = 0, []
+    for g in range(1, g_max + 1):
+        poly = odd_color_polynomial(g)
+        for p in CHECK_LEVELS:
+            denominator, values = poly.fold_first(p)
+            for s, rhs in enumerate(walks[p][g - 1], 1):
+                checked += 1
+                if _horner(values, s, 1) != rhs * denominator:
+                    mismatches.append(f"g={g} p={p} s={s}")
+    detail = f"{checked} {counted} compared"
+    if mismatches:
+        detail += f", {len(mismatches)} mismatches ({'; '.join(mismatches[:3])})"
+    return CheckResult("residue_vs_fusion", not mismatches, detail)
 
 
 def leading_term_closed_form(g: int) -> BivariatePolynomial:
@@ -226,42 +242,35 @@ def check_parity(g: int) -> CheckResult:
     (b) the odd-color polynomial divided by p^(g-1) is a polynomial, even
         in p and odd in s.
 
+    Both parts read stored exponent keys; a Fraction is built only to
+    name a failure.  Part (a) reads X and Y in (p, u), u = 2c + 1, from
+    `_integer_parts`: the substitution acts on each p-row alone and is
+    invertible, so the p-exponents are those in (p, c).  D_g is built as
+    p^(g-1) X + p^g Y, so that sum is not compared again; the leading_term,
+    residue_vs_fusion and all_colors_integral checks cover what is built
+    from it.  Part (b) reads the odd-color p-parts of `_p_parts`.
+
     The first violation fails the check, naming the offending monomial.
     """
-    x_part, y_part = _formula_parts(g)
-    for (i, j), coeff in x_part.terms():
-        if i % 2 != 0:
-            return CheckResult(
-                "parity", False, f"residue component has odd power of p: {coeff}*p^{i}*c^{j}"
-            )
-    for (i, j), coeff in y_part.terms():
-        if i != 0:
-            return CheckResult(
-                "parity", False, f"binomial component depends on p: {coeff}*p^{i}*c^{j}"
-            )
-    p = BivariatePolynomial.first(PC)
-    if p ** (g - 1) * x_part + p**g * y_part != verlinde_polynomial(g):
-        return CheckResult(
-            "parity", False, "p^(g-1) X + p^g Y does not reconstruct the polynomial"
-        )
+    scale, x_part, y_part = _integer_parts(g)
+    bad = [("residue component has odd power of p", key, n) for key, n in x_part if key[0] % 2]
+    bad += [("binomial component depends on p", key, n) for key, n in y_part if key[0]]
+    if bad:
+        what, (i, b), n = bad[0]
+        return CheckResult("parity", False, f"{what}: {Fraction(n, scale)}*p^{i}*u^{b}")
 
-    try:
-        reduced = odd_color_polynomial(g).divide_by_first_power(g - 1)
-    except ValueError:
-        return CheckResult("parity", False, f"odd-color polynomial not divisible by p^{g-1}")
-    for (i, j), coeff in reduced.terms():
-        if i % 2 != 0:
-            return CheckResult(
-                "parity",
-                False,
-                f"odd-color polynomial / p^{g-1} has odd power of p: {coeff}*p^{i}*s^{j}",
-            )
-        if j % 2 != 1:
-            return CheckResult(
-                "parity",
-                False,
-                f"odd-color polynomial / p^{g-1} has even power of s: {coeff}*p^{i}*s^{j}",
-            )
+    _, parts = _p_parts(g, "odd")
+    for i, part in sorted(parts.items()):
+        shift = i - (g - 1)
+        if shift < 0:
+            return CheckResult("parity", False, f"odd-color polynomial not divisible by p^{g-1}")
+        bad = [j for j in part.exponents() if shift % 2 or j % 2 == 0]
+        if bad:
+            kind = "odd power of p" if shift % 2 else "even power of s"
+            j = min(bad)
+            coeff = Fraction(part.numerators[j], part.denominator)
+            what = f"odd-color polynomial / p^{g-1} has {kind}"
+            return CheckResult("parity", False, f"{what}: {coeff}*p^{shift}*s^{j}")
     return CheckResult("parity", True, "even-in-p and odd-in-s structure holds")
 
 

@@ -450,19 +450,6 @@ class BivariatePolynomial(_Ring):
             row[j] = value
         return {i: UnivariatePolynomial(row, self.denominator) for i, row in rows.items()}
 
-    def divide_by_first_power(self, k: int) -> BivariatePolynomial:
-        """Exact division by first^k; fails if some term has a lower power."""
-        if k < 0:
-            raise ValueError("power must be nonnegative")
-        out: dict = {}
-        for (i, j), value in self._terms.items():
-            if i < k:
-                raise ValueError(
-                    f"not divisible by {self._vars[0]}^{k}: term with exponent {i}"
-                )
-            out[(i - k, j)] = value
-        return BivariatePolynomial(out, self._vars, self.denominator)
-
     def render(self) -> str:
         v1, v2 = self._vars
         rendered = []

@@ -19,6 +19,7 @@ from .bernoulli import (
     faulhaber_poly,
 )
 from .certify import (
+    CHECK_LEVELS,
     CheckResult,
     build_certificate,
     check_crosscheck,
@@ -41,7 +42,6 @@ from .skein import (
     recoloring_check,
 )
 from .verlinde import (
-    CHECK_LEVELS,
     _exponential_coefficients,
     _fusion_walk,
     decompose,

@@ -36,10 +36,11 @@ Two substitutions leave the integer form:
   odd colors    u = p - 2s, that is c = (p-1)/2 - s, expanded by the
                 binomial theorem, gives the odd-color polynomial in (p, s).
 
-Two completely independent routes to the same numbers exist and are cross
-checked: the residue polynomial evaluated at integers, and the fusion-rule
-recursion over the integer weights K[s][y] = (p - 2*max(s,y)) * min(s,y)
-starting from the genus-one values D_1 = s.
+Two completely independent routes to the same numbers exist: the residue
+polynomial evaluated at integers, and the fusion-rule recursion over the
+integer weights K[s][y] = (p - 2*max(s,y)) * min(s,y) starting from the
+genus-one values D_1 = s.  `certify.check_crosscheck` compares them; the
+certificate checks read the integers stored here.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ from .exact import BivariatePolynomial, UnivariatePolynomial, _convolve, _horner
 
 PC = ("p", "c")
 PS = ("p", "s")
-
-#: The odd levels at which the residue polynomial is compared with the
-#: fusion recursion and the curve witness is checked.
-CHECK_LEVELS = tuple(range(3, 14, 2))
 
 #: Integer numerators {(i, j): n} of a polynomial over a separate denominator,
 #: and the same as a tuple of ((i, j), n) pairs.
@@ -208,14 +205,6 @@ def _in_c(scale: int, pairs: Iterable[tuple[tuple[int, int], int]]) -> Bivariate
         for k, n in enumerate(row):
             out[(i, k)] = n << k
     return BivariatePolynomial(out, PC, scale)
-
-
-def _formula_parts(g: int) -> tuple[BivariatePolynomial, BivariatePolynomial]:
-    """(X, Y) in (p, c) with D_g = p^(g-1) X + p^g Y; X collects the
-    residue term, Y the binomial term (Y carries no p).  Read by
-    `certify.check_parity`."""
-    scale, x_part, y_part = _integer_parts(g)
-    return _in_c(scale, x_part), _in_c(scale, y_part)
 
 
 @lru_cache(maxsize=64)
@@ -392,30 +381,3 @@ def dimension(g: int, p: int, m: int) -> int:
     nonnegative integer; anything else raises IntegralityError.
     """
     return level_dimensions(g, p, (m,))[0]
-
-
-def oracle_crosscheck(
-    g_max: int,
-) -> tuple[int, list[tuple[int, int, int, Fraction, int]]]:
-    """Evaluate the odd-color polynomial at every (p, s) with p in
-    CHECK_LEVELS, 1 <= s <= (p-1)/2, g <= g_max, and compare with the
-    fusion recursion, walked once per level up to g_max.  The polynomial
-    is folded once per (g, p) and each s costs one integer Horner
-    evaluation.  Returns (checked, mismatches), each mismatch
-    (g, p, s, polynomial value, fusion value) in (g, p, s) order;
-    mismatches are reported, not raised."""
-    if g_max < 1:
-        raise ValueError("genus must be at least 1")
-    walks = {p: list(_fusion_walk(g_max, p)) for p in CHECK_LEVELS}
-    checked = 0
-    mismatches = []
-    for g in range(1, g_max + 1):
-        poly = odd_color_polynomial(g)
-        for p in CHECK_LEVELS:
-            denominator, values = poly.fold_first(p)
-            for s, rhs in enumerate(walks[p][g - 1], 1):
-                numerator = _horner(values, s, 1)
-                checked += 1
-                if numerator != rhs * denominator:
-                    mismatches.append((g, p, s, Fraction(numerator, denominator), rhs))
-    return checked, mismatches

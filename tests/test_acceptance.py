@@ -24,7 +24,13 @@ from skeindim.bernoulli import (
     bernoulli_polynomial,
     faulhaber_poly,
 )
-from skeindim.certify import build_certificate, check_leading_term, check_parity, lower_bound
+from skeindim.certify import (
+    build_certificate,
+    check_crosscheck,
+    check_leading_term,
+    check_parity,
+    lower_bound,
+)
 from skeindim.cyclotomic import cyclotomic_field
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim.skein import (
@@ -40,7 +46,6 @@ from skeindim.verlinde import (
     dimension,
     fusion_dimension,
     odd_color_polynomial,
-    oracle_crosscheck,
     verlinde_polynomial,
 )
 
@@ -82,12 +87,12 @@ def test_criterion_02_residue_equals_fusion_every_color():
                 compared += 1
                 if dimension(g, p, m) != fusion_dimension(g, p, s):
                     mismatches += 1
-    checked, direct_mismatches = oracle_crosscheck(5)
+    direct = check_crosscheck(5, "direct")
     elapsed = time.perf_counter() - start
     _report(
         "2 residue formula vs fusion recursion",
-        mismatches == 0 and not direct_mismatches and elapsed < 30.0,
-        f"{compared} colors + {checked} direct, {elapsed:.2f}s",
+        mismatches == 0 and direct.passed and elapsed < 30.0,
+        f"{compared} colors + {direct.detail}, {elapsed:.2f}s",
     )
 
 

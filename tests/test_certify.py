@@ -170,7 +170,6 @@ def _raises(exc):
 
 
 _ZERO = BivariatePolynomial.zero()
-_P = BivariatePolynomial.first()
 
 # (name patched in certify, fake, verify suite, verify check, certificate
 # check, certificate detail)
@@ -184,9 +183,9 @@ FAILING_CHECKS = {
         "verlinde", "leading_term_identity", "leading_term", "top homogeneous part mismatch",
     ),
     "parity": (
-        "_formula_parts", lambda g: (_P, _ZERO),
+        "_integer_parts", lambda g: (1, (((1, 0), 1),), ()),
         "verlinde", "parity_structure", "parity",
-        "residue component has odd power of p: 1*p^1*c^0",
+        "residue component has odd power of p: 1*p^1*u^0",
     ),
     "flat_curve_unequal": (
         "flat_curve_check", lambda g, field: (field.one(), field.zero()),
@@ -227,33 +226,45 @@ def test_failing_shared_check_fails_certificate_and_verify(monkeypatch, capsys, 
     assert f"FAIL certificates_valid: g=1: {cert_check}" in out
 
 
+def _with_monomial(index, key):
+    """A plant for `_integer_parts`: its (L, X, Y) with the monomial
+    1*p^i*u^b, key (i, b), added to X (index 1) or Y (index 2)."""
+
+    def plant(real):
+        def planted(g):
+            parts = list(real(g))
+            parts[index] += ((key, parts[0]),)
+            return tuple(parts)
+
+        return planted
+
+    return plant
+
+
 # Each parity violation, planted at genus 2 in a name that `check_parity`
-# reads from `certify`: (name, plant applied to the real function, detail).
+# reads: (module, name, plant applied to the real function, detail).  The
+# X and Y components come from `certify._integer_parts`, the odd-color
+# parts from `verlinde.odd_color_polynomial` through `_p_parts`.
 PARITY_VIOLATIONS = {
     "residue_odd_in_p": (
-        "_formula_parts", lambda real: lambda g: (real(g)[0] + _P, real(g)[1]),
-        "residue component has odd power of p: 1*p^1*c^0",
+        certify, "_integer_parts", _with_monomial(1, (1, 0)),
+        "residue component has odd power of p: 1*p^1*u^0",
     ),
     "binomial_has_p": (
-        "_formula_parts",
-        lambda real: lambda g: (real(g)[0], real(g)[1] + BivariatePolynomial({(1, 1): 1})),
-        "binomial component depends on p: 1*p^1*c^1",
-    ),
-    "no_reconstruction": (
-        "_formula_parts", lambda real: lambda g: (real(g)[0], real(g)[1] + 1),
-        "p^(g-1) X + p^g Y does not reconstruct the polynomial",
+        certify, "_integer_parts", _with_monomial(2, (1, 1)),
+        "binomial component depends on p: 1*p^1*u^1",
     ),
     "odd_not_divisible": (
-        "odd_color_polynomial", lambda real: lambda g: real(g) + 1,
+        verlinde, "odd_color_polynomial", lambda real: lambda g: real(g) + 1,
         "odd-color polynomial not divisible by p^1",
     ),
     "odd_in_p_after_division": (
-        "odd_color_polynomial",
+        verlinde, "odd_color_polynomial",
         lambda real: lambda g: real(g) + BivariatePolynomial({(2, 1): 1}, ("p", "s")),
         "odd-color polynomial / p^1 has odd power of p: 1*p^1*s^1",
     ),
     "even_in_s_after_division": (
-        "odd_color_polynomial",
+        verlinde, "odd_color_polynomial",
         lambda real: lambda g: real(g) + BivariatePolynomial.first(("p", "s")),
         "odd-color polynomial / p^1 has even power of s: 1*p^0*s^0",
     ),
@@ -262,25 +273,25 @@ PARITY_VIOLATIONS = {
 
 @pytest.mark.parametrize("case", PARITY_VIOLATIONS)
 def test_parity_violation_is_reported_not_raised(monkeypatch, case):
-    name, plant, detail = PARITY_VIOLATIONS[case]
-    monkeypatch.setattr(certify, name, plant(getattr(certify, name)))
+    module, name, plant, detail = PARITY_VIOLATIONS[case]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
     assert certify.check_parity(2) == ("parity", False, detail)
 
 
 # Checks that only the certificate runs per genus: (module the certificate
 # reads the name from, name, plant applied to the real function, detail
 # at genus 2).  The crosscheck mismatch is planted in the fusion walk,
-# at (g, p, s) = (1, 3, 1), which `oracle_crosscheck` reads from `verlinde`
+# at (g, p, s) = (1, 3, 1), which `check_crosscheck` reads from `certify`
 # for both `certify` and `verify`; the rank shortfall hits only the
 # even-color matrix.
 CERTIFICATE_ONLY_FAILURES = {
     "residue_vs_fusion": (
-        verlinde, "_fusion_walk",
+        certify, "_fusion_walk",
         lambda real: lambda g_max, p: (
             (v[0] + 1, *v[1:]) if (g, p) == (1, 3) else v
             for g, v in enumerate(real(g_max, p), 1)
         ),
-        "42 dimension values compared, 1 mismatches",
+        "42 dimension values compared, 1 mismatches (g=1 p=3 s=1)",
     ),
     "phi_rank_even": (
         certify, "phi_rank",
@@ -314,24 +325,26 @@ def test_planted_crosscheck_mismatch_fails_verlinde_suite(monkeypatch, capsys):
     assert main(["verify", "--suite", "verlinde"]) == 1
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("FAIL")]
-    assert failed == ["FAIL residue_vs_fusion: 105 values compared, 1 mismatches"]
+    assert failed == ["FAIL residue_vs_fusion: 105 values compared, 1 mismatches (g=1 p=3 s=1)"]
     assert lines[-1].startswith("CHECK FAILURES PRESENT")
 
 
 def test_planted_oracle_crosscheck_fails_certificate_and_verlinde_suite(monkeypatch, capsys):
-    # both report through `check_crosscheck`, which reads the crosscheck
-    # from `certify`
-    mismatch = (1, 3, 1, Fraction(2), 1)
-    monkeypatch.setattr(certify, "oracle_crosscheck", lambda g_max: (7, [mismatch]))
+    # both report through `check_crosscheck`, which reads the odd-color
+    # polynomial from `certify`; a wrong genus-one polynomial is off at
+    # every value of that genus
+    real = certify.odd_color_polynomial
+    monkeypatch.setattr(certify, "odd_color_polynomial", lambda g: real(g) + (g == 1))
+    named = "21 mismatches (g=1 p=3 s=1; g=1 p=5 s=1; g=1 p=5 s=2)"
 
     cert = build_certificate(2)
     assert [(c.name, c.detail) for c in cert.checks if not c.passed] == [
-        ("residue_vs_fusion", "7 dimension values compared, 1 mismatches")
+        ("residue_vs_fusion", f"42 dimension values compared, {named}")
     ]
 
     assert main(["verify", "--suite", "verlinde"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-    assert failed == ["FAIL residue_vs_fusion: 7 values compared, 1 mismatches"]
+    assert failed == [f"FAIL residue_vs_fusion: 105 values compared, {named}"]
 
 
 def test_wrong_even_leading_coefficient_fails_verlinde_suite(monkeypatch, capsys):

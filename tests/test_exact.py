@@ -118,13 +118,6 @@ def test_split_by_first():
     assert parts[1] == UnivariatePolynomial([Fraction(1, 2)])
 
 
-def test_divide_by_first_power():
-    poly = bipoly({(2, 1): 1, (3, 0): -2})
-    assert poly.divide_by_first_power(2) == bipoly({(0, 1): 1, (1, 0): -2})
-    with pytest.raises(ValueError):
-        bipoly({(1, 1): 1}).divide_by_first_power(2)
-
-
 def test_variable_mismatch_rejected():
     with pytest.raises(ValueError):
         bipoly({(0, 0): 1}, ("p", "c")) + bipoly({(0, 0): 1}, ("p", "s"))

@@ -14,8 +14,10 @@ import pytest
 
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number, bernoulli_numbers
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
-from skeindim import verlinde
+from skeindim import certify, verlinde
 from skeindim.certify import (
+    CHECK_LEVELS,
+    check_crosscheck,
     check_leading_term,
     check_parity,
     check_structure,
@@ -23,12 +25,11 @@ from skeindim.certify import (
 )
 from skeindim.verlinde import (
     _exponential_coefficients,
-    _formula_parts,
     _fusion_walk,
     _integer_form,
     _integer_parts,
+    _p_parts,
     _residue_coefficient,
-    CHECK_LEVELS,
     IntegralityError,
     decompose,
     dimension,
@@ -37,7 +38,6 @@ from skeindim.verlinde import (
     fusion_table,
     level_dimensions,
     odd_color_polynomial,
-    oracle_crosscheck,
     verlinde_polynomial,
 )
 from series_oracle import series_inverse, series_mul
@@ -207,26 +207,23 @@ def test_parity_checks_pass(g):
 
 def test_genus_two_reduced_odd_polynomial_structure():
     # odd polynomial / p = p^2 s/24 - s^3/6 + s/8: even in p, odd in s
-    reduced = odd_color_polynomial(2).divide_by_first_power(1)
-    assert reduced == BivariatePolynomial(
-        {(2, 1): Fraction(1, 24), (0, 3): Fraction(-1, 6), (0, 1): Fraction(1, 8)}, PS
+    assert odd_color_polynomial(2) == BivariatePolynomial(
+        {(3, 1): Fraction(1, 24), (1, 3): Fraction(-1, 6), (1, 1): Fraction(1, 8)}, PS
     )
+    _, parts = _p_parts(2, "odd")
+    assert {i: part.exponents() for i, part in parts.items()} == {1: {1, 3}, 3: {1}}
 
 
 def test_genus_two_residue_component_p_support():
     # the residue component X of D_2 = p X + p^2 Y carries only p^0 and
-    # p^2 monomials: X = (2c+1) p^2/24 + (2c+1)^3/48 - (2c+1)/16 by hand
-    x_part, y_part = _formula_parts(2)
-    assert {i for (i, _), _ in x_part.terms()} == {0, 2}
-    assert {i for (i, _), _ in y_part.terms()} == {0}
-    two_c_plus_one = BivariatePolynomial({(0, 1): 2, (0, 0): 1}, PC)
-    p_squared = BivariatePolynomial({(2, 0): 1}, PC)
-    expected = (
-        two_c_plus_one * p_squared / 24
-        + two_c_plus_one**3 / 48
-        - two_c_plus_one * Fraction(1, 16)
-    )
-    assert x_part == expected
+    # p^2 monomials: X = u p^2/24 + u^3/48 - u/16 by hand, u = 2c + 1
+    scale, x_part, y_part = _integer_parts(2)
+    assert {i for (i, _), _ in y_part} == {0}
+    assert {key: Fraction(n, scale) for key, n in x_part} == {
+        (2, 1): Fraction(1, 24),
+        (0, 3): Fraction(1, 48),
+        (0, 1): Fraction(-1, 16),
+    }
 
 
 # ------------------------------------------------------------------- fusion
@@ -417,28 +414,30 @@ def test_dimension_polynomials_at_negative_and_fractional_points(g):
 
 def test_crosscheck_genus_one():
     assert CHECK_LEVELS == (3, 5, 7, 9, 11, 13)
-    assert oracle_crosscheck(1) == (sum((p - 1) // 2 for p in CHECK_LEVELS), [])
+    assert sum((p - 1) // 2 for p in CHECK_LEVELS) == 21
+    assert check_crosscheck(1, "values") == ("residue_vs_fusion", True, "21 values compared")
 
 
 def test_crosscheck_through_genus_three():
-    checked, mismatches = oracle_crosscheck(3)
-    assert checked == 3 * 21 and not mismatches
+    assert check_crosscheck(3, "values") == ("residue_vs_fusion", True, "63 values compared")
 
 
 def test_crosscheck_reports_a_wrong_polynomial(monkeypatch):
-    # s + 1/3 against D_1 = s: every value is off by exactly 1/3
+    # s + 1/3 against D_1 = s: every value is off, the first three named
     wrong = BivariatePolynomial({(0, 1): 1, (0, 0): Fraction(1, 3)}, PS)
-    monkeypatch.setattr(verlinde, "odd_color_polynomial", lambda g: wrong)
-    checked, mismatches = oracle_crosscheck(1)
-    assert checked == len(mismatches) == 21
-    assert mismatches[0] == (1, 3, 1, Fraction(4, 3), 1)
-    assert all(lhs - rhs == Fraction(1, 3) for *_, lhs, rhs in mismatches)
+    monkeypatch.setattr(certify, "odd_color_polynomial", lambda g: wrong)
+    assert check_crosscheck(1, "values") == (
+        "residue_vs_fusion",
+        False,
+        "21 values compared, 21 mismatches (g=1 p=3 s=1; g=1 p=5 s=1; g=1 p=5 s=2)",
+    )
 
 
 def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
     # p - 5 added at genus 2 and (s - 1)/2 at genus 3: mismatches at every
-    # level but 5, then at every s >= 2, reported in (g, p, s) order
-    real = verlinde.odd_color_polynomial
+    # level but 5, then at every s >= 2, counted and named in (g, p, s)
+    # order
+    real = certify.odd_color_polynomial
     extra = {
         2: BivariatePolynomial({(1, 0): 1, (0, 0): -5}, PS),
         3: BivariatePolynomial({(0, 1): Fraction(1, 2), (0, 0): Fraction(-1, 2)}, PS),
@@ -447,17 +446,21 @@ def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
     def planted(g):
         return real(g) + extra[g] if g in extra else real(g)
 
-    monkeypatch.setattr(verlinde, "odd_color_polynomial", planted)
+    monkeypatch.setattr(certify, "odd_color_polynomial", planted)
     checked, mismatches = 0, []
     for g in range(1, 4):
         for p in CHECK_LEVELS:
             for s in range(1, (p - 1) // 2 + 1):
-                lhs, rhs = planted(g)(p, s), fusion_dimension(g, p, s)
                 checked += 1
-                if lhs != rhs:
-                    mismatches.append((g, p, s, lhs, rhs))
+                if planted(g)(p, s) != fusion_dimension(g, p, s):
+                    mismatches.append(f"g={g} p={p} s={s}")
     assert len(mismatches) == 21 - 2 + 21 - 6
-    assert oracle_crosscheck(3) == (checked, mismatches)
+    assert mismatches[:3] == ["g=2 p=3 s=1", "g=2 p=7 s=1", "g=2 p=7 s=2"]
+    assert check_crosscheck(3, "values") == (
+        "residue_vs_fusion",
+        False,
+        f"{checked} values compared, {len(mismatches)} mismatches ({'; '.join(mismatches[:3])})",
+    )
 
 
 # --------------------------------------------------------------- caches
@@ -557,21 +560,35 @@ def test_polynomials_match_fraction_route(g):
     assert odd_color_polynomial(g) == odd
 
 
+def _affine_in_c(scale, pairs):
+    """sum n p^i u^b / scale over the pairs ((i, b), n), moved to (p, c)
+    by the affine substitution u = 2c + 1 instead of the Taylor shift."""
+    in_u = BivariatePolynomial({key: Fraction(n, scale) for key, n in pairs}, ("p", "u"))
+    return substitute_affine(in_u, 0, 1, 2, 1, "c")
+
+
 @pytest.mark.parametrize("g", range(1, 13))
 def test_formula_parts_match_fraction_route(g):
-    assert _formula_parts(g) == _fraction_formula_parts(g)
+    # X and Y of the integer parts, each against the Fraction route
+    scale, x_part, y_part = _integer_parts(g)
+    parts = _affine_in_c(scale, x_part), _affine_in_c(scale, y_part)
+    assert parts == _fraction_formula_parts(g)
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_part_p_exponents_agree_in_u_and_c(g):
+    # `check_parity` reads the p-exponents of X and Y in (p, u): u = 2c + 1
+    # acts on each p-row alone and is invertible, so they are those in (p, c)
+    scale, *parts = _integer_parts(g)
+    for part in parts:
+        assert {i for (i, _), _ in part} == set(_affine_in_c(scale, part).split_by_first())
 
 
 @pytest.mark.parametrize("g", range(1, 13))
 def test_integer_form_is_the_polynomial_in_u(g):
-    # D_g(p, u) from the integer form, moved to (p, c) by the affine
-    # substitution instead of the Taylor shift
     scale, terms = _integer_form(g)
     assert scale > 0 and all(terms.values())
-    in_u = BivariatePolynomial(
-        {key: Fraction(n, scale) for key, n in terms.items()}, ("p", "u")
-    )
-    assert substitute_affine(in_u, 0, 1, 2, 1, "c") == verlinde_polynomial(g)
+    assert _affine_in_c(scale, terms.items()) == verlinde_polynomial(g)
 
 
 @pytest.mark.parametrize("g", [2, 5, 9])
@@ -588,7 +605,6 @@ def test_residue_integer_sum_matches_fraction_sum(g):
     [
         verlinde_polynomial,
         odd_color_polynomial,
-        _formula_parts,
         _integer_parts,
         _integer_form,
         check_structure,
@@ -598,7 +614,7 @@ def test_residue_integer_sum_matches_fraction_sum(g):
         lambda g: decompose(g, "odd"),
         lambda g: dimension(g, 5, 0),
         lambda g: level_dimensions(g, 5, [0]),
-        lambda g: oracle_crosscheck(g),
+        lambda g: check_crosscheck(g, "values"),
     ],
 )
 @pytest.mark.parametrize("g", [0, -1, -7])
