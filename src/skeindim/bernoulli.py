@@ -10,8 +10,9 @@ sums, leading-term coefficients), so a convention slip would surface as a
 cascade of exact-equality failures.
 
 The numbers live in one module-level table that the recurrence extends on
-demand; each call returns a slice of it, so a table of any length costs
-only the numbers not yet computed.
+demand, in integer arithmetic over the lcm of the denominators so far;
+each call returns a slice of it, so a table of any length costs only the
+numbers not yet computed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ def bernoulli_numbers(max_index: int) -> tuple[Fraction, ...]:
     """The tuple (B_0, ..., B_max_index) by the recurrence
     B_n = -1/(n+1) * sum_{k<n} binom(n+1, k) B_k,  B_0 = 1,
     which is sum_{k<=n} binom(n+1, k) B_k = 0, the coefficient of t^(n+1)
-    in (e^t - 1) * t/(e^t - 1) = t.  The one module-level table grows to
-    max_index on demand, and the result is a slice of it.
+    in (e^t - 1) * t/(e^t - 1) = t.  The sum runs on ints: the nonzero
+    B_k as numerators over L, the lcm of their denominators, so each new
+    B_n is one Fraction, and L grows with it.  The one module-level table
+    grows to max_index on demand, and the result is a slice of it.
     """
     global _NUMBERS
     if max_index < 0:
@@ -42,9 +45,17 @@ def bernoulli_numbers(max_index: int) -> tuple[Fraction, ...]:
     numbers = _NUMBERS
     if len(numbers) <= max_index:
         values = list(numbers)
+        scale = math.lcm(*[v.denominator for v in values])
+        scaled = [(k, v.numerator * (scale // v.denominator)) for k, v in enumerate(values) if v]
         for n in range(len(values), max_index + 1):
-            acc = sum(math.comb(n + 1, k) * values[k] for k in range(n))
-            values.append(-acc / (n + 1))
+            value = Fraction(-sum(math.comb(n + 1, k) * v for k, v in scaled), (n + 1) * scale)
+            values.append(value)
+            if value:
+                grown = math.lcm(scale, value.denominator)
+                if grown != scale:
+                    scaled = [(k, v * (grown // scale)) for k, v in scaled]
+                    scale = grown
+                scaled.append((n, value.numerator * (scale // value.denominator)))
         numbers = _NUMBERS = tuple(values)
     return numbers[: max_index + 1]
 

@@ -10,6 +10,11 @@ assembled from three ingredients:
   * a nonvanishing curve invariant covers each of the remaining
     2^(2g+1) - 2 mod-2 homology classes with at least one dimension each.
 
+Both ranks come from `rank`: a full rank modulo a prime in WITNESS_PRIMES
+is a nonzero minor modulo q, hence a nonzero integer minor, so it proves
+the rank over Q; fraction-free Bareiss elimination decides any matrix the
+primes leave short.
+
 The checks behind a certificate all live here, each returning one
 CheckResult: the decomposition structure, the curve witness, the residue
 polynomial against the fusion recursion (`check_crosscheck`), the leading
@@ -34,7 +39,7 @@ from typing import NamedTuple
 from .bernoulli import bernoulli_numbers
 from .cyclotomic import cyclotomic_field
 from .errors import StructureViolation
-from .exact import BivariatePolynomial, _horner, rank
+from .exact import BivariatePolynomial, _horner
 from .skein import flat_curve_check
 from .verlinde import (
     PC,
@@ -58,6 +63,10 @@ CHECK_LEVELS = tuple(range(3, 14, 2))
 #: Extra value columns beyond the minimal square matrix, so a rank
 #: deficiency would be a genuine property rather than bad truncation.
 RANK_COLUMN_SLACK = 2
+
+#: The primes of the modular full-rank witness in `rank`, tried in turn.
+#: 2^61 - 1 is not among them: the odd-color matrix loses rank modulo it.
+WITNESS_PRIMES = (2**62 - 57, 2**63 - 25)
 
 
 def lower_bound(g: int) -> int:
@@ -83,6 +92,71 @@ def phi_rank(g: int, kind: str) -> int:
     `check_structure`.
     """
     return rank(_value_rows(g, kind))
+
+
+def rank(rows: list[list[int]]) -> int:
+    """Exact rank of a matrix of integer rows.
+
+    First a modular witness: if the rank modulo a prime q in
+    WITNESS_PRIMES is full, that is min(rows, columns), some minor of that
+    size is nonzero modulo q, hence nonzero over the integers, and the
+    rank over Q is full too.  Otherwise fraction-free (Bareiss)
+    elimination decides it: each step divides by the previous pivot, so
+    intermediate entries stay minors of the input.  A non-int entry raises
+    TypeError, as the reduction and the floor division would silently
+    misrank Fractions.
+    """
+    m = [[operator.index(x) for x in row] for row in rows]
+    if not m or not m[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    n_rows, n_cols = len(m), len(m[0])
+    if any(len(row) != n_cols for row in m):
+        raise ValueError("all rows must have the same length")
+    full = min(n_rows, n_cols)
+    if any(_rank_mod(m, q) == full for q in WITNESS_PRIMES):
+        return full
+    rank = 0
+    prev_pivot = 1
+    for col in range(n_cols):
+        pivot_row = next(
+            (i for i in range(rank, n_rows) if m[i][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for i in range(rank + 1, n_rows):
+            factor = m[i][col]
+            for j in range(col + 1, n_cols):
+                m[i][j] = (m[i][j] * pivot - factor * m[rank][j]) // prev_pivot
+            m[i][col] = 0
+        prev_pivot = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _rank_mod(m: list[list[int]], q: int) -> int:
+    """Rank of the integer rows m over the field of q elements, q prime,
+    by Gaussian elimination on the residues; m is left unchanged."""
+    rows = [[x % q for x in row] for row in m]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][col:]
+        inverse = pow(pivot[0], -1, q)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inverse % q
+            if factor:
+                rows[i][col:] = [(a - factor * b) % q for a, b in zip(rows[i][col:], pivot)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def _value_rows(g: int, kind: str) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: rationals, polynomials and exact matrix rank.
+"""Exact arithmetic kernel: rationals and polynomials.
 
 No floating point enters any computation.  Exact values store int
 numerators over one positive denominator, divided through by the gcd of
@@ -29,13 +29,11 @@ Representations:
   BivariatePolynomial   sparse dict {(i, j): numerator} with a named variable
                         pair such as ("p", "c"); many of the polynomials
                         produced downstream are structurally sparse.
-  integer rows          the input of `rank` (Bareiss).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -479,36 +477,3 @@ def _horner(values: Sequence[int], num: int, den: int) -> int:
         den_power *= den
     return total
 
-
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank of a matrix of integer rows, by fraction-free (Bareiss)
-    elimination: each step divides by the previous pivot, so intermediate
-    entries stay minors of the input.  A non-int entry raises TypeError,
-    as the floor division would silently misrank Fractions.
-    """
-    m = [[operator.index(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        raise ValueError("matrix must have at least one row and one column")
-    n_rows, n_cols = len(m), len(m[0])
-    if any(len(row) != n_cols for row in m):
-        raise ValueError("all rows must have the same length")
-    rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next(
-            (i for i in range(rank, n_rows) if m[i][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][col]
-            for j in range(col + 1, n_cols):
-                m[i][j] = (m[i][j] * pivot - factor * m[rank][j]) // prev_pivot
-            m[i][col] = 0
-        prev_pivot = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank

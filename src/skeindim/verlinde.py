@@ -20,7 +20,8 @@ a + b + 2k = 2g - 2 (b even):
     R = sum e_a p^a u^b / (b+1)! * S_k,
 
 with e_a = 2^a B_a / a! from the scalar inverse of sum 2^k x^k/(k+1)!,
-kept in one module-level table that grows on demand, and
+run on ints over the running lcm of its denominators and kept in one
+module-level table that grows on demand, and
 S = s(t)^-(2g-1) = sum S_k t^(2k) from J.C.P. Miller's power recurrence,
 cleared of denominators so that it runs on integers; no bivariate series
 or polynomial is ever multiplied, and X and Y are placed by exponent
@@ -97,21 +98,32 @@ def _exponential_coefficients(order: int) -> tuple[Fraction, ...]:
     """e_0..e_order, the coefficients of 2x/(e^(2x)-1).
 
     That series inverts sum 2^k x^k/(k+1)!, so e_m = -sum_{k=1..m}
-    2^k/(k+1)! e_(m-k); the one module-level table grows to `order` on
-    demand.  Built here, not from `bernoulli_numbers`, so the leading-term
-    check of `certify` stays independent.
+    2^k/(k+1)! e_(m-k).  With e_j = E_j / L for ints E_j over the running
+    lcm L of the denominators so far, the sum times (m+1)! L is the int
+    sum_k 2^k (m+1)!/(k+1)! E_(m-k), taken by Horner's rule in k, so each
+    new e_m is one Fraction.  The one module-level table grows to `order`
+    on demand.  Built here, not from `bernoulli_numbers`, so the
+    leading-term check of `certify` stays independent.
     """
     global _EXPONENTIAL
     table = _EXPONENTIAL
     if len(table) <= order:
         values = list(table)
+        scale = math.lcm(*[e.denominator for e in values])
+        scaled = [e.numerator * (scale // e.denominator) for e in values]
+        factorial = math.factorial(len(values))
         for m in range(len(values), order + 1):
-            values.append(
-                -sum(
-                    Fraction(2**k, math.factorial(k + 1)) * values[m - k]
-                    for k in range(1, m + 1)
-                )
-            )
+            factorial *= m + 1
+            acc = 0
+            for k in range(1, m + 1):
+                acc = acc * (k + 1) + (scaled[m - k] << k)
+            value = Fraction(-acc, factorial * scale)
+            values.append(value)
+            grown = math.lcm(scale, value.denominator)
+            if grown != scale:
+                scaled = [n * (grown // scale) for n in scaled]
+                scale = grown
+            scaled.append(value.numerator * (scale // value.denominator))
         table = _EXPONENTIAL = tuple(values)
     return table[: order + 1]
 

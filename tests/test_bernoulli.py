@@ -22,6 +22,7 @@ from skeindim.bernoulli import (
 )
 from skeindim.exact import UnivariatePolynomial
 from series_oracle import series_inverse, series_mul
+from table_oracle import fraction_bernoulli_numbers
 
 
 def test_first_values():
@@ -155,3 +156,22 @@ def test_numbers_do_not_depend_on_call_order(order, monkeypatch):
         assert table == reference[n]
     assert reference[45][:31] == reference[30]
     assert reference[3] == (Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0))
+
+
+def test_integer_recurrence_matches_the_fraction_recurrence(monkeypatch):
+    monkeypatch.setattr(bernoulli, "_NUMBERS", (Fraction(1),))
+    assert bernoulli_numbers(300) == fraction_bernoulli_numbers(300)
+
+
+def test_table_only_grows(monkeypatch):
+    # a short call extends the table to its own length, a long call extends
+    # it from there, and a later short call reads a prefix of the long table
+    expected = fraction_bernoulli_numbers(120)
+    monkeypatch.setattr(bernoulli, "_NUMBERS", (Fraction(1),))
+    assert bernoulli_numbers(7) == expected[:8]
+    assert bernoulli._NUMBERS == expected[:8]
+    assert bernoulli_numbers(120) == expected
+    long_table = bernoulli._NUMBERS
+    assert long_table == expected
+    assert bernoulli_numbers(7) == expected[:8]
+    assert bernoulli._NUMBERS is long_table

@@ -13,14 +13,17 @@ from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
     RANK_COLUMN_SLACK,
     Certificate,
+    WITNESS_PRIMES,
+    _rank_mod,
     _value_rows,
     build_certificate,
     check_witness,
     lower_bound,
     phi_rank,
+    rank,
 )
 from skeindim.cli import main
-from skeindim.exact import BivariatePolynomial, _horner, _scaled, rank
+from skeindim.exact import BivariatePolynomial, _horner, _scaled
 from skeindim.verlinde import StructureViolation, decompose
 
 
@@ -48,6 +51,40 @@ def test_phi_rank_rejects_unknown_kind(kind):
 def test_phi_rank_saturates_at_row_count(g):
     assert rank([row[: g + 1] for row in _value_rows(g, "even")]) == g + 1
     assert rank([row[:g] for row in _value_rows(g, "odd")]) == g
+
+
+@pytest.mark.parametrize("kind", ["even", "odd"])
+@pytest.mark.parametrize("g", range(1, 25))
+def test_witness_rank_matches_bareiss(g, kind, monkeypatch):
+    rows = _value_rows(g, kind)
+    # the witness decides these matrices at every prime, so the rank
+    # below is the witness's
+    assert all(_rank_mod(rows, q) == len(rows) for q in WITNESS_PRIMES)
+    witnessed = rank(rows)
+    monkeypatch.setattr(certify, "WITNESS_PRIMES", ())
+    assert witnessed == rank(rows) == g + (kind == "even")
+
+
+def test_rank_falls_back_to_bareiss_when_every_prime_falls_short():
+    q1, q2 = WITNESS_PRIMES
+    # full rank over Q, but rank 1 modulo each prime
+    assert [_rank_mod([[1, 0], [0, q1 * q2]], q) for q in WITNESS_PRIMES] == [1, 1]
+    assert rank([[1, 0], [0, q1 * q2]]) == 2
+    # short modulo the first prime only: the second one witnesses
+    assert rank([[1, 0], [0, q1]]) == 2
+    # a deficient matrix with large entries: rank 2 over Q and modulo each
+    # prime, so Bareiss decides it
+    a, b, c = 3**90 + 1, -(7**70), 2**200 + 11
+    deficient = [[a, b, c, 1], [5 * a, 5 * b, 5 * c, 5], [b, c, a, q1 * q2]]
+    assert [_rank_mod(deficient, q) for q in WITNESS_PRIMES] == [2, 2]
+    assert rank(deficient) == 2
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2)])
+def test_rank_rejects_a_fraction_entry_before_the_witness(entry):
+    # the reduction modulo q would accept a Fraction and misrank it
+    with pytest.raises(TypeError):
+        rank([[entry, 0], [0, 1]])
 
 
 def _fraction_value_rows(g, kind, columns):

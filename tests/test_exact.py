@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeindim.certify import rank
 from skeindim.cyclotomic import CyclotomicElement, cyclotomic_field
 from skeindim.exact import (
     NEG_INFINITY,
@@ -21,7 +22,6 @@ from skeindim.exact import (
     UnivariatePolynomial,
     _convolve,
     _scaled,
-    rank,
 )
 from skeindim.skein import AnnulusSkein
 from series_oracle import series_inverse, series_mul
@@ -606,6 +606,8 @@ def test_rational_field_axioms(a, b, c):
 
 
 # ---------------------------------------------------------------- matrices
+# `rank` lives in `certify`, its one caller; the tests of its modular
+# witness and its Bareiss fallback are in test_certify.
 
 
 def _rational_rank(rows):

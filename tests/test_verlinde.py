@@ -41,6 +41,7 @@ from skeindim.verlinde import (
     verlinde_polynomial,
 )
 from series_oracle import series_inverse, series_mul
+from table_oracle import fraction_exponential_coefficients
 from substitution_oracle import binomial_poly_in_c, substitute_affine, substitute_half
 
 PC = ("p", "c")
@@ -632,6 +633,26 @@ def test_exponential_table_is_independent_of_call_order(monkeypatch):
         for order in orders:
             assert _exponential_coefficients(order) == expected[: order + 1]
         assert verlinde._EXPONENTIAL == expected[: max(orders) + 1]
+
+
+def test_exponential_integer_recurrence_matches_the_fraction_recurrence(monkeypatch):
+    monkeypatch.setattr(verlinde, "_EXPONENTIAL", (Fraction(1),))
+    assert _exponential_coefficients(300) == fraction_exponential_coefficients(300)
+
+
+def test_exponential_table_only_grows(monkeypatch):
+    # a short call extends the table to its own length, a long call extends
+    # it from there (with the lcm of the short table as its start), and a
+    # later short call reads a prefix of the long table
+    expected = fraction_exponential_coefficients(120)
+    monkeypatch.setattr(verlinde, "_EXPONENTIAL", (Fraction(1),))
+    assert _exponential_coefficients(7) == expected[:8]
+    assert verlinde._EXPONENTIAL == expected[:8]
+    assert _exponential_coefficients(120) == expected
+    long_table = verlinde._EXPONENTIAL
+    assert long_table == expected
+    assert _exponential_coefficients(7) == expected[:8]
+    assert verlinde._EXPONENTIAL is long_table
 
 
 # ------------------------------------------ residue: earlier series route
