@@ -87,13 +87,14 @@ def bernoulli_half_value(m: int) -> Fraction:
 
 
 def _faulhaber_via_bernoulli_sum(m: int) -> UnivariatePolynomial:
-    # N^m/2 + (1/(m+1)) * sum_j binom(m+1, 2j) B_{2j} N^(m+1-2j)
+    # N^m/2 + (1/(m+1)) * sum_j binom(m+1, 2j) B_{2j} N^(m+1-2j): the
+    # exponents m + 1 - 2j are distinct and never m, so each is one entry
     table = bernoulli_numbers(m + 1)
-    result = UnivariatePolynomial.monomial(m, Fraction(1, 2))
+    coeffs = [Fraction(0)] * (m + 2)
+    coeffs[m] = Fraction(1, 2)
     for j in range(m // 2 + 1):
-        coeff = math.comb(m + 1, 2 * j) * table[2 * j] / (m + 1)
-        result = result + UnivariatePolynomial.monomial(m + 1 - 2 * j, coeff)
-    return result
+        coeffs[m + 1 - 2 * j] = math.comb(m + 1, 2 * j) * table[2 * j] / (m + 1)
+    return UnivariatePolynomial(coeffs)
 
 
 def _faulhaber_via_polynomial_difference(m: int) -> UnivariatePolynomial:

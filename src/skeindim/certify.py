@@ -164,7 +164,7 @@ def _value_rows(g: int, kind: str) -> list[list[int]]:
     evaluated at each integer argument by Horner's rule on its numerators,
     that is, scaled by its denominator (the lcm of its coefficient
     denominators), which leaves the rank unchanged."""
-    _, parts = _p_parts(g, kind)
+    parts = _p_parts(g, kind)
     exponents = sorted(parts)
     columns = len(exponents) + RANK_COLUMN_SLACK
     if kind == "even":
@@ -333,7 +333,7 @@ def check_parity(g: int) -> CheckResult:
         what, (i, b), n = bad[0]
         return CheckResult("parity", False, f"{what}: {Fraction(n, scale)}*p^{i}*u^{b}")
 
-    _, parts = _p_parts(g, "odd")
+    parts = _p_parts(g, "odd")
     for i, part in sorted(parts.items()):
         shift = i - (g - 1)
         if shift < 0:

@@ -33,7 +33,6 @@ Relative --output paths resolve against $SKEINDIM_OUTPUT_DIR when set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -65,6 +64,8 @@ def _emit(args: argparse.Namespace, payload: dict | None, chunks: Iterable[str])
     """The payload as JSON under --format json, else each text chunk and a
     newline as soon as the chunk is produced, to stdout or --output."""
     if getattr(args, "format", "text") == "json":
+        import json  # only here and in main's error line: text output skips it
+
         chunks = [json.dumps(payload, indent=2)]
     output = getattr(args, "output", None)
     if output is not None and not os.path.isabs(output):
@@ -335,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         code, error = EXIT_CHECK_FAILURE, exc
     except (ValueError, VanishingDenominator, _OutputError) as exc:
         code, error = EXIT_USAGE, exc
+    import json
+
     print(json.dumps({"error": str(error)}), file=sys.stderr)
     return code
 

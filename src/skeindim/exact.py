@@ -6,29 +6,37 @@ all of them (zero has denominator 1), so equal values have identical
 ints and `__eq__` and `__hash__` compare them directly; `coefficients`,
 `terms()` and evaluation return Fractions.  No zero coefficient is
 stored, so structural predicates such as "degree exactly n" or "only
-even powers of p" are decided exactly.
+even powers of p" are decided exactly.  One helper, `_lowest`,
+normalizes; when the gcd is already 1 it hands back the stripped ints
+and the denominator without a division pass.
 
 The dense form of that format, a numerator tuple lowest index first,
 lives in one private base, `_Dense`: normalization, equality, hashing,
-negation, sums, powers and scalar multiples.  `UnivariatePolynomial` here,
-`skein.AnnulusSkein` and `cyclotomic.CyclotomicElement` subclass it and
-add only their product.  Sums run over the lcm of the two denominators,
-products over their product.  Dense products of ascending integer lists
-go through one convolution, `_convolve`.
+negation, sums, differences, powers and scalar multiples.
+`UnivariatePolynomial` here, `skein.AnnulusSkein` and
+`cyclotomic.CyclotomicElement` subclass it and add only their product.
+Sums run over the lcm of the two denominators, products over their
+product.  Dense products of ascending integer lists go through one
+convolution, `_convolve`.  Powers are square-and-multiply (`_power`)
+started from the power of the exponent's lowest set bit, so no product
+by one is ever made.
 
 Evaluation is a homogenized Horner rule on the stored ints, with one
 Fraction at the end: fold_first(a/b) fixes the first variable, giving
-the integer polynomial sum_i n_ij a^i b^(n-i) in the second over L b^n.
-BivariatePolynomial(a/b, c/d) is that fold, then Horner at c/d;
-UnivariatePolynomial(a/b) is the same rule, and P(Q) runs it on
-integer lists with Q = q/M in place of a/b.
+the integer polynomial sum_i n_ij a^i b^(n-i) in the second over L b^n,
+which the callers evaluate by `_horner`.  UnivariatePolynomial(a/b) is
+the same rule, and P(Q) runs it on integer lists with Q = q/M in place
+of a/b.
 
 Representations:
 
   UnivariatePolynomial  dense numerator tuple, lowest degree first.
   BivariatePolynomial   sparse dict {(i, j): numerator} with a named variable
                         pair such as ("p", "c"); many of the polynomials
-                        produced downstream are structurally sparse.
+                        produced downstream are structurally sparse.  The
+                        package builds them from integer forms and only
+                        reads them (fold, split, homogeneous parts,
+                        render); their ring arithmetic is a test oracle.
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ def _lowest(numerators, denominator):
     while nums and not nums[-1]:
         nums.pop()
     common = math.gcd(denominator, *nums)
+    if common == 1:
+        return tuple(nums), denominator
     return tuple(n // common for n in nums), denominator // common
 
 
@@ -108,42 +118,27 @@ def _convolve(a: Sequence, b: Sequence) -> list:
 
 
 def _power(base, exponent: int, one):
-    """base^exponent by square-and-multiply, starting from `one`."""
+    """base^exponent by square-and-multiply, starting from the lowest set
+    bit's power of base, so n >= 1 takes bit_length(n) + popcount(n) - 2
+    products; `one()` builds the value of exponent 0."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    result = one
+    if not exponent:
+        return one()
+    while not exponent & 1:
+        base = base * base
+        exponent >>= 1
+    result = base
+    exponent >>= 1
     while exponent:
+        base = base * base
         if exponent & 1:
             result = result * base
         exponent >>= 1
-        if exponent:
-            base = base * base
     return result
 
 
-class _Ring:
-    """Negation, subtraction, division by a scalar and powers, from the +
-    and * of a ring type whose scalars are ints and Fractions."""
-
-    __slots__ = ()
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __truediv__(self, scalar):
-        return self * (Fraction(1) / _q(scalar))
-
-    def __pow__(self, exponent):
-        return _power(self, exponent, self * 0 + 1)
-
-
-class _Dense(_Ring):
+class _Dense:
     """A dense exact value: the int `numerators`, lowest index first, over
     the positive int `denominator`, in lowest terms as `_lowest` leaves
     them.  Immutable, hashable.  A subclass adds its product and, where
@@ -213,8 +208,17 @@ class _Dense(_Ring):
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / _q(scalar))
+
     def __pow__(self, exponent):
-        return _power(self, exponent, self._like((1,), 1))
+        return _power(self, exponent, lambda: self._like((1,), 1))
 
 
 class UnivariatePolynomial(_Dense):
@@ -295,11 +299,12 @@ class UnivariatePolynomial(_Dense):
         return f"UnivariatePolynomial({self.render()})"
 
 
-class BivariatePolynomial(_Ring):
+class BivariatePolynomial:
     """Sparse exact polynomial in two named variables: exponent pairs (i, j)
     map to nonzero int numerators over the int `denominator`, i the power
-    of the first variable and j of the second.  Arithmetic between two
-    polynomials requires identical variable pairs."""
+    of the first variable and j of the second.  Built and read, with no
+    ring arithmetic; it equals an int or a Fraction when it is that
+    constant."""
 
     __slots__ = ("_terms", "denominator", "_vars")
 
@@ -323,18 +328,6 @@ class BivariatePolynomial(_Ring):
         self._terms = dict(zip(terms, values))
         self._vars = variables
 
-    @classmethod
-    def zero(cls, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
-        return cls({}, variables)
-
-    @classmethod
-    def constant(cls, value: RationalLike, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
-        return cls({(0, 0): value}, variables)
-
-    @classmethod
-    def first(cls, variables: tuple[str, str] = ("p", "c")) -> BivariatePolynomial:
-        return cls({(1, 0): 1}, variables)
-
     @property
     def variables(self) -> tuple[str, str]:
         return self._vars
@@ -356,7 +349,7 @@ class BivariatePolynomial(_Ring):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = BivariatePolynomial.constant(other, self._vars)
+            other = BivariatePolynomial({(0, 0): other}, self._vars)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         return (self._vars, self.denominator, self._terms) == (
@@ -369,52 +362,8 @@ class BivariatePolynomial(_Ring):
             return hash(Fraction(self._terms.get((0, 0), 0), self.denominator))
         return hash((self._vars, frozenset(self._terms.items()), self.denominator))
 
-    def _check_compatible(self, other: BivariatePolynomial) -> None:
-        if self._vars != other._vars:
-            raise ValueError(f"variable mismatch: {self._vars} vs {other._vars}")
-
-    def __add__(self, other: Union[BivariatePolynomial, RationalLike]) -> BivariatePolynomial:
-        if isinstance(other, (int, Fraction)):
-            other = BivariatePolynomial.constant(other, self._vars)
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        den = math.lcm(self.denominator, other.denominator)
-        s, t = den // self.denominator, den // other.denominator
-        out = {key: n * s for key, n in self._terms.items()}
-        for key, n in other._terms.items():
-            out[key] = out.get(key, 0) + n * t
-        return BivariatePolynomial(out, self._vars, den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: Union[BivariatePolynomial, RationalLike]) -> BivariatePolynomial:
-        if isinstance(other, (int, Fraction)):
-            other = BivariatePolynomial.constant(other, self._vars)
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out: dict = {}
-        for (i1, j1), a in self._terms.items():
-            for (i2, j2), b in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + a * b
-        return BivariatePolynomial(out, self._vars, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __call__(self, first: RationalLike, second: RationalLike) -> Fraction:
-        """Value at (first, c/d): fold_first, then the integer Horner rule
-        at c/d over the denominator D d^m."""
-        denominator, values = self.fold_first(first)
-        y = _q(second)
-        return Fraction(
-            _horner(values, y.numerator, y.denominator),
-            denominator * y.denominator ** (len(values) - 1),
-        )
-
     def fold_first(self, first: RationalLike):
-        """(D, values), ints, with self(first, y) = sum_j values[j] y^j / D.
+        """(D, values), ints, with value sum_j values[j] y^j / D at (first, y).
 
         At first = a/b, values[j] = sum_i n_ij a^i b^(n-i) over the stored
         numerators n_ij, and D = L b^n with L the stored denominator.

@@ -18,7 +18,9 @@ this algebra convert to z-powers, multiply, and convert back, on the
 stored integer numerators over the product of the two denominators:
 Clenshaw's rule for sum c_i e_i and Horner's rule with
 z e_i = e_(i+1) + e_(i-1) for the way back, so no table is stored and no
-recursion depth grows with the index.
+recursion depth grows with the index.  Each step of either rule builds
+one list, the accumulator shifted up by one power, and adds the other
+neighbour into it in place.
 
 Evaluations of curves in a surface times a circle land in Q(zeta_2p) and
 are computed exactly through the cyclotomic module.  Every quantum
@@ -77,20 +79,28 @@ def d_squared(field: CyclotomicField) -> CyclotomicElement:
 
 def _e_to_z(values: Sequence[int]) -> list[int]:
     """z-power coefficients of sum values[i] e_i, by Clenshaw's rule
-    b_i = values[i] + z b_(i+1) - b_(i+2); the sum is b_0."""
+    b_i = values[i] + z b_(i+1) - b_(i+2); the sum is b_0.  Each step
+    builds values[i] + z b_(i+1) and subtracts b_(i+2) in place."""
     later: list[int] = []  # b_(i+1)
-    last: list[int] = []  # b_(i+2)
+    last: list[int] = []  # b_(i+2), one entry shorter
     for value in reversed(values):
-        later, last = [a - b for a, b in zip([value, *later], [*last, 0, 0])], later
+        step = [value, *later]
+        for k, b in enumerate(last):
+            step[k] -= b
+        later, last = step, later
     return later
 
 
 def _z_to_e(values: Sequence[int]) -> list[int]:
     """e-basis coefficients of sum values[k] z^k, by Horner's rule with
-    z e_i = e_(i+1) + e_(i-1) (and z e_0 = e_1)."""
+    z e_i = e_(i+1) + e_(i-1) (and z e_0 = e_1).  Each step builds
+    values[k] + sum acc[i] e_(i+1) and adds acc[i] to e_(i-1) in place."""
     acc: list[int] = []
     for value in reversed(values):
-        acc = [a + b for a, b in zip([value, *acc], [*acc[1:], 0, 0])]
+        step = [value, *acc]
+        for i in range(1, len(acc)):
+            step[i - 1] += acc[i]
+        acc = step
     return acc
 
 
@@ -115,7 +125,7 @@ class AnnulusSkein(_Dense):
     def basis_element(cls, i: int) -> AnnulusSkein:
         if i < 0:
             raise ValueError("basis index must be nonnegative")
-        return cls((0,) * i + (1,))
+        return cls((0,) * i + (1,), 1)
 
     e_coefficients = _Dense.coefficients
 

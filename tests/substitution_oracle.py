@@ -8,7 +8,7 @@ reach the same polynomials by substituting into bivariate polynomials.
 import math
 from fractions import Fraction
 
-from skeindim.exact import BivariatePolynomial
+from ring_oracle import RingPolynomial
 
 
 def _integer_rows(terms):
@@ -33,7 +33,7 @@ def substitute_affine(poly, alpha, beta, gamma, delta, new_second):
     """
     target = (poly.variables[0], new_second)
     if not poly:
-        return BivariatePolynomial.zero(target)
+        return RingPolynomial.zero(target)
     scale, rows = _integer_rows(dict(poly.terms()))
     n = len(rows[0]) - 1
     acc = {}
@@ -44,7 +44,7 @@ def substitute_affine(poly, alpha, beta, gamma, delta, new_second):
                 if factor:
                     step[key] = step.get(key, 0) + value * factor
         acc = step
-    return BivariatePolynomial(
+    return RingPolynomial(
         {key: Fraction(value, scale * delta**n) for key, value in acc.items()}, target
     )
 
@@ -61,8 +61,8 @@ def binomial_poly_in_c(g, variables=("p", "c")):
     if g < 1:
         raise ValueError("genus must be at least 1")
     k = 2 * g - 2
-    c = BivariatePolynomial({(0, 1): 1}, variables)
-    product = BivariatePolynomial.constant(1, variables)
+    c = RingPolynomial({(0, 1): 1}, variables)
+    product = RingPolynomial.constant(1, variables)
     for t in range(k):
         product = product * (c + (g - 1 - t))
     return product / Fraction(math.factorial(k))

@@ -146,6 +146,24 @@ def test_import_cli_loads_only_cli_and_errors():
     assert loaded_modules("import skeindim.cli") == (BASE, False)
 
 
+DIM = ("dim", "--genus", "2", "--p", "7", "--color", "3")
+
+
+@pytest.mark.parametrize(
+    "setup, argv, loads_json",
+    [("import skeindim.cli", (), False), (RUN_MAIN, DIM, False),
+     (RUN_MAIN, ("poly", "--genus", "2", "--format", "json"), True)],
+    ids=["import", "text-command", "json-command"],
+)
+def test_cli_loads_json_only_for_json_output(setup, argv, loads_json):
+    # PROBE itself imports json, so this launch reports without it
+    code = f"import sys\n{setup}\nprint('json' in sys.modules, file=sys.stderr)"
+    proc = launch(code, *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert err.splitlines()[-1] == str(loads_json)
+
+
 @pytest.mark.parametrize("argv, expected", [case[1:] for case in COMMAND_LOADS],
                          ids=[case[0] for case in COMMAND_LOADS])
 def test_command_loads_only_what_it_runs(argv, expected):

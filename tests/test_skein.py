@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 from euclid_oracle import euclid_inverse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeindim.cyclotomic import cyclotomic_field
@@ -254,6 +254,39 @@ def test_large_z_power_matches_ballot_numbers():
         expected[j] = math.comb(k, half) - (math.comb(k, half - 1) if half else 0)
     skein = _from_z([0] * k + [1])
     assert skein.e_coefficients == tuple(expected)
+
+
+@pytest.mark.parametrize("i", range(41))
+def test_e_to_z_matches_the_chebyshev_closed_form(i):
+    # e_i = sum_k (-1)^k C(i - k, k) z^(i - 2k)
+    expected = [0] * (i + 1)
+    for k in range(i // 2 + 1):
+        expected[i - 2 * k] = (-1) ** k * math.comb(i - k, k)
+    assert _e_to_z([0] * i + [1]) == expected
+
+
+@pytest.mark.parametrize("k", range(41))
+def test_z_to_e_matches_the_ballot_numbers(k):
+    # z^k = sum_j (C(k, (k-j)/2) - C(k, (k-j)/2 - 1)) e_j over j = k mod 2
+    expected = [0] * (k + 1)
+    for j in range(k % 2, k + 1, 2):
+        half = (k - j) // 2
+        expected[j] = math.comb(k, half) - (math.comb(k, half - 1) if half else 0)
+    assert _z_to_e([0] * k + [1]) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=12))
+@example([])
+@example([7])
+@example([3, -1, 0, 0])
+@example([0, 0, 0])
+def test_basis_changes_are_inverse_on_int_lists(values):
+    # each keeps the length, trailing zeros included, and undoes the other
+    z = _e_to_z(values)
+    e = _z_to_e(values)
+    assert len(z) == len(e) == len(values)
+    assert _z_to_e(z) == values and _e_to_z(e) == values
 
 
 # ------------------------------------------------------------- normalization
