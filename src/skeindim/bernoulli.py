@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import FaulhaberInconsistency
-from .exact import UnivariatePolynomial
+from .exact import UnivariatePolynomial, _shift
 
 
 #: B_0, B_1, ... as far as any call has needed.  Calls replace it with a
@@ -98,11 +98,13 @@ def _faulhaber_via_bernoulli_sum(m: int) -> UnivariatePolynomial:
 
 
 def _faulhaber_via_polynomial_difference(m: int) -> UnivariatePolynomial:
-    # (B_{m+1}(N+1) - B_{m+1}) / (m+1)
+    # (B_{m+1}(N+1) - B_{m+1}) / (m+1), with B_{m+1}(N+1) by the Taylor
+    # shift of the numerators and B_{m+1} their constant term
     b_poly = bernoulli_polynomial(m + 1)
-    shifted = b_poly(UnivariatePolynomial((1, 1)))
-    assert isinstance(shifted, UnivariatePolynomial)
-    return (shifted - bernoulli_number(m + 1)) / (m + 1)
+    shifted = list(b_poly.numerators)
+    _shift(shifted)
+    shifted[0] -= b_poly.numerators[0]
+    return UnivariatePolynomial(shifted, (m + 1) * b_poly.denominator)
 
 
 def faulhaber_poly(m: int) -> UnivariatePolynomial:

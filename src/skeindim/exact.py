@@ -17,9 +17,10 @@ negation, sums, differences, powers and scalar multiples.
 `cyclotomic.CyclotomicElement` subclass it and add only their product.
 Sums run over the lcm of the two denominators, products over their
 product.  Dense products of ascending integer lists go through one
-convolution, `_convolve`.  Powers are square-and-multiply (`_power`)
-started from the power of the exponent's lowest set bit, so no product
-by one is ever made.
+convolution, `_convolve`, and Taylor shifts f(x) -> f(x + 1) through
+one loop of additions, `_shift`.  Powers are square-and-multiply
+(`_power`) started from the power of the exponent's lowest set bit, so
+no product by one is ever made.
 
 Evaluation is a homogenized Horner rule on the stored ints, with one
 Fraction at the end: fold_first(a/b) fixes the first variable, giving
@@ -115,6 +116,16 @@ def _convolve(a: Sequence, b: Sequence) -> list:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _shift(values: list) -> None:
+    """Replace the ascending coefficients of f(x) in `values` by those of
+    f(x + 1), in place and with additions only: each pass is one
+    synthetic division by x - 1, and pass `start` fixes the coefficient
+    of x^start."""
+    for start in range(len(values) - 1):
+        for k in range(len(values) - 2, start - 1, -1):
+            values[k] += values[k + 1]
 
 
 def _power(base, exponent: int, one):
@@ -226,20 +237,6 @@ class UnivariatePolynomial(_Dense):
     the zero polynomial has no numerators and degree ``NEG_INFINITY``."""
 
     __slots__ = ()
-
-    @classmethod
-    def zero(cls) -> UnivariatePolynomial:
-        return cls(())
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> UnivariatePolynomial:
-        return cls((value,))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: RationalLike = 1) -> UnivariatePolynomial:
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coefficient,))
 
     @property
     def degree(self) -> Union[int, float]:

@@ -118,10 +118,6 @@ class AnnulusSkein(_Dense):
     __slots__ = ()
 
     @classmethod
-    def zero(cls) -> AnnulusSkein:
-        return cls(())
-
-    @classmethod
     def basis_element(cls, i: int) -> AnnulusSkein:
         if i < 0:
             raise ValueError("basis index must be nonnegative")

@@ -30,12 +30,16 @@ shifts.  The e_a are built here rather than taken from
 Bernoulli closed form stays independent; this module never imports
 `bernoulli`.
 
-Two substitutions leave the integer form:
+Two substitutions leave the integer form, both by one integer Taylor
+shift h(t) -> h(t + 1), `exact._shift`, with additions only:
 
-  even colors   u = 2c + 1, an integer Taylor shift on each p-row, gives
-                D_g(p, c);
-  odd colors    u = p - 2s, that is c = (p-1)/2 - s, expanded by the
-                binomial theorem, gives the odd-color polynomial in (p, s).
+  even colors   u = 2c + 1: the shift of each p-row, a polynomial in u,
+                gives one in u - 1 = 2c, hence D_g(p, c);
+  odd colors    u = p - 2s, that is c = (p-1)/2 - s: the degree-d terms
+                are p^d h_d(u/p) with u/p = 1 - 2s/p, so coefficient k of
+                the shifted h_d is the numerator of (-2)^k p^(d-k) s^k,
+                d - k >= 0 because b <= d; this gives the odd-color
+                polynomial in (p, s).
 
 Two completely independent routes to the same numbers exist: the residue
 polynomial evaluated at integers, and the fusion-rule recursion over the
@@ -53,7 +57,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import IntegralityError, StructureViolation
-from .exact import BivariatePolynomial, UnivariatePolynomial, _convolve, _horner
+from .exact import BivariatePolynomial, UnivariatePolynomial, _convolve, _horner, _shift
 
 PC = ("p", "c")
 PS = ("p", "s")
@@ -200,30 +204,33 @@ def _integer_form(g: int) -> tuple[int, _Terms]:
     return scale, terms
 
 
-def _in_c(scale: int, pairs: Iterable[tuple[tuple[int, int], int]]) -> BivariatePolynomial:
-    """sum n p^i u^b / scale over the pairs ((i, b), n), at u = 2c + 1, as
-    a polynomial in (p, c): an integer Taylor shift turns each p-row into
-    a polynomial in v = u - 1 = 2c, and then c^k takes the factor 2^k."""
+def _substitute(
+    scale: int, pairs: Iterable[tuple[tuple[int, int], int]], odd: bool
+) -> BivariatePolynomial:
+    """sum n p^i u^b / scale over the pairs ((i, b), n) as a polynomial in
+    (p, c) at u = 2c + 1, or, with `odd`, in (p, s) at u = p - 2s.  The
+    terms are grouped by i, or with `odd` by the total degree d = i + b,
+    into lists h in b; coefficient k of h(t + 1) is the numerator of
+    2^k p^i c^k, or of (-2)^k p^(d-k) s^k."""
     rows: dict[int, list[int]] = {}
     for (i, b), n in pairs:
-        row = rows.setdefault(i, [])
+        row = rows.setdefault(i + b if odd else i, [])
         row += [0] * (b + 1 - len(row))
         row[b] += n
     out = {}
-    for i, row in rows.items():
-        for start in range(len(row) - 1):
-            for k in range(len(row) - 2, start - 1, -1):
-                row[k] += row[k + 1]
+    for top, row in rows.items():
+        _shift(row)
         for k, n in enumerate(row):
-            out[(i, k)] = n << k
-    return BivariatePolynomial(out, PC, scale)
+            out[(top - k, k) if odd else (top, k)] = (-n if odd and k & 1 else n) << k
+    return BivariatePolynomial(out, PS if odd else PC, scale)
 
 
 @lru_cache(maxsize=64)
 def verlinde_polynomial(g: int) -> BivariatePolynomial:
-    """D_g as an exact polynomial in (p, c); total degree exactly 3g - 2."""
+    """D_g as an exact polynomial in (p, c), from the integer form by the
+    Taylor shift of each p-row; total degree exactly 3g - 2."""
     scale, terms = _integer_form(g)
-    result = _in_c(scale, terms.items())
+    result = _substitute(scale, terms.items(), odd=False)
     if result.total_degree != 3 * g - 2:
         raise AssertionError(
             f"dimension polynomial has total degree {result.total_degree}, "
@@ -235,18 +242,10 @@ def verlinde_polynomial(g: int) -> BivariatePolynomial:
 @lru_cache(maxsize=64)
 def odd_color_polynomial(g: int) -> BivariatePolynomial:
     """The odd-color dimension polynomial in (p, s): D_g at c = (p-1)/2 - s,
-    that is u = p - 2s, expanded as sum_k binom(b, k) p^(b-k) (-2s)^k on
-    the integer numerators."""
+    that is u = p - 2s, from the integer form by the Taylor shift of each
+    total-degree group."""
     scale, terms = _integer_form(g)
-    expansions: dict[int, list[int]] = {}
-    out: _Terms = {}
-    for (i, b), n in terms.items():
-        if b not in expansions:
-            expansions[b] = [math.comb(b, k) * (-2) ** k for k in range(b + 1)]
-        for k, weight in enumerate(expansions[b]):
-            key = (i + b - k, k)
-            out[key] = out.get(key, 0) + n * weight
-    return BivariatePolynomial(out, PS, scale)
+    return _substitute(scale, terms.items(), odd=True)
 
 
 def exponent_support(g: int, kind: str) -> set[int]:

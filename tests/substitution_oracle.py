@@ -1,8 +1,9 @@
 """Affine substitution and the binomial part of D_g, for test oracles.
 
 The package builds D_g and the odd-color polynomial from one integer
-(p, u) form with a Taylor shift and a binomial expansion; these routes
-reach the same polynomials by substituting into bivariate polynomials.
+(p, u) form by Taylor shifts, of each p-row and of each total-degree
+group; these routes reach the same polynomials by substituting into
+bivariate polynomials.
 """
 
 import math

@@ -104,6 +104,15 @@ def test_faulhaber_against_brute_force():
             assert poly(n) == sum(y**m for y in range(1, n + 1))
 
 
+def test_polynomial_difference_matches_the_composition_route():
+    # the Taylor shift against (B_(m+1)(1 + N) - B_(m+1)) / (m + 1) with
+    # B_(m+1)(1 + N) by polynomial composition
+    for m in range(31):
+        composed = bernoulli_polynomial(m + 1)(UnivariatePolynomial((1, 1)))
+        expected = (composed - bernoulli_number(m + 1)) / (m + 1)
+        assert bernoulli._faulhaber_via_polynomial_difference(m) == expected, m
+
+
 def test_faulhaber_rejects_zero_exponent():
     with pytest.raises(ValueError):
         faulhaber_poly(0)
@@ -117,7 +126,7 @@ def test_generating_function_of_polynomials():
     # coefficients of t e^{tx}/(e^t - 1) through t^12 must equal B_n(x)/n!
     order = 12
     exp_tx = [
-        UnivariatePolynomial.monomial(k, Fraction(1, math.factorial(k))) for k in range(order + 1)
+        UnivariatePolynomial((0,) * k + (Fraction(1, math.factorial(k)),)) for k in range(order + 1)
     ]
     forward = [Fraction(1, math.factorial(k + 1)) for k in range(order + 1)]
     series = series_mul(series_inverse(forward), exp_tx)

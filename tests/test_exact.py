@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeindim.certify import rank
@@ -23,6 +23,7 @@ from skeindim.exact import (
     _convolve,
     _lowest,
     _scaled,
+    _shift,
 )
 from skeindim.skein import AnnulusSkein
 from ring_oracle import RingPolynomial, ring
@@ -79,7 +80,7 @@ def test_binomial_poly_matches_integer_binomials(g):
 
 
 def test_univariate_zero_degree_sentinel():
-    zero = UnivariatePolynomial.zero()
+    zero = UnivariatePolynomial(())
     assert zero.degree == NEG_INFINITY
     assert not zero.degree == -1
     assert zero.leading_coefficient == 0
@@ -242,6 +243,22 @@ def test_convolve_matches_the_double_sum(a, b):
     assert _convolve(a, b) == expected
 
 
+# ----------------------------------------------------------- Taylor shift
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**30), 10**30), max_size=24))
+@example([])
+@example([7])
+@example([3, -1, 0, 0])
+def test_shift_matches_the_binomial_sums(values):
+    # f(x + 1) = sum_b f_b (x + 1)^b has coefficient sum_b C(b, k) f_b at x^k
+    expected = [sum(math.comb(b, k) * f for b, f in enumerate(values)) for k in range(len(values))]
+    shifted = list(values)
+    assert _shift(shifted) is None
+    assert shifted == expected
+
+
 # ------------------------------------------------------- substitute_half
 
 
@@ -402,10 +419,10 @@ def test_univariate_call_at_negative_and_fractional_points(x):
 
 
 def test_univariate_call_zero_and_constant_polynomials():
-    zero = UnivariatePolynomial.zero()
+    zero = UnivariatePolynomial(())
     assert zero(Fraction(3, 5)) == 0 and isinstance(zero(-2), Fraction)
-    assert UnivariatePolynomial.constant(Fraction(-2, 3))(Fraction(-9, 4)) == Fraction(-2, 3)
-    assert isinstance(UnivariatePolynomial.constant(4)(7), Fraction)
+    assert UnivariatePolynomial((Fraction(-2, 3),))(Fraction(-9, 4)) == Fraction(-2, 3)
+    assert isinstance(UnivariatePolynomial((4,))(7), Fraction)
 
 
 # ----------------------------------------------- one-denominator storage
@@ -617,7 +634,7 @@ def test_power_counts_its_products(monkeypatch, kind):
 
 @pytest.mark.parametrize("value", [0, 3, -7, Fraction(5, 2)])
 def test_constant_polynomials_hash_like_their_value(value):
-    uni = UnivariatePolynomial.constant(value)
+    uni = UnivariatePolynomial((value,))
     bi = BivariatePolynomial({(0, 0): value}, PC)
     ring_bi = RingPolynomial.constant(value, PC)
     assert uni == value and bi == value and ring_bi == value
@@ -626,10 +643,10 @@ def test_constant_polynomials_hash_like_their_value(value):
 
 
 def test_zero_polynomials_hash_like_zero():
-    assert hash(UnivariatePolynomial.zero()) == hash(0)
+    assert hash(UnivariatePolynomial(())) == hash(0)
     assert hash(BivariatePolynomial({}, PC)) == hash(0)
     assert hash(RingPolynomial.zero(PC)) == hash(0)
-    assert {0: "zero"}[UnivariatePolynomial.zero()] == "zero"
+    assert {0: "zero"}[UnivariatePolynomial(())] == "zero"
     assert {0: "zero"}[BivariatePolynomial({}, ("x", "y"))] == "zero"
 
 

@@ -198,9 +198,9 @@ def test_annulus_conversions_match_fraction_route(skein, z_coefficients):
 
 def test_annulus_zero_and_scalar_products():
     skein = AnnulusSkein([Fraction(1, 3), 0, Fraction(-5, 2)])
-    assert skein * AnnulusSkein.zero() == AnnulusSkein.zero()
-    assert _to_z(AnnulusSkein.zero()) == ()
-    assert _from_z([0, 0, 0]) == AnnulusSkein.zero()
+    assert skein * AnnulusSkein(()) == AnnulusSkein(())
+    assert _to_z(AnnulusSkein(())) == ()
+    assert _from_z([0, 0, 0]) == AnnulusSkein(())
     assert skein * Fraction(6, 5) == AnnulusSkein([Fraction(2, 5), 0, -3])
 
 

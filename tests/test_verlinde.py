@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number, bernoulli_numbers
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
@@ -30,6 +32,7 @@ from skeindim.verlinde import (
     _integer_parts,
     _p_parts,
     _residue_coefficient,
+    _substitute,
     IntegralityError,
     decompose,
     dimension,
@@ -591,6 +594,25 @@ def test_integer_form_is_the_polynomial_in_u(g):
     scale, terms = _integer_form(g)
     assert scale > 0 and all(terms.values())
     assert _affine_in_c(scale, terms.items()) == verlinde_polynomial(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-(10**6), 10**6), max_size=16
+    ),
+    st.integers(1, 10**4),
+)
+@example({}, 1)  # the empty form
+@example({(2, 3): -5}, 6)  # a single term
+@example({(0, 0): 4, (1, 0): 2, (3, 0): -1}, 3)  # only b = 0 rows
+@example({(5, 0): 1, (2, 3): -2, (0, 5): 7}, 1)  # one degree-5 group with gaps in b
+def test_substitutions_match_affine_oracle(terms, scale):
+    # any integer (p, u) form, not only a genus-shaped one: the Taylor
+    # shifts against u = 2c + 1 and u = p - 2s substituted into the form
+    in_u = BivariatePolynomial({key: Fraction(n, scale) for key, n in terms.items()}, ("p", "u"))
+    assert _substitute(scale, terms.items(), odd=False) == substitute_affine(in_u, 0, 1, 2, 1, "c")
+    assert _substitute(scale, terms.items(), odd=True) == substitute_affine(in_u, 1, 0, -2, 1, "s")
 
 
 @pytest.mark.parametrize("g", [2, 5, 9])
