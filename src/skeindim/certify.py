@@ -19,9 +19,11 @@ The checks behind a certificate all live here, each returning one
 CheckResult: the decomposition structure, the curve witness, the residue
 polynomial against the fusion recursion (`check_crosscheck`), the leading
 term against its Bernoulli closed form (`leading_term_closed_form`) and
-the parity constraints; `verify` runs the same functions.  Each reads
-what `verlinde` builds and stores; the crosscheck and the curve witness
-run at the levels in CHECK_LEVELS.
+the parity constraints; `verify` runs the same functions.  The per-genus
+checks read one `verlinde.GenusData` record, which `build_certificate`
+builds once and lets go before the crosscheck builds each genus 1..g in
+turn.  The crosscheck and the curve witness run at the levels in
+CHECK_LEVELS.
 
 One ingredient is taken as an assumption rather than computed: the family
 of power functions p^j on the admissible roots of unity is linearly
@@ -39,16 +41,16 @@ from typing import NamedTuple
 from .bernoulli import bernoulli_numbers
 from .cyclotomic import cyclotomic_field
 from .errors import StructureViolation
-from .exact import BivariatePolynomial, _horner
+from .exact import BivariatePolynomial, UnivariatePolynomial, _horner
 from .skein import flat_curve_check
 from .verlinde import (
     PC,
+    GenusData,
     _fusion_walk,
-    _integer_parts,
-    _p_parts,
+    _validated,
     decompose,
+    genus_data,
     odd_color_polynomial,
-    verlinde_polynomial,
 )
 
 POWER_BASIS_ASSUMPTION = (
@@ -88,10 +90,10 @@ def phi_rank(g: int, kind: str) -> int:
     Rows are the nonzero coefficient polynomials (ordered by p-exponent),
     columns their values at c = 0, 1, ... for the even kind or s = 1, 2,
     ... for the odd kind, RANK_COLUMN_SLACK more columns than rows.  The
-    support and degrees of those polynomials are validated separately, by
-    `check_structure`.
+    rows are the parts of `decompose`, which builds the one polynomial of
+    that kind and validates their support and degrees.
     """
-    return rank(_value_rows(g, kind))
+    return rank(_value_rows(decompose(g, kind), kind))
 
 
 def rank(rows: list[list[int]]) -> int:
@@ -159,12 +161,12 @@ def _rank_mod(m: list[list[int]], q: int) -> int:
     return rank
 
 
-def _value_rows(g: int, kind: str) -> list[list[int]]:
-    """The value matrix with each row scaled to integers: every part is
-    evaluated at each integer argument by Horner's rule on its numerators,
-    that is, scaled by its denominator (the lcm of its coefficient
-    denominators), which leaves the rank unchanged."""
-    parts = _p_parts(g, kind)
+def _value_rows(parts: dict[int, UnivariatePolynomial], kind: str) -> list[list[int]]:
+    """The value matrix of the p-parts {j: part at p^j} of the even or odd
+    kind with each row scaled to integers: every part is evaluated at each
+    integer argument by Horner's rule on its numerators, that is, scaled by
+    its denominator (the lcm of its coefficient denominators), which leaves
+    the rank unchanged."""
     exponents = sorted(parts)
     columns = len(exponents) + RANK_COLUMN_SLACK
     if kind == "even":
@@ -222,14 +224,14 @@ class Certificate(NamedTuple):
 
 
 # The checks below each return one CheckResult and never raise on a failed
-# identity; `verify` runs the same functions, the per-genus ones over its
-# genus range.  A genus below one is a usage error and raises ValueError.
+# identity; `verify` runs the same functions, the per-genus ones on one
+# record per genus.  A genus below one is a usage error and raises ValueError.
 
 
-def check_structure(g: int) -> CheckResult:
+def check_structure(data: GenusData) -> CheckResult:
     try:
-        decompose(g, "even")
-        decompose(g, "odd")
+        for kind in ("even", "odd"):
+            _validated(data.genus, kind, data.parts[kind])
     except StructureViolation as exc:
         return CheckResult("decomposition_structure", False, str(exc))
     return CheckResult(
@@ -296,19 +298,20 @@ def leading_term_closed_form(g: int) -> BivariatePolynomial:
     return BivariatePolynomial(terms, PC)
 
 
-def check_leading_term(g: int) -> CheckResult:
+def check_leading_term(data: GenusData) -> CheckResult:
     """The degree-(3g-2) homogeneous part of the dimension polynomial
     against its Bernoulli closed form.  No higher part can be nonzero:
-    `verlinde_polynomial` raises AssertionError unless the total degree
-    is exactly 3g - 2."""
-    if verlinde_polynomial(g).homogeneous_part(3 * g - 2) != leading_term_closed_form(g):
+    `genus_data` raises AssertionError unless the total degree is exactly
+    3g - 2."""
+    g = data.genus
+    if data.even.homogeneous_part(3 * g - 2) != leading_term_closed_form(g):
         return CheckResult("leading_term", False, "top homogeneous part mismatch")
     return CheckResult(
         "leading_term", True, "top homogeneous part matches its closed form"
     )
 
 
-def check_parity(g: int) -> CheckResult:
+def check_parity(data: GenusData) -> CheckResult:
     """The two parity constraints of the dimension polynomial:
 
     (a) D_g = p^(g-1) X + p^g Y with X (the residue component) even in p
@@ -316,25 +319,24 @@ def check_parity(g: int) -> CheckResult:
     (b) the odd-color polynomial divided by p^(g-1) is a polynomial, even
         in p and odd in s.
 
-    Both parts read stored exponent keys; a Fraction is built only to
-    name a failure.  Part (a) reads X and Y in (p, u), u = 2c + 1, from
-    `_integer_parts`: the substitution acts on each p-row alone and is
+    Both parts read stored exponent keys of the record; a Fraction is
+    built only to name a failure.  Part (a) reads X and Y in (p, u),
+    u = 2c + 1: the substitution acts on each p-row alone and is
     invertible, so the p-exponents are those in (p, c).  D_g is built as
     p^(g-1) X + p^g Y, so that sum is not compared again; the leading_term,
     residue_vs_fusion and all_colors_integral checks cover what is built
-    from it.  Part (b) reads the odd-color p-parts of `_p_parts`.
+    from it.  Part (b) reads the odd-color p-parts.
 
     The first violation fails the check, naming the offending monomial.
     """
-    scale, x_part, y_part = _integer_parts(g)
+    g, scale, x_part, y_part = data[:4]
     bad = [("residue component has odd power of p", key, n) for key, n in x_part if key[0] % 2]
     bad += [("binomial component depends on p", key, n) for key, n in y_part if key[0]]
     if bad:
         what, (i, b), n = bad[0]
         return CheckResult("parity", False, f"{what}: {Fraction(n, scale)}*p^{i}*u^{b}")
 
-    parts = _p_parts(g, "odd")
-    for i, part in sorted(parts.items()):
+    for i, part in sorted(data.parts["odd"].items()):
         shift = i - (g - 1)
         if shift < 0:
             return CheckResult("parity", False, f"odd-color polynomial not divisible by p^{g-1}")
@@ -356,15 +358,11 @@ def build_certificate(g: int) -> Certificate:
     and makes the certificate invalid.  The lower_bound field always
     carries the claimed bound, whether or not the checks passed.
     """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    checks: list[CheckResult] = []
-
-    checks.append(check_structure(g))
-
+    data = genus_data(g)
+    checks = [check_structure(data)]
     ranks = {}
     for kind, required in (("even", g + 1), ("odd", g)):
-        ranks[kind] = phi_rank(g, kind)
+        ranks[kind] = rank(_value_rows(data.parts[kind], kind))
         checks.append(
             CheckResult(
                 f"phi_rank_{kind}",
@@ -373,10 +371,11 @@ def build_certificate(g: int) -> Certificate:
             )
         )
 
+    record_checks = check_leading_term(data), check_parity(data)
+    del data  # let genus g go before the crosscheck builds 1..g in turn
     checks.append(check_witness(g, CHECK_LEVELS))
     checks.append(check_crosscheck(g, "dimension values"))
-    checks.append(check_leading_term(g))
-    checks.append(check_parity(g))
+    checks.extend(record_checks)
 
     return Certificate(
         genus=g,

@@ -232,7 +232,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from .verlinde import level_dimensions
+    from .verlinde import _level_dimensions, verlinde_polynomial
 
     genus_range = _parse_range(args.genus)
     p_range = _parse_range(args.p)
@@ -244,10 +244,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         # one chunk per level, so a closed reader stops the computation
         yield "genus,p,color,dimension"
         for g in range(genus_range[0], genus_range[1] + 1):
+            poly = None  # D_g, built at the first level with a color
             for p in range(max(p_range[0], 3) | 1, p_range[1] + 1, 2):  # odd levels
                 colors = range(max(color_range[0], 0), min(color_range[1], p - 2) + 1)
                 if colors:
-                    values = level_dimensions(g, p, colors)
+                    poly = poly or verlinde_polynomial(g)
+                    values = _level_dimensions(g, p, colors, poly)
                     yield "\n".join(f"{g},{p},{m},{value}" for m, value in zip(colors, values))
 
     _emit(args, None, chunks())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 from .bernoulli import (
     bernoulli_half_value,
@@ -44,10 +44,9 @@ from .skein import (
 from .verlinde import (
     _exponential_coefficients,
     _fusion_walk,
-    decompose,
-    level_dimensions,
-    odd_color_polynomial,
-    verlinde_polynomial,
+    _level_dimensions,
+    _validated,
+    genus_data,
 )
 
 EMBED_TOLERANCE = 1e-9
@@ -60,12 +59,13 @@ def _aggregate(name: str, failures: list[str], detail_ok: str) -> CheckResult:
 
 
 def _per_genus(
-    name: str, check: Callable[[int], CheckResult], g_max: int, detail_ok: str
+    name: str, check: Callable[[Any], CheckResult], inputs: Iterable, detail_ok: str
 ) -> CheckResult:
-    """One certificate check run for g = 1..g_max, under the suite's name."""
+    """One certificate check run on the input of each genus g = 1, 2, ...,
+    under the suite's name."""
     failures = []
-    for g in range(1, g_max + 1):
-        result = check(g)
+    for g, item in enumerate(inputs, 1):
+        result = check(item)
         if not result.passed:
             failures.append(f"g={g}: {result.detail}")
     return _aggregate(name, failures, detail_ok)
@@ -163,6 +163,7 @@ def bernoulli_suite() -> list[CheckResult]:
 def verlinde_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
     g_max = 5
+    records = [genus_data(g) for g in range(1, g_max + 1)]
 
     genus_one = BivariatePolynomial(
         {(1, 0): Fraction(1, 2), (0, 1): -1, (0, 0): Fraction(-1, 2)}, ("p", "c")
@@ -171,7 +172,7 @@ def verlinde_suite() -> list[CheckResult]:
     checks.append(
         CheckResult(
             "genus_one_closed_form",
-            verlinde_polynomial(1) == genus_one and odd_color_polynomial(1) == odd_one,
+            records[0].even == genus_one and records[0].odd == odd_one,
             "p/2 - c - 1/2 and (after substitution) s",
         )
     )
@@ -180,15 +181,14 @@ def verlinde_suite() -> list[CheckResult]:
         _per_genus(
             "decomposition_structure",
             check_structure,
-            g_max,
+            records,
             f"support and exact degrees hold for g <= {g_max}",
         )
     )
 
     failures = []
-    for g in range(1, g_max + 1):
-        even = decompose(g, "even")
-        odd = decompose(g, "odd")
+    for g, data in enumerate(records, 1):
+        even, odd = (_validated(g, kind, data.parts[kind]) for kind in ("even", "odd"))
         # the even part at p^j leads with the c^(3g-2-j) term of the closed form
         closed = dict(leading_term_closed_form(g).terms())
         for k in range(g):
@@ -216,13 +216,13 @@ def verlinde_suite() -> list[CheckResult]:
         _per_genus(
             "leading_term_identity",
             check_leading_term,
-            g_max,
+            records,
             f"top homogeneous part matches its closed form for g <= {g_max}",
         )
     )
     checks.append(
         _per_genus(
-            "parity_structure", check_parity, g_max, f"parity constraints hold for g <= {g_max}"
+            "parity_structure", check_parity, records, f"parity constraints hold for g <= {g_max}"
         )
     )
 
@@ -230,9 +230,9 @@ def verlinde_suite() -> list[CheckResult]:
 
     failures = []
     walks = {p: list(_fusion_walk(g_max, p)) for p in CHECK_LEVELS}
-    for g in range(1, g_max + 1):
+    for g, data in enumerate(records, 1):
         for p in CHECK_LEVELS:
-            for m, value in enumerate(level_dimensions(g, p, range(0, p - 1))):
+            for m, value in enumerate(_level_dimensions(g, p, range(0, p - 1), data.even)):
                 s = (m + 1) // 2 if m % 2 == 1 else (p - 1) // 2 - m // 2
                 if value != walks[p][g - 1][s - 1]:
                     failures.append(f"g={g} p={p} m={m}")
@@ -258,7 +258,7 @@ def skein_suite() -> list[CheckResult]:
         _per_genus(
             "flat_curve_two_forms",
             lambda g: check_witness(g, odd_levels),
-            g_max,
+            range(1, g_max + 1),
             f"both closed forms agree and are nonzero for p <= {p_max}, g <= {g_max}",
         )
     )

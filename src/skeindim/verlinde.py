@@ -19,16 +19,11 @@ a + b + 2k = 2g - 2 (b even):
 
     R = sum e_a p^a u^b / (b+1)! * S_k,
 
-with e_a = 2^a B_a / a! from the scalar inverse of sum 2^k x^k/(k+1)!,
-run on ints over the running lcm of its denominators and kept in one
-module-level table that grows on demand, and
-S = s(t)^-(2g-1) = sum S_k t^(2k) from J.C.P. Miller's power recurrence,
-cleared of denominators so that it runs on integers; no bivariate series
-or polynomial is ever multiplied, and X and Y are placed by exponent
-shifts.  The e_a are built here rather than taken from
-`bernoulli_numbers`, so the leading-term check of `certify` against its
-Bernoulli closed form stays independent; this module never imports
-`bernoulli`.
+with e_a = 2^a B_a / a! and S = s(t)^-(2g-1) = sum S_k t^(2k), both run
+on integers; no bivariate series or polynomial is ever multiplied, and
+X and Y are placed by exponent shifts.  The e_a are built here, not taken
+from `bernoulli_numbers`, so the leading-term check of `certify` against
+its Bernoulli closed form stays independent.
 
 Two substitutions leave the integer form, both by one integer Taylor
 shift h(t) -> h(t + 1), `exact._shift`, with additions only:
@@ -44,8 +39,9 @@ shift h(t) -> h(t + 1), `exact._shift`, with additions only:
 Two completely independent routes to the same numbers exist: the residue
 polynomial evaluated at integers, and the fusion-rule recursion over the
 integer weights K[s][y] = (p - 2*max(s,y)) * min(s,y) starting from the
-genus-one values D_1 = s.  `certify.check_crosscheck` compares them; the
-certificate checks read the integers stored here.
+genus-one values D_1 = s.  `certify.check_crosscheck` compares them.
+Nothing is cached: `genus_data` builds the record of one genus that the
+certificate checks read, and it lives as long as its caller holds it.
 """
 
 from __future__ import annotations
@@ -53,8 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import IntegralityError, StructureViolation
 from .exact import BivariatePolynomial, UnivariatePolynomial, _convolve, _horner, _shift
@@ -66,6 +61,8 @@ PS = ("p", "s")
 #: and the same as a tuple of ((i, j), n) pairs.
 _Terms = dict[tuple[int, int], int]
 _Pairs = tuple[tuple[tuple[int, int], int], ...]
+#: The parts {j: part at p^j} of a dimension polynomial.
+_Parts = dict[int, UnivariatePolynomial]
 
 
 def _sinh_power(alpha: int, count: int) -> list[tuple[int, int]]:
@@ -106,8 +103,7 @@ def _exponential_coefficients(order: int) -> tuple[Fraction, ...]:
     lcm L of the denominators so far, the sum times (m+1)! L is the int
     sum_k 2^k (m+1)!/(k+1)! E_(m-k), taken by Horner's rule in k, so each
     new e_m is one Fraction.  The one module-level table grows to `order`
-    on demand.  Built here, not from `bernoulli_numbers`, so the
-    leading-term check of `certify` stays independent.
+    on demand.
     """
     global _EXPONENTIAL
     table = _EXPONENTIAL
@@ -136,11 +132,9 @@ def _residue_coefficient(g: int) -> tuple[int, _Terms]:
     """t^(2g-2) coefficient R of the kernel product, as (L, {(a, b): n}),
     ints in lowest terms, with R = sum n p^a u^b / L and u = 2c + 1.
 
-    The three kernels are e_a p^a t^a, u^b t^b / (b+1)! for even b, and
-    S_k t^(2k) with S = s(t)^-(2g-1) a series in x = t^2.  The coefficient
-    is the finite sum over a + b + 2k = 2g - 2, so no kernel term beyond
-    t^(2g-2) enters; it is collected in integers over one denominator,
-    lcm(e_a) times the largest W_k and (b+1)!, and reduced once.
+    The finite sum over a + b + 2k = 2g - 2 of the module docstring is
+    collected in integers over one denominator, lcm(e_a) times the largest
+    W_k and (b+1)!, and reduced once.
     """
     target = 2 * g - 2
     exponential = _exponential_coefficients(target)
@@ -163,16 +157,12 @@ def _residue_coefficient(g: int) -> tuple[int, _Terms]:
     return scale // divisor, {key: n // divisor for key, n in terms.items()}
 
 
-@lru_cache(maxsize=64)
 def _integer_parts(g: int) -> tuple[int, _Pairs, _Pairs]:
     """(L, X, Y) with D_g(p, u) = p^(g-1) X(p, u) + p^g Y(u), u = 2c + 1,
     where X and Y are tuples of pairs ((i, b), n), ints, meaning
-    sum n p^i u^b / L; tuples, because every caller shares them.
-
-    X = (-1)^g 4^(1-g)/2 u R(p, u) is the residue component, and
-    Y = -(-1)^g/2 prod_{j=1..g-1} (u^2 - (2j-1)^2) / (2^(2g-2) (2g-2)!)
-    is binom(c+g-1, 2g-2) written in u.  Both sit over
-    L = 2 4^(g-1) lcm(L_R, (2g-2)!), with L_R the denominator of R.
+    sum n p^i u^b / L, with X the residue component and Y the binomial
+    one of the module docstring, both over L = 2 4^(g-1) lcm(L_R, (2g-2)!),
+    L_R the denominator of R.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
@@ -192,15 +182,14 @@ def _integer_parts(g: int) -> tuple[int, _Pairs, _Pairs]:
     )
 
 
-def _integer_form(g: int) -> tuple[int, _Terms]:
+def _integer_form(g: int, parts: tuple[int, _Pairs, _Pairs]) -> tuple[int, _Terms]:
     """(L, N), ints, with D_g(p, u) = sum N[i, b] p^i u^b / L: the two
     components of `_integer_parts` shifted by p^(g-1) and p^g."""
-    scale, x_part, y_part = _integer_parts(g)
+    scale, x_part, y_part = parts
     terms: _Terms = {}
     for shift, part in ((g - 1, x_part), (g, y_part)):
         for (i, b), n in part:
-            key = (i + shift, b)
-            terms[key] = terms.get(key, 0) + n
+            terms[i + shift, b] = terms.get((i + shift, b), 0) + n
     return scale, terms
 
 
@@ -225,27 +214,51 @@ def _substitute(
     return BivariatePolynomial(out, PS if odd else PC, scale)
 
 
-@lru_cache(maxsize=64)
-def verlinde_polynomial(g: int) -> BivariatePolynomial:
-    """D_g as an exact polynomial in (p, c), from the integer form by the
-    Taylor shift of each p-row; total degree exactly 3g - 2."""
-    scale, terms = _integer_form(g)
-    result = _substitute(scale, terms.items(), odd=False)
-    if result.total_degree != 3 * g - 2:
-        raise AssertionError(
-            f"dimension polynomial has total degree {result.total_degree}, "
-            f"expected {3 * g - 2}"
-        )
+def _polynomial(g: int, parts: tuple[int, _Pairs, _Pairs], odd: bool) -> BivariatePolynomial:
+    """D_g in (p, c), or with `odd` the odd-color polynomial in (p, s), by
+    `_substitute` from the integer form of the parts (L, X, Y); D_g must
+    have total degree exactly 3g - 2."""
+    scale, terms = _integer_form(g, parts)
+    result = _substitute(scale, terms.items(), odd)
+    if not odd and result.total_degree != 3 * g - 2:
+        raise AssertionError(f"dimension polynomial has total degree {result.total_degree}, "
+                             f"expected {3 * g - 2}")
     return result
 
 
-@lru_cache(maxsize=64)
+def verlinde_polynomial(g: int) -> BivariatePolynomial:
+    """D_g as an exact polynomial in (p, c), from the integer form by the
+    Taylor shift of each p-row; total degree exactly 3g - 2."""
+    return _polynomial(g, _integer_parts(g), odd=False)
+
+
 def odd_color_polynomial(g: int) -> BivariatePolynomial:
     """The odd-color dimension polynomial in (p, s): D_g at c = (p-1)/2 - s,
     that is u = p - 2s, from the integer form by the Taylor shift of each
     total-degree group."""
-    scale, terms = _integer_form(g)
-    return _substitute(scale, terms.items(), odd=True)
+    return _polynomial(g, _integer_parts(g), odd=True)
+
+
+class GenusData(NamedTuple):
+    """What the certificate checks read about one genus: (L, X, Y), D_g in
+    (p, c), the odd-color polynomial in (p, s) and the p-parts of each, by
+    kind ("even" for D_g, "odd")."""
+
+    genus: int
+    scale: int
+    x_part: _Pairs
+    y_part: _Pairs
+    even: BivariatePolynomial
+    odd: BivariatePolynomial
+    parts: dict[str, _Parts]
+
+
+def genus_data(g: int) -> GenusData:
+    """The GenusData record of genus g, from one `_integer_parts` call."""
+    parts = _integer_parts(g)
+    even, odd = _polynomial(g, parts, False), _polynomial(g, parts, True)
+    split = {"even": even.split_by_first(), "odd": odd.split_by_first()}
+    return GenusData(g, *parts, even, odd, split)
 
 
 def exponent_support(g: int, kind: str) -> set[int]:
@@ -255,43 +268,29 @@ def exponent_support(g: int, kind: str) -> set[int]:
     return base | {g} if kind == "even" else base
 
 
-def _p_parts(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
-    """The parts {j: part at p^j} of the even- or odd-color dimension
-    polynomial, for `decompose` to validate and the rank rows to read."""
+def decompose(g: int, kind: str) -> _Parts:
+    """{j: part at p^j} of the even- or odd-color dimension polynomial, in
+    c or s; `_validated` checks their support and degrees and raises
+    StructureViolation.  The parts sum back to the polynomial."""
     if kind not in ("even", "odd"):
         raise ValueError("kind must be 'even' or 'odd'")
-    source = verlinde_polynomial(g) if kind == "even" else odd_color_polynomial(g)
-    return source.split_by_first()
+    source = verlinde_polynomial if kind == "even" else odd_color_polynomial
+    return _validated(g, kind, source(g).split_by_first())
 
 
-def decompose(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
-    """Split the dimension polynomial by powers of p and validate its
-    structure: support exactly the expected exponent set, and the part at
-    p^j of degree exactly 3g - 2 - j (hence nonzero leading coefficient).
-
-    Returns {j: part at p^j}, each part in c for the even-color kind and
-    in s for the odd-color kind.  Any violation raises StructureViolation.
-    The parts are the polynomial's own terms grouped by `split_by_first`,
-    so they sum back to it by construction.
-    """
-    if g < 1:
-        raise ValueError("genus must be at least 1")
-    parts = _p_parts(g, kind)
+def _validated(g: int, kind: str, parts: _Parts) -> _Parts:
+    """The parts {j: part at p^j}, once their support is exactly the expected
+    exponent set and the part at p^j has degree exactly 3g - 2 - j (hence a
+    nonzero leading coefficient); any violation raises StructureViolation."""
     expected = exponent_support(g, kind)
     for j in sorted(set(parts) - expected):
-        raise StructureViolation(
-            f"unexpected nonzero part at p^{j} (genus {g}, kind {kind})"
-        )
+        raise StructureViolation(f"unexpected nonzero part at p^{j} (genus {g}, kind {kind})")
     for j in sorted(expected - set(parts)):
-        raise StructureViolation(
-            f"missing part at p^{j} (genus {g}, kind {kind})"
-        )
+        raise StructureViolation(f"missing part at p^{j} (genus {g}, kind {kind})")
     for j, poly in parts.items():
         if poly.degree != 3 * g - 2 - j:
-            raise StructureViolation(
-                f"part at p^{j} has degree {poly.degree}, expected {3 * g - 2 - j} "
-                f"(genus {g}, kind {kind})"
-            )
+            raise StructureViolation(f"part at p^{j} has degree {poly.degree}, expected "
+                                     f"{3 * g - 2 - j} (genus {g}, kind {kind})")
     return parts
 
 
@@ -351,6 +350,12 @@ def level_dimensions(g: int, p: int, colors: Iterable[int]) -> list[int]:
     anything else raises IntegralityError.  A color that is not an integer
     raises TypeError.
     """
+    return _level_dimensions(g, p, colors, None)
+
+
+def _level_dimensions(g: int, p: int, colors: Iterable[int],
+                      poly: BivariatePolynomial | None) -> list[int]:
+    """`level_dimensions` on poly = D_g, built after the checks if None."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     _check_level(p)
@@ -361,7 +366,7 @@ def level_dimensions(g: int, p: int, colors: Iterable[int]) -> list[int]:
         evens.append(p - m - 2 if m % 2 else m)
     if not evens:
         return []
-    denominator, values = verlinde_polynomial(g).fold_first(p)
+    denominator, values = (poly or verlinde_polynomial(g)).fold_first(p)
     denominator <<= len(values) - 1
     found: dict[int, int] = {}
     for m in evens:
@@ -369,18 +374,12 @@ def level_dimensions(g: int, p: int, colors: Iterable[int]) -> list[int]:
             numerator = _horner(values, m, 2)
             found[m], rest = divmod(numerator, denominator)
             if rest or numerator < 0:
-                raise IntegralityError(
-                    f"dimension at genus {g}, p={p}, color {m} evaluated to "
-                    f"{Fraction(numerator, denominator)}"
-                )
+                raise IntegralityError(f"dimension at genus {g}, p={p}, color {m} evaluated "
+                                       f"to {Fraction(numerator, denominator)}")
     return [found[m] for m in evens]
 
 
 def dimension(g: int, p: int, m: int) -> int:
-    """Dimension of the genus-g space with one point colored m, 0 <= m <= p-2.
-
-    Even colors evaluate the dimension polynomial at c = m/2; odd colors
-    are recolored to the even color p - m - 2 first.  The result must be a
-    nonnegative integer; anything else raises IntegralityError.
-    """
+    """Dimension of the genus-g space with one point colored m, 0 <= m <= p-2:
+    `level_dimensions` of the one color."""
     return level_dimensions(g, p, (m,))[0]

@@ -45,6 +45,7 @@ from skeindim.verlinde import (
     decompose,
     dimension,
     fusion_dimension,
+    genus_data,
     odd_color_polynomial,
     verlinde_polynomial,
 )
@@ -128,7 +129,7 @@ def test_criterion_04_leading_term_identity():
     ok = True
     detail = ""
     for g in range(1, 7):
-        check = check_leading_term(g)
+        check = check_leading_term(genus_data(g))
         if not check.passed:
             ok, detail = False, f"g={g}: {check.detail}"
         for n in range(3 * g - 1, 3 * g + 3):
@@ -141,7 +142,7 @@ def test_criterion_05_parity():
     ok = True
     detail = ""
     for g in range(1, 7):
-        check = check_parity(g)
+        check = check_parity(genus_data(g))
         if not check.passed:
             ok, detail = False, f"g={g}: {check.detail}"
     _report("5 parity structure", ok, detail or "g <= 6")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim import certify, suites, verlinde
+from skeindim import certify, suites
 from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
     RANK_COLUMN_SLACK,
@@ -24,7 +24,7 @@ from skeindim.certify import (
 )
 from skeindim.cli import main
 from skeindim.exact import BivariatePolynomial, _horner, _scaled
-from skeindim.verlinde import StructureViolation, decompose
+from skeindim.verlinde import StructureViolation, decompose, genus_data
 from ring_oracle import RingPolynomial, ring
 
 
@@ -50,14 +50,14 @@ def test_phi_rank_rejects_unknown_kind(kind):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_phi_rank_saturates_at_row_count(g):
-    assert rank([row[: g + 1] for row in _value_rows(g, "even")]) == g + 1
-    assert rank([row[:g] for row in _value_rows(g, "odd")]) == g
+    assert rank([row[: g + 1] for row in _value_rows(decompose(g, "even"), "even")]) == g + 1
+    assert rank([row[:g] for row in _value_rows(decompose(g, "odd"), "odd")]) == g
 
 
 @pytest.mark.parametrize("kind", ["even", "odd"])
 @pytest.mark.parametrize("g", range(1, 25))
 def test_witness_rank_matches_bareiss(g, kind, monkeypatch):
-    rows = _value_rows(g, kind)
+    rows = _value_rows(decompose(g, kind), kind)
     # the witness decides these matrices at every prime, so the rank
     # below is the witness's
     assert all(_rank_mod(rows, q) == len(rows) for q in WITNESS_PRIMES)
@@ -100,7 +100,7 @@ def _fraction_value_rows(g, kind, columns):
 @pytest.mark.parametrize("g", range(1, 13))
 def test_value_rows_are_scaled_fraction_rows(g, kind):
     columns = g + (kind == "even") + RANK_COLUMN_SLACK
-    rows = _value_rows(g, kind)
+    rows = _value_rows(decompose(g, kind), kind)
     expected = _fraction_value_rows(g, kind, columns)
     parts = decompose(g, kind)
     assert len(rows) == len(expected)
@@ -123,7 +123,7 @@ def test_value_rows_equal_the_rows_of_the_scaled_coefficients(g, kind):
     for j in sorted(parts):
         _, values = _scaled(parts[j].coefficients)
         expected.append([_horner(values, a, 1) for a in arguments])
-    assert _value_rows(g, kind) == expected
+    assert _value_rows(decompose(g, kind), kind) == expected
 
 
 def test_check_records_serialize_in_field_order():
@@ -210,10 +210,11 @@ def _raises(exc):
 _ZERO = BivariatePolynomial({})
 
 # (name patched in certify, fake, verify suite, verify check, certificate
-# check, certificate detail)
+# check, certificate detail).  A fake `genus_data` is patched in suites
+# too, as the verlinde suite builds its own records.
 FAILING_CHECKS = {
     "decompose": (
-        "decompose", _raises(StructureViolation("planted violation")),
+        "_validated", _raises(StructureViolation("planted violation")),
         "verlinde", "decomposition_structure", "decomposition_structure", "planted violation",
     ),
     "leading_term": (
@@ -221,7 +222,7 @@ FAILING_CHECKS = {
         "verlinde", "leading_term_identity", "leading_term", "top homogeneous part mismatch",
     ),
     "parity": (
-        "_integer_parts", lambda g: (1, (((1, 0), 1),), ()),
+        "genus_data", lambda g: genus_data(g)._replace(scale=1, x_part=(((1, 0), 1),), y_part=()),
         "verlinde", "parity_structure", "parity",
         "residue component has odd power of p: 1*p^1*u^0",
     ),
@@ -242,6 +243,8 @@ FAILING_CHECKS = {
 def test_failing_shared_check_fails_certificate_and_verify(monkeypatch, capsys, case):
     name, fake, suite, verify_check, cert_check, detail = FAILING_CHECKS[case]
     monkeypatch.setattr(certify, name, fake)
+    if name == "genus_data":
+        monkeypatch.setattr(suites, name, fake)
 
     cert = build_certificate(2)
     assert not cert.valid
@@ -264,56 +267,51 @@ def test_failing_shared_check_fails_certificate_and_verify(monkeypatch, capsys, 
     assert f"FAIL certificates_valid: g=1: {cert_check}" in out
 
 
-def _with_monomial(index, key):
-    """A plant for `_integer_parts`: its (L, X, Y) with the monomial
-    1*p^i*u^b, key (i, b), added to X (index 1) or Y (index 2)."""
+def _with_monomial(field, key):
+    """A plant for a record: the monomial 1*p^i*u^b, key (i, b), added to
+    its X (field "x_part") or Y (field "y_part")."""
+    return lambda data: data._replace(**{field: getattr(data, field) + ((key, data.scale),)})
 
-    def plant(real):
-        def planted(g):
-            parts = list(real(g))
-            parts[index] += ((key, parts[0]),)
-            return tuple(parts)
 
-        return planted
+def _with_odd(change):
+    """A plant for a record: its odd-color parts split from change(odd),
+    odd its odd-color polynomial."""
+    def plant(data):
+        return data._replace(parts={**data.parts, "odd": change(data.odd).split_by_first()})
 
     return plant
 
 
-# Each parity violation, planted at genus 2 in a name that `check_parity`
-# reads: (module, name, plant applied to the real function, detail).  The
-# X and Y components come from `certify._integer_parts`, the odd-color
-# parts from `verlinde.odd_color_polynomial` through `_p_parts`.
+# Each parity violation, planted in the genus-2 record that `check_parity`
+# reads: (plant applied to the real record, detail).
 PARITY_VIOLATIONS = {
     "residue_odd_in_p": (
-        certify, "_integer_parts", _with_monomial(1, (1, 0)),
+        _with_monomial("x_part", (1, 0)),
         "residue component has odd power of p: 1*p^1*u^0",
     ),
     "binomial_has_p": (
-        certify, "_integer_parts", _with_monomial(2, (1, 1)),
+        _with_monomial("y_part", (1, 1)),
         "binomial component depends on p: 1*p^1*u^1",
     ),
     "odd_not_divisible": (
-        verlinde, "odd_color_polynomial", lambda real: lambda g: ring(real(g)) + 1,
+        _with_odd(lambda odd: ring(odd) + 1),
         "odd-color polynomial not divisible by p^1",
     ),
     "odd_in_p_after_division": (
-        verlinde, "odd_color_polynomial",
-        lambda real: lambda g: real(g) + RingPolynomial({(2, 1): 1}, ("p", "s")),
+        _with_odd(lambda odd: odd + RingPolynomial({(2, 1): 1}, ("p", "s"))),
         "odd-color polynomial / p^1 has odd power of p: 1*p^1*s^1",
     ),
     "even_in_s_after_division": (
-        verlinde, "odd_color_polynomial",
-        lambda real: lambda g: real(g) + RingPolynomial.first(("p", "s")),
+        _with_odd(lambda odd: odd + RingPolynomial.first(("p", "s"))),
         "odd-color polynomial / p^1 has even power of s: 1*p^0*s^0",
     ),
 }
 
 
 @pytest.mark.parametrize("case", PARITY_VIOLATIONS)
-def test_parity_violation_is_reported_not_raised(monkeypatch, case):
-    module, name, plant, detail = PARITY_VIOLATIONS[case]
-    monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    assert certify.check_parity(2) == ("parity", False, detail)
+def test_parity_violation_is_reported_not_raised(case):
+    plant, detail = PARITY_VIOLATIONS[case]
+    assert certify.check_parity(plant(genus_data(2))) == ("parity", False, detail)
 
 
 # Checks that only the certificate runs per genus: (module the certificate
@@ -332,8 +330,8 @@ CERTIFICATE_ONLY_FAILURES = {
         "42 dimension values compared, 1 mismatches (g=1 p=3 s=1)",
     ),
     "phi_rank_even": (
-        certify, "phi_rank",
-        lambda real: lambda g, kind: real(g, kind) - (kind == "even"),
+        certify, "_value_rows",
+        lambda real: lambda parts, kind: real(parts, kind)[: -1 if kind == "even" else None],
         "rank 2, required 3",
     ),
 }
@@ -386,15 +384,15 @@ def test_planted_oracle_crosscheck_fails_certificate_and_verlinde_suite(monkeypa
 
 
 def test_wrong_even_leading_coefficient_fails_verlinde_suite(monkeypatch, capsys):
-    real = suites.decompose
+    real = suites._validated
 
-    def planted(g, kind):
-        parts = real(g, kind)
+    def planted(g, kind, parts):
+        parts = real(g, kind, parts)
         if (g, kind) == (2, "even"):
             parts = {**parts, 3: parts[3] * 2}
         return parts
 
-    monkeypatch.setattr(suites, "decompose", planted)
+    monkeypatch.setattr(suites, "_validated", planted)
     assert main(["verify", "--suite", "verlinde"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL leading_coefficient_bernoulli_multiples: even g=2 j=3"]

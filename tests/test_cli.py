@@ -170,7 +170,7 @@ INTERNAL_ERRORS = {
     "total_degree": (
         ["certify", "--genus", "3"],
         verlinde, "_integer_form",
-        lambda real: lambda g: (real(g)[0], {**real(g)[1], (0, 3 * g - 1): 1}),
+        lambda real: lambda g, parts: (parts[0], {**real(g, parts)[1], (0, 3 * g - 1): 1}),
         "dimension polynomial has total degree 8, expected 7",
     ),
     "integrality": (
@@ -186,10 +186,6 @@ INTERNAL_ERRORS = {
 def test_internal_consistency_error_is_check_failure(monkeypatch, capsys, case):
     argv, module, name, plant, message = INTERNAL_ERRORS[case]
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    # a plant in the genus construction shows only when a polynomial is
-    # built, not from cache
-    for cached in (verlinde._integer_parts, verlinde_polynomial, verlinde.odd_color_polynomial):
-        cached.cache_clear()
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -418,14 +414,14 @@ def test_integrality_error_is_check_failure(monkeypatch, capsys, argv):
 
 
 def test_table_error_keeps_the_finished_levels(monkeypatch, capsys):
-    real = verlinde.level_dimensions
+    real = verlinde._level_dimensions
 
-    def fails_at_nine(g, p, colors):
+    def fails_at_nine(g, p, colors, poly):
         if p == 9:
             raise verlinde.IntegralityError("planted at p=9")
-        return real(g, p, colors)
+        return real(g, p, colors, poly)
 
-    monkeypatch.setattr(verlinde, "level_dimensions", fails_at_nine)
+    monkeypatch.setattr(verlinde, "_level_dimensions", fails_at_nine)
     code, out, err = run_cli(capsys, "table", "--genus", "2", "--p", "3:13", "--color", "0:4")
     assert code == 1
     # every row of p = 3, 5, 7 and none of the failing level

@@ -201,13 +201,13 @@ def test_closed_pipe_stops_the_table(monkeypatch, capsys):
     # the table streams one level at a time, so once the reader is gone no
     # further level is computed
     levels = []
-    real = verlinde.level_dimensions
+    real = verlinde._level_dimensions
 
-    def counted(g, p, colors):
+    def counted(g, p, colors, poly):
         levels.append(p)
-        return real(g, p, colors)
+        return real(g, p, colors, poly)
 
-    monkeypatch.setattr(verlinde, "level_dimensions", counted)
+    monkeypatch.setattr(verlinde, "_level_dimensions", counted)
     read_end, write_end = os.pipe()
     os.close(read_end)
     with open(write_end, "w") as closed:
@@ -267,3 +267,12 @@ def test_table_memory_does_not_grow_with_the_row_count():
     # 241,201 rows
     large = peak_rss_kib("table", "--genus", "1:6", "--p", "3:401", "--color", "0:399")
     assert abs(large - small) < 4 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not has_peak_rss(), reason="no VmHWM in /proc/self/status")
+def test_certificate_memory_holds_one_genus():
+    # a certificate holds one genus at a time: its own record, let go
+    # before the crosscheck builds each genus 1..g in turn
+    small = peak_rss_kib("certify", "--genus", "20", "--format", "text")
+    large = peak_rss_kib("certify", "--genus", "60", "--format", "text")
+    assert large - small < 6 * 1024, (small, large)

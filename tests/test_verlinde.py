@@ -7,6 +7,7 @@ expanded by hand from the defining series product.
 
 from __future__ import annotations
 
+import gc
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim import certify, verlinde
 from skeindim.certify import (
     CHECK_LEVELS,
+    build_certificate,
     check_crosscheck,
     check_leading_term,
     check_parity,
@@ -30,7 +32,6 @@ from skeindim.verlinde import (
     _fusion_walk,
     _integer_form,
     _integer_parts,
-    _p_parts,
     _residue_coefficient,
     _substitute,
     IntegralityError,
@@ -39,6 +40,7 @@ from skeindim.verlinde import (
     exponent_support,
     fusion_dimension,
     fusion_table,
+    genus_data,
     level_dimensions,
     odd_color_polynomial,
     verlinde_polynomial,
@@ -159,7 +161,7 @@ def test_decompose_rejects_bad_arguments():
 
 
 def test_leading_term_genus_one():
-    assert check_leading_term(1).passed
+    assert check_leading_term(genus_data(1)).passed
     # F_1 = p/2 - c
     assert leading_term_closed_form(1) == BivariatePolynomial(
         {(1, 0): Fraction(1, 2), (0, 1): -1}, PC
@@ -168,7 +170,7 @@ def test_leading_term_genus_one():
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_leading_term_small_genera(g):
-    assert check_leading_term(g).passed
+    assert check_leading_term(genus_data(g)).passed
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -207,7 +209,7 @@ def test_leading_coefficient_bernoulli_links(g):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_parity_checks_pass(g):
-    assert check_parity(g).passed
+    assert check_parity(genus_data(g)).passed
 
 
 def test_genus_two_reduced_odd_polynomial_structure():
@@ -215,7 +217,7 @@ def test_genus_two_reduced_odd_polynomial_structure():
     assert odd_color_polynomial(2) == BivariatePolynomial(
         {(3, 1): Fraction(1, 24), (1, 3): Fraction(-1, 6), (1, 1): Fraction(1, 8)}, PS
     )
-    parts = _p_parts(2, "odd")
+    parts = genus_data(2).parts["odd"]
     assert {i: part.exponents() for i, part in parts.items()} == {1: {1, 3}, 3: {1}}
 
 
@@ -468,34 +470,29 @@ def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
     )
 
 
-# --------------------------------------------------------------- caches
+# --------------------------------------------------------------- records
 
 
-@pytest.fixture
-def genus_caches():
-    """The three per-genus caches, emptied before and after the test: the
-    test fills them from cheap stand-in builders."""
-    caches = (_integer_parts, verlinde_polynomial, odd_color_polynomial)
-    for cache in caches:
-        cache.cache_clear()
-    yield caches
-    for cache in caches:
-        cache.cache_clear()
+@pytest.mark.parametrize("g", range(1, 9))
+def test_record_matches_the_public_builders(g):
+    data = genus_data(g)
+    assert data.genus == g
+    assert data[1:4] == _integer_parts(g)
+    assert data.even == verlinde_polynomial(g)
+    assert data.odd == odd_color_polynomial(g)
+    assert data.parts == {kind: decompose(g, kind) for kind in ("even", "odd")}
 
 
-def test_genus_caches_stay_within_their_bound(monkeypatch, genus_caches):
-    # each stand-in replaces the function behind one cache by a cheap form
-    # of the right shape: a zero residue, and D_g = p^g u^(2g-2), of total
-    # degree 3g - 2, behind both polynomial caches
-    monkeypatch.setattr(verlinde, "_residue_coefficient", lambda g: (1, {}))
-    monkeypatch.setattr(verlinde, "_integer_parts", lambda g: (1, (), (((0, 2 * g - 2), 1),)))
-    for cache in genus_caches:
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None
-        for g in range(1, maxsize + 6):
-            cache(g)
-            assert cache.cache_info().currsize <= maxsize
-        assert cache.cache_info().misses == maxsize + 5
+def test_certificate_leaves_no_polynomial_behind():
+    # nothing keeps a genus once its certificate is built: the record is
+    # let go, and the crosscheck lets each odd-color polynomial go in turn
+    def live():
+        gc.collect()
+        return sum(isinstance(obj, BivariatePolynomial) for obj in gc.get_objects())
+
+    before = live()
+    assert build_certificate(12).valid
+    assert live() == before
 
 
 # ----------------------------------- construction: earlier Fraction route
@@ -591,7 +588,7 @@ def test_part_p_exponents_agree_in_u_and_c(g):
 
 @pytest.mark.parametrize("g", range(1, 13))
 def test_integer_form_is_the_polynomial_in_u(g):
-    scale, terms = _integer_form(g)
+    scale, terms = _integer_form(g, _integer_parts(g))
     assert scale > 0 and all(terms.values())
     assert _affine_in_c(scale, terms.items()) == verlinde_polynomial(g)
 
@@ -630,10 +627,13 @@ def test_residue_integer_sum_matches_fraction_sum(g):
         verlinde_polynomial,
         odd_color_polynomial,
         _integer_parts,
-        _integer_form,
-        check_structure,
-        pytest.param(check_parity, id="parity_checks"),
-        pytest.param(check_leading_term, id="leading_term_check"),
+        # the integer form, the checks and the rank rows take a genus
+        # through the parts or the record it is built from
+        pytest.param(lambda g: _integer_form(g, _integer_parts(g)), id="_integer_form"),
+        pytest.param(lambda g: check_structure(genus_data(g)), id="check_structure"),
+        pytest.param(lambda g: check_parity(genus_data(g)), id="parity_checks"),
+        pytest.param(lambda g: check_leading_term(genus_data(g)), id="leading_term_check"),
+        genus_data,
         lambda g: decompose(g, "even"),
         lambda g: decompose(g, "odd"),
         lambda g: dimension(g, 5, 0),
