@@ -26,7 +26,6 @@ _EXPORTS = {
     "CheckResult": "certify",
     "build_certificate": "certify",
     "lower_bound": "certify",
-    "phi_rank": "certify",
     "CyclotomicElement": "cyclotomic",
     "CyclotomicField": "cyclotomic",
     "cyclotomic_field": "cyclotomic",

@@ -3,17 +3,21 @@
 The certified quantity is dim K(Sigma_g x S^1) >= 2^(2g+1) + 2g - 1,
 assembled from three ingredients:
 
-  * the rank of the even-color value matrix (rows the p-power coefficient
-    polynomials, columns their values at c = 0, 1, ...) must be g + 1,
-    giving that many independent classes in the trivial homology class;
-  * the odd-color rank must be g, for the class wrapping the circle;
+  * g + 1 even-color p-parts that are linearly independent as polynomials
+    in the color, giving that many independent classes in the trivial
+    homology class;
+  * g such odd-color parts, for the class wrapping the circle;
   * a nonvanishing curve invariant covers each of the remaining
     2^(2g+1) - 2 mod-2 homology classes with at least one dimension each.
 
-Both ranks come from `rank`: a full rank modulo a prime in WITNESS_PRIMES
-is a nonzero minor modulo q, hence a nonzero integer minor, so it proves
-the rank over Q; fraction-free Bareiss elimination decides any matrix the
-primes leave short.
+Both ranks are read off the exact degrees that `check_structure` proves:
+the part at p^j has degree exactly 3g - 2 - j, and polynomials of
+distinct exact degrees are linearly independent, since the one of highest
+degree cannot cancel.  So the number of distinct degrees among the parts,
+all nonzero, is a proven lower bound on their rank, and it reaches g + 1
+and g when the structure holds.  Independence as polynomials in the
+color is what the bound uses: at level p the color variable runs over
+c = 0..(p-3)/2 (s = 1..(p-1)/2 for odd colors), without bound as p grows.
 
 The checks behind a certificate all live here, each returning one
 CheckResult: the decomposition structure, the curve witness, the residue
@@ -41,14 +45,13 @@ from typing import NamedTuple
 from .bernoulli import bernoulli_numbers
 from .cyclotomic import cyclotomic_field
 from .errors import StructureViolation
-from .exact import BivariatePolynomial, UnivariatePolynomial, _horner
+from .exact import BivariatePolynomial, _horner
 from .skein import flat_curve_check
 from .verlinde import (
     PC,
     GenusData,
     _fusion_walk,
     _validated,
-    decompose,
     genus_data,
     odd_color_polynomial,
 )
@@ -61,14 +64,6 @@ POWER_BASIS_ASSUMPTION = (
 #: The odd levels at which the residue polynomial is compared with the
 #: fusion recursion and the curve witness is checked.
 CHECK_LEVELS = tuple(range(3, 14, 2))
-
-#: Extra value columns beyond the minimal square matrix, so a rank
-#: deficiency would be a genuine property rather than bad truncation.
-RANK_COLUMN_SLACK = 2
-
-#: The primes of the modular full-rank witness in `rank`, tried in turn.
-#: 2^61 - 1 is not among them: the odd-color matrix loses rank modulo it.
-WITNESS_PRIMES = (2**62 - 57, 2**63 - 25)
 
 
 def lower_bound(g: int) -> int:
@@ -84,101 +79,6 @@ def lower_bound(g: int) -> int:
     return 2 ** (2 * g + 1) + 2 * g - 1
 
 
-def phi_rank(g: int, kind: str) -> int:
-    """Exact rank of the value matrix of the p-power decomposition.
-
-    Rows are the nonzero coefficient polynomials (ordered by p-exponent),
-    columns their values at c = 0, 1, ... for the even kind or s = 1, 2,
-    ... for the odd kind, RANK_COLUMN_SLACK more columns than rows.  The
-    rows are the parts of `decompose`, which builds the one polynomial of
-    that kind and validates their support and degrees.
-    """
-    return rank(_value_rows(decompose(g, kind), kind))
-
-
-def rank(rows: list[list[int]]) -> int:
-    """Exact rank of a matrix of integer rows.
-
-    First a modular witness: if the rank modulo a prime q in
-    WITNESS_PRIMES is full, that is min(rows, columns), some minor of that
-    size is nonzero modulo q, hence nonzero over the integers, and the
-    rank over Q is full too.  Otherwise fraction-free (Bareiss)
-    elimination decides it: each step divides by the previous pivot, so
-    intermediate entries stay minors of the input.  A non-int entry raises
-    TypeError, as the reduction and the floor division would silently
-    misrank Fractions.
-    """
-    m = [[operator.index(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        raise ValueError("matrix must have at least one row and one column")
-    n_rows, n_cols = len(m), len(m[0])
-    if any(len(row) != n_cols for row in m):
-        raise ValueError("all rows must have the same length")
-    full = min(n_rows, n_cols)
-    if any(_rank_mod(m, q) == full for q in WITNESS_PRIMES):
-        return full
-    rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next(
-            (i for i in range(rank, n_rows) if m[i][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][col]
-            for j in range(col + 1, n_cols):
-                m[i][j] = (m[i][j] * pivot - factor * m[rank][j]) // prev_pivot
-            m[i][col] = 0
-        prev_pivot = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-def _rank_mod(m: list[list[int]], q: int) -> int:
-    """Rank of the integer rows m over the field of q elements, q prime,
-    by Gaussian elimination on the residues; m is left unchanged."""
-    rows = [[x % q for x in row] for row in m]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col:]
-        inverse = pow(pivot[0], -1, q)
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] * inverse % q
-            if factor:
-                rows[i][col:] = [(a - factor * b) % q for a, b in zip(rows[i][col:], pivot)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _value_rows(parts: dict[int, UnivariatePolynomial], kind: str) -> list[list[int]]:
-    """The value matrix of the p-parts {j: part at p^j} of the even or odd
-    kind with each row scaled to integers: every part is evaluated at each
-    integer argument by Horner's rule on its numerators, that is, scaled by
-    its denominator (the lcm of its coefficient denominators), which leaves
-    the rank unchanged."""
-    exponents = sorted(parts)
-    columns = len(exponents) + RANK_COLUMN_SLACK
-    if kind == "even":
-        arguments = range(columns)
-    else:
-        arguments = range(1, columns + 1)
-    rows = []
-    for j in exponents:
-        rows.append([_horner(parts[j].numerators, a, 1) for a in arguments])
-    return rows
-
-
 class CheckResult(NamedTuple):
     name: str
     passed: bool
@@ -188,8 +88,9 @@ class CheckResult(NamedTuple):
 class Certificate(NamedTuple):
     """Audited lower bound for one genus.
 
-    dim_00 and dim_01 hold the computed ranks; when all checks pass they
-    equal g + 1 and g, and the lower bound splits as
+    dim_00 and dim_01 hold the proven ranks of the even- and odd-color
+    p-parts, the number of distinct exact degrees among them; when all
+    checks pass they equal g + 1 and g, and the lower bound splits as
     dim_00 + dim_01 + other_class_count * other_each.
     """
 
@@ -362,7 +263,8 @@ def build_certificate(g: int) -> Certificate:
     checks = [check_structure(data)]
     ranks = {}
     for kind, required in (("even", g + 1), ("odd", g)):
-        ranks[kind] = rank(_value_rows(data.parts[kind], kind))
+        # parts of distinct exact degrees are independent (each is nonzero)
+        ranks[kind] = len({part.degree for part in data.parts[kind].values()})
         checks.append(
             CheckResult(
                 f"phi_rank_{kind}",

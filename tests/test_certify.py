@@ -11,21 +11,20 @@ import pytest
 from skeindim import certify, suites
 from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
-    RANK_COLUMN_SLACK,
     Certificate,
-    WITNESS_PRIMES,
-    _rank_mod,
-    _value_rows,
     build_certificate,
     check_witness,
     lower_bound,
-    phi_rank,
-    rank,
 )
 from skeindim.cli import main
 from skeindim.exact import BivariatePolynomial, _horner, _scaled
 from skeindim.verlinde import StructureViolation, decompose, genus_data
+import rank_oracle
+from rank_oracle import RANK_COLUMN_SLACK, WITNESS_PRIMES, phi_rank, rank, rank_mod, value_rows
 from ring_oracle import RingPolynomial, ring
+
+# The value-matrix rank of `rank_oracle` is the reference the certificate's
+# degree-count ranks are tested against.
 
 
 def test_phi_rank_genus_one_even():
@@ -50,26 +49,26 @@ def test_phi_rank_rejects_unknown_kind(kind):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
 def test_phi_rank_saturates_at_row_count(g):
-    assert rank([row[: g + 1] for row in _value_rows(decompose(g, "even"), "even")]) == g + 1
-    assert rank([row[:g] for row in _value_rows(decompose(g, "odd"), "odd")]) == g
+    assert rank([row[: g + 1] for row in value_rows(decompose(g, "even"), "even")]) == g + 1
+    assert rank([row[:g] for row in value_rows(decompose(g, "odd"), "odd")]) == g
 
 
 @pytest.mark.parametrize("kind", ["even", "odd"])
 @pytest.mark.parametrize("g", range(1, 25))
 def test_witness_rank_matches_bareiss(g, kind, monkeypatch):
-    rows = _value_rows(decompose(g, kind), kind)
+    rows = value_rows(decompose(g, kind), kind)
     # the witness decides these matrices at every prime, so the rank
     # below is the witness's
-    assert all(_rank_mod(rows, q) == len(rows) for q in WITNESS_PRIMES)
+    assert all(rank_mod(rows, q) == len(rows) for q in WITNESS_PRIMES)
     witnessed = rank(rows)
-    monkeypatch.setattr(certify, "WITNESS_PRIMES", ())
+    monkeypatch.setattr(rank_oracle, "WITNESS_PRIMES", ())
     assert witnessed == rank(rows) == g + (kind == "even")
 
 
 def test_rank_falls_back_to_bareiss_when_every_prime_falls_short():
     q1, q2 = WITNESS_PRIMES
     # full rank over Q, but rank 1 modulo each prime
-    assert [_rank_mod([[1, 0], [0, q1 * q2]], q) for q in WITNESS_PRIMES] == [1, 1]
+    assert [rank_mod([[1, 0], [0, q1 * q2]], q) for q in WITNESS_PRIMES] == [1, 1]
     assert rank([[1, 0], [0, q1 * q2]]) == 2
     # short modulo the first prime only: the second one witnesses
     assert rank([[1, 0], [0, q1]]) == 2
@@ -77,7 +76,7 @@ def test_rank_falls_back_to_bareiss_when_every_prime_falls_short():
     # prime, so Bareiss decides it
     a, b, c = 3**90 + 1, -(7**70), 2**200 + 11
     deficient = [[a, b, c, 1], [5 * a, 5 * b, 5 * c, 5], [b, c, a, q1 * q2]]
-    assert [_rank_mod(deficient, q) for q in WITNESS_PRIMES] == [2, 2]
+    assert [rank_mod(deficient, q) for q in WITNESS_PRIMES] == [2, 2]
     assert rank(deficient) == 2
 
 
@@ -100,7 +99,7 @@ def _fraction_value_rows(g, kind, columns):
 @pytest.mark.parametrize("g", range(1, 13))
 def test_value_rows_are_scaled_fraction_rows(g, kind):
     columns = g + (kind == "even") + RANK_COLUMN_SLACK
-    rows = _value_rows(decompose(g, kind), kind)
+    rows = value_rows(decompose(g, kind), kind)
     expected = _fraction_value_rows(g, kind, columns)
     parts = decompose(g, kind)
     assert len(rows) == len(expected)
@@ -123,7 +122,15 @@ def test_value_rows_equal_the_rows_of_the_scaled_coefficients(g, kind):
     for j in sorted(parts):
         _, values = _scaled(parts[j].coefficients)
         expected.append([_horner(values, a, 1) for a in arguments])
-    assert _value_rows(decompose(g, kind), kind) == expected
+    assert value_rows(decompose(g, kind), kind) == expected
+
+
+@pytest.mark.parametrize("g", range(1, 21))
+def test_certificate_ranks_equal_the_value_matrix_rank(g):
+    cert = build_certificate(g)
+    parts = genus_data(g).parts
+    assert cert.dim_00 == rank(value_rows(parts["even"], "even")) == g + 1
+    assert cert.dim_01 == rank(value_rows(parts["odd"], "odd")) == g
 
 
 def test_check_records_serialize_in_field_order():
@@ -314,50 +321,83 @@ def test_parity_violation_is_reported_not_raised(case):
     assert certify.check_parity(plant(genus_data(2))) == ("parity", False, detail)
 
 
-# Checks that only the certificate runs per genus: (module the certificate
-# reads the name from, name, plant applied to the real function, detail
-# at genus 2).  The crosscheck mismatch is planted in the fusion walk,
-# at (g, p, s) = (1, 3, 1), which `check_crosscheck` reads from `certify`
-# for both `certify` and `verify`; the rank shortfall hits only the
-# even-color matrix.
+def _with_even_parts(change):
+    """A plant for `genus_data`: the genus-2 record with its even-color
+    parts {j: part at p^j} replaced by change(parts), other genera as built."""
+    def plant(real):
+        def planted(g):
+            data = real(g)
+            if g != 2:
+                return data
+            return data._replace(parts={**data.parts, "even": change(data.parts["even"])})
+
+        return planted
+
+    return plant
+
+
+_EVEN_RANK_SHORT = ("phi_rank_even", "rank 2, required 3")
+
+# Checks that only the certificate runs per genus: (name the certificate
+# reads from `certify`, plant applied to the real function, first genus
+# whose certificate fails, failed checks at genus 2 with their details).
+# The crosscheck mismatch is planted in the fusion walk, at
+# (g, p, s) = (1, 3, 1), which `check_crosscheck` reads for both `certify`
+# and `verify`.  The rank shortfall is a doctored genus-2 record whose
+# even-color parts keep only two distinct exact degrees: the part at p^3
+# dropped, or given the degree of the part at p^2.  The structure check
+# names the defect and the degree count falls short of g + 1.
 CERTIFICATE_ONLY_FAILURES = {
     "residue_vs_fusion": (
-        certify, "_fusion_walk",
+        "_fusion_walk",
         lambda real: lambda g_max, p: (
             (v[0] + 1, *v[1:]) if (g, p) == (1, 3) else v
             for g, v in enumerate(real(g_max, p), 1)
         ),
-        "42 dimension values compared, 1 mismatches (g=1 p=3 s=1)",
+        1,
+        [("residue_vs_fusion", "42 dimension values compared, 1 mismatches (g=1 p=3 s=1)")],
     ),
     "phi_rank_even": (
-        certify, "_value_rows",
-        lambda real: lambda parts, kind: real(parts, kind)[: -1 if kind == "even" else None],
-        "rank 2, required 3",
+        "genus_data",
+        _with_even_parts(lambda parts: {j: part for j, part in parts.items() if j != 3}),
+        2,
+        [("decomposition_structure", "missing part at p^3 (genus 2, kind even)"), _EVEN_RANK_SHORT],
+    ),
+    "phi_rank_even_repeated_degree": (
+        "genus_data",
+        _with_even_parts(lambda parts: {**parts, 3: parts[2]}),
+        2,
+        [
+            ("decomposition_structure", "part at p^3 has degree 2, expected 1 (genus 2, kind even)"),
+            _EVEN_RANK_SHORT,
+        ],
     ),
 }
 
 
 @pytest.mark.parametrize("check", CERTIFICATE_ONLY_FAILURES)
 def test_failing_certificate_check_fails_certify(monkeypatch, capsys, check):
-    module, name, plant, detail = CERTIFICATE_ONLY_FAILURES[check]
-    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    name, plant, genus, failed = CERTIFICATE_ONLY_FAILURES[check]
+    monkeypatch.setattr(certify, name, plant(getattr(certify, name)))
 
     cert = build_certificate(2)
     assert not cert.valid
-    assert [(c.name, c.detail) for c in cert.checks if not c.passed] == [(check, detail)]
+    assert [(c.name, c.detail) for c in cert.checks if not c.passed] == failed
 
     assert main(["certify", "--genus", "2", "--format", "text"]) == 1
     out = capsys.readouterr().out
     assert "valid False" in out
-    assert f"FAIL {check}: {detail}" in out.splitlines()
+    for failed_check, detail in failed:
+        assert f"FAIL {failed_check}: {detail}" in out.splitlines()
 
     assert main(["verify", "--suite", "certify"]) == 1
-    assert f"FAIL certificates_valid: g=1: {check}" in capsys.readouterr().out
+    names = ", ".join(failed_check for failed_check, _ in failed)
+    assert f"FAIL certificates_valid: g={genus}: {names}" in capsys.readouterr().out
 
 
 def test_planted_crosscheck_mismatch_fails_verlinde_suite(monkeypatch, capsys):
-    module, name, plant, _ = CERTIFICATE_ONLY_FAILURES["residue_vs_fusion"]
-    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    name, plant, _, _ = CERTIFICATE_ONLY_FAILURES["residue_vs_fusion"]
+    monkeypatch.setattr(certify, name, plant(getattr(certify, name)))
     assert main(["verify", "--suite", "verlinde"]) == 1
     lines = capsys.readouterr().out.splitlines()
     failed = [line for line in lines if line.startswith("FAIL")]

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skeindim.certify import rank
 from skeindim.cyclotomic import CyclotomicElement, cyclotomic_field
 from skeindim.exact import (
     NEG_INFINITY,
@@ -26,6 +25,7 @@ from skeindim.exact import (
     _shift,
 )
 from skeindim.skein import AnnulusSkein
+from rank_oracle import rank
 from ring_oracle import RingPolynomial, ring
 from series_oracle import series_inverse, series_mul
 from substitution_oracle import binomial_poly_in_c, substitute_affine, substitute_half
@@ -671,8 +671,9 @@ def test_rational_field_axioms(a, b, c):
 
 
 # ---------------------------------------------------------------- matrices
-# `rank` lives in `certify`, its one caller; the tests of its modular
-# witness and its Bareiss fallback are in test_certify.
+# `rank` is the value-matrix rank of `rank_oracle`, the reference for the
+# certificate's degree-count ranks; the tests of its modular witness and
+# its Bareiss fallback are in test_certify.
 
 
 def _rational_rank(rows):

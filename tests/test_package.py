@@ -46,6 +46,14 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(skeindim, "no_such_name")
 
 
+def test_the_value_matrix_rank_engine_left_the_package():
+    # the certificate reads its ranks off proven exact degrees; the value
+    # matrix and its rank live on only in the test oracle `rank_oracle`
+    for name in ("phi_rank", "rank", "WITNESS_PRIMES", "RANK_COLUMN_SLACK"):
+        assert not hasattr(certify, name)
+    assert not hasattr(skeindim, "phi_rank")
+
+
 def test_suite_names_match_the_suites():
     assert cli.SUITE_NAMES == tuple(suites.SUITES)
 
