@@ -25,9 +25,10 @@ polynomial against the fusion recursion (`check_crosscheck`), the leading
 term against its Bernoulli closed form (`leading_term_closed_form`) and
 the parity constraints; `verify` runs the same functions.  The per-genus
 checks read one `verlinde.GenusData` record, which `build_certificate`
-builds once and lets go before the crosscheck builds each genus 1..g in
-turn.  The crosscheck and the curve witness run at the levels in
-CHECK_LEVELS.
+builds once and lets go, all but its odd-color polynomial, before the
+crosscheck reads genera 1..g-1, each built in turn, and then that one;
+so each genus's odd-color polynomial is built once per certificate.
+The crosscheck and the curve witness run at the levels in CHECK_LEVELS.
 
 One ingredient is taken as an assumption rather than computed: the family
 of power functions p^j on the admissible roots of unity is linearly
@@ -40,7 +41,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 from .bernoulli import bernoulli_numbers
 from .cyclotomic import cyclotomic_field
@@ -160,24 +162,25 @@ def check_witness(g: int, p_values: tuple[int, ...]) -> CheckResult:
     )
 
 
-def check_crosscheck(g_max: int, counted: str) -> CheckResult:
-    """The odd-color polynomial against the fusion recursion at every
-    (p, s) with p in CHECK_LEVELS, 1 <= s <= (p-1)/2, for every genus up
-    to g_max: one walk per level, one fold per (g, p) and one integer
-    Horner evaluation per s.  The detail counts the compared values as
-    `counted` and names up to three mismatches."""
-    if g_max < 1:
-        raise ValueError("genus must be at least 1")
-    walks = {p: list(_fusion_walk(g_max, p)) for p in CHECK_LEVELS}
+def check_crosscheck(odd_polynomials: Iterable[BivariatePolynomial], counted: str) -> CheckResult:
+    """The odd-color polynomials of genus 1, 2, ..., in that order, against
+    the fusion recursion at every (p, s) with p in CHECK_LEVELS,
+    1 <= s <= (p-1)/2: one walk per level, stepped once per polynomial,
+    one fold per (g, p) and one integer Horner evaluation per s.  Each
+    polynomial is read as it comes, so a lazy iterable holds one genus at
+    a time.  The detail counts the compared values as `counted` and names
+    up to three mismatches; no polynomial at all raises ValueError."""
+    walks = {p: _fusion_walk(p) for p in CHECK_LEVELS}
     checked, mismatches = 0, []
-    for g in range(1, g_max + 1):
-        poly = odd_color_polynomial(g)
-        for p in CHECK_LEVELS:
+    for g, poly in enumerate(odd_polynomials, 1):
+        for p, walk in walks.items():
             denominator, values = poly.fold_first(p)
-            for s, rhs in enumerate(walks[p][g - 1], 1):
+            for s, rhs in enumerate(next(walk), 1):
                 checked += 1
                 if _horner(values, s, 1) != rhs * denominator:
                     mismatches.append(f"g={g} p={p} s={s}")
+    if not checked:
+        raise ValueError("genus must be at least 1")
     detail = f"{checked} {counted} compared"
     if mismatches:
         detail += f", {len(mismatches)} mismatches ({'; '.join(mismatches[:3])})"
@@ -274,9 +277,12 @@ def build_certificate(g: int) -> Certificate:
         )
 
     record_checks = check_leading_term(data), check_parity(data)
-    del data  # let genus g go before the crosscheck builds 1..g in turn
+    odd = data.odd
+    del data  # keep only genus g's odd-color polynomial for the crosscheck
     checks.append(check_witness(g, CHECK_LEVELS))
-    checks.append(check_crosscheck(g, "dimension values"))
+    # genera 1..g-1 are built one at a time as the crosscheck reads them
+    odd_polynomials = chain(map(odd_color_polynomial, range(1, g)), (odd,))
+    checks.append(check_crosscheck(odd_polynomials, "dimension values"))
     checks.extend(record_checks)
 
     return Certificate(

@@ -3,10 +3,11 @@
 An element is an integer coefficient vector reduced modulo the monic
 integer 2p-th cyclotomic polynomial Phi_2p, stored over one positive
 denominator in the dense format of `exact._Dense`, which gives it
-equality, hashing, sums and rational multiples.  Multiplication and
-reduction use integer arithmetic only.  The residue
-class of x, written A below, is a primitive 2p-th root of unity:
-A^(2p) = 1 and A^p = -1.
+equality and hashing.  Its class holds the only ring arithmetic on the
+package's values: negation, sums, differences, products, rational
+multiples and nonnegative powers, all in integers, with a reduction
+after each product.  The residue class of x, written A below, is a
+primitive 2p-th root of unity: A^(2p) = 1 and A^p = -1.
 
 The modulus is built from the Mobius form of Phi_p (Washington, ch. 2):
 for odd p, Phi_2p(x) = Phi_p(-x) = prod_{d | p} (x^d + 1)^mu(p/d), each
@@ -23,7 +24,7 @@ exponent gap u - v = 2a, p not dividing a, and does so in closed form:
 since z = A^(2a) satisfies z^p = 1 and z != 1, so (z - 1) sum k z^k = p.
 The quantum denominators of the skein module all have this shape: the
 curve evaluations, D^2 = -p/(A^2 - A^-2)^2 and both flat-curve closed
-forms.  So an element divides only by a rational and takes only
+forms.  So an element is only ever scaled by a rational and takes only
 nonnegative powers; the tests hold a general extended-Euclid inverse as
 the oracle for the closed form.
 
@@ -45,9 +46,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
-from .exact import RationalLike, _convolve, _Dense, _q, _scaled
+from .exact import RationalLike, _convolve, _Dense, _power, _q, _scaled
 
 _IntPoly = tuple[int, ...]  # ascending integer coefficients
 
@@ -120,18 +122,8 @@ class CyclotomicField:
         denominator, numerators = _scaled([_q(c) for c in coefficients])
         return CyclotomicElement(self, self._reduce(numerators), denominator)
 
-    def zero(self) -> CyclotomicElement:
-        return self.element(())
-
-    def one(self) -> CyclotomicElement:
-        return self.element((1,))
-
     def from_rational(self, value: RationalLike) -> CyclotomicElement:
         return self.element((value,))
-
-    def gen(self) -> CyclotomicElement:
-        """The residue class A of x, a primitive 2p-th root of unity."""
-        return self.gen_power(1)
 
     def gen_power(self, k: int) -> CyclotomicElement:
         """A^k for any integer k (negative exponents use A^(2p) = 1)."""
@@ -208,9 +200,9 @@ class CyclotomicElement(_Dense):
     """An element of Q(zeta_2p): integer numerators, already reduced modulo
     Phi_2p, over one positive denominator.  It mixes with ints and
     Fractions; elements of different fields compare unequal, and any
-    arithmetic between them raises ValueError.  `__mul__` and `__pow__`
-    are defined on the class itself, since `perfbench/trace_child.py`
-    wraps only the methods that a public class defines."""
+    arithmetic between them raises ValueError.  Sums run over the lcm of
+    the two denominators, products over their product, and powers by
+    `exact._power`."""
 
     __slots__ = ("field",)
 
@@ -235,7 +227,8 @@ class CyclotomicElement(_Dense):
 
     def __mul__(self, other: object) -> CyclotomicElement:
         if isinstance(other, (int, Fraction)):
-            return self._times(other)
+            scaled = [n * other.numerator for n in self.numerators]
+            return self._like(scaled, self.denominator * other.denominator)
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
@@ -250,8 +243,25 @@ class CyclotomicElement(_Dense):
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> CyclotomicElement:
+        return self._like([-n for n in self.numerators], self.denominator)
+
+    def __add__(self, other: object) -> CyclotomicElement:
+        coerced = self._coerce(other)
+        if coerced is None:
+            return NotImplemented
+        den = math.lcm(self.denominator, coerced.denominator)
+        s, t = den // self.denominator, den // coerced.denominator
+        pairs = zip_longest(self.numerators, coerced.numerators, fillvalue=0)
+        return self._like([a * s + b * t for a, b in pairs], den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> CyclotomicElement:
+        return self + (-other)
+
     def __pow__(self, exponent: int) -> CyclotomicElement:
-        return super().__pow__(exponent)
+        return _power(self, exponent, lambda: self._like((1,), 1))
 
     def embed(self, s: int = 1) -> complex:
         """Numerical image under A -> exp(i pi s / p); raises ValueError
@@ -271,8 +281,6 @@ class CyclotomicElement(_Dense):
             raise ValueError(message)
         return value
 
-    def render(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coefficients) + "]"
-
     def __repr__(self) -> str:
-        return f"CyclotomicElement(p={self.field.p}, {self.render()})"
+        body = ", ".join(str(c) for c in self.coefficients)
+        return f"CyclotomicElement(p={self.field.p}, [{body}])"

@@ -11,16 +11,17 @@ normalizes; when the gcd is already 1 it hands back the stripped ints
 and the denominator without a division pass.
 
 The dense form of that format, a numerator tuple lowest index first,
-lives in one private base, `_Dense`: normalization, equality, hashing,
-negation, sums, differences, powers and scalar multiples.
-`UnivariatePolynomial` here, `skein.AnnulusSkein` and
-`cyclotomic.CyclotomicElement` subclass it and add only their product.
-Sums run over the lcm of the two denominators, products over their
-product.  Dense products of ascending integer lists go through one
-convolution, `_convolve`, and Taylor shifts f(x) -> f(x + 1) through
-one loop of additions, `_shift`.  Powers are square-and-multiply
-(`_power`) started from the power of the exponent's lowest set bit, so
-no product by one is ever made.
+lives in one private base, `_Dense`, which holds the format only:
+normalization, coefficients, truth, equality and hashing, with an int
+or a Fraction equal to the constant of its value.  Ring arithmetic lives
+on `cyclotomic.CyclotomicElement` alone, the one kind whose values any
+command adds, subtracts or raises to a power; `skein.AnnulusSkein` has
+only its product of two skeins, and `UnivariatePolynomial` here only
+evaluation and composition.  Dense products of ascending integer lists
+go through one convolution, `_convolve`, and Taylor shifts
+f(x) -> f(x + 1) through one loop of additions, `_shift`.  Powers are
+square-and-multiply (`_power`) started from the power of the exponent's
+lowest set bit, so no product by one is ever made.
 
 Evaluation is a homogenized Horner rule on the stored ints, with one
 Fraction at the end: fold_first(a/b) fixes the first variable, giving
@@ -31,7 +32,9 @@ of a/b.
 
 Representations:
 
-  UnivariatePolynomial  dense numerator tuple, lowest degree first.
+  UnivariatePolynomial  dense numerator tuple, lowest degree first; built,
+                        evaluated, composed and read, with no ring
+                        arithmetic.
   BivariatePolynomial   sparse dict {(i, j): numerator} with a named variable
                         pair such as ("p", "c"); many of the polynomials
                         produced downstream are structurally sparse.  The
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int]
@@ -152,8 +154,10 @@ def _power(base, exponent: int, one):
 class _Dense:
     """A dense exact value: the int `numerators`, lowest index first, over
     the positive int `denominator`, in lowest terms as `_lowest` leaves
-    them.  Immutable, hashable.  A subclass adds its product and, where
-    its kind needs them, its own `_like` and `_coerce`."""
+    them.  Immutable, hashable, and equal to an int or a Fraction when it
+    is that constant; it holds the format and has no arithmetic.  A
+    subclass adds what its kind needs, and its own `_like` and `_coerce`
+    where its values carry more than the numerators."""
 
     __slots__ = ("numerators", "denominator")
 
@@ -178,12 +182,6 @@ class _Dense:
             return self._like((other.numerator,), other.denominator)
         return other if isinstance(other, type(self)) else None
 
-    def _times(self, scalar: RationalLike):
-        """self * scalar, for an int or a Fraction."""
-        return self._like(
-            [n * scalar.numerator for n in self.numerators], self.denominator * scalar.denominator
-        )
-
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.denominator) for n in self.numerators)
@@ -205,32 +203,6 @@ class _Dense:
             return hash(Fraction((self.numerators or (0,))[0], self.denominator))
         return hash((self.numerators, self.denominator))
 
-    def __neg__(self):
-        return self._like([-n for n in self.numerators], self.denominator)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        den = math.lcm(self.denominator, other.denominator)
-        s, t = den // self.denominator, den // other.denominator
-        pairs = zip_longest(self.numerators, other.numerators, fillvalue=0)
-        return self._like([a * s + b * t for a, b in pairs], den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __truediv__(self, scalar):
-        return self * (Fraction(1) / _q(scalar))
-
-    def __pow__(self, exponent):
-        return _power(self, exponent, lambda: self._like((1,), 1))
-
 
 class UnivariatePolynomial(_Dense):
     """Dense univariate polynomial over the rationals, lowest degree first;
@@ -248,17 +220,6 @@ class UnivariatePolynomial(_Dense):
 
     def exponents(self) -> set[int]:
         return {k for k, n in enumerate(self.numerators) if n}
-
-    def __mul__(self, other: Union[UnivariatePolynomial, RationalLike]) -> UnivariatePolynomial:
-        if isinstance(other, (int, Fraction)):
-            return self._times(other)
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        return UnivariatePolynomial(
-            _convolve(self.numerators, other.numerators), self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
 
     def __call__(
         self, point: Union[RationalLike, UnivariatePolynomial]

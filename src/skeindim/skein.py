@@ -13,8 +13,10 @@ constant satisfies D^2 = -p/(A^2 - A^-2)^2.  Only D^2 is ever used here
 root never enters).
 
 An annulus skein stores its e-coefficients in the dense format of
-`exact._Dense`, which gives it equality, hashing and sums.  Products in
-this algebra convert to z-powers, multiply, and convert back, on the
+`exact._Dense`, which gives it equality and hashing; its one operation
+is the product of two skeins, which checks the closed-form e-products
+of `e_product` against an independent route.  Products in this algebra
+convert to z-powers, multiply, and convert back, on the
 stored integer numerators over the product of the two denominators:
 Clenshaw's rule for sum c_i e_i and Horner's rule with
 z e_i = e_(i+1) + e_(i-1) for the way back, so no table is stored and no
@@ -43,13 +45,12 @@ are A R(e+1, -(e+1)).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .cyclotomic import CyclotomicElement, CyclotomicField
 from .errors import VanishingDenominator
-from .exact import RationalLike, _convolve, _Dense
+from .exact import _convolve, _Dense
 
 
 def quantum_integer(n: int, field: CyclotomicField) -> CyclotomicElement:
@@ -107,8 +108,8 @@ def _z_to_e(values: Sequence[int]) -> list[int]:
 class AnnulusSkein(_Dense):
     """A skein in the solid torus written in the e-basis: the numerators of
     its e-coefficients over one denominator, in the format of
-    `exact._Dense`; `AnnulusSkein(values)` is sum values[i] e_i.  A sum
-    needs two skeins; an int or a Fraction only multiplies.
+    `exact._Dense`; `AnnulusSkein(values)` is sum values[i] e_i.  It
+    multiplies only by another skein; a constant skein equals its value.
 
     Multiplication converts to the z-power basis, multiplies there, and
     converts back; the two conversions are mutually inverse.  All three
@@ -125,18 +126,11 @@ class AnnulusSkein(_Dense):
 
     e_coefficients = _Dense.coefficients
 
-    def _coerce(self, other: object) -> AnnulusSkein | None:
-        return other if isinstance(other, AnnulusSkein) else None
-
-    def __mul__(self, other: Union[AnnulusSkein, RationalLike]) -> AnnulusSkein:
-        if isinstance(other, (int, Fraction)):
-            return self._times(other)
+    def __mul__(self, other: object) -> AnnulusSkein:
         if not isinstance(other, AnnulusSkein):
             return NotImplemented
         prod = _convolve(_e_to_z(self.numerators), _e_to_z(other.numerators))
         return AnnulusSkein(_z_to_e(prod), self.denominator * other.denominator)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         body = " + ".join(

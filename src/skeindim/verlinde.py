@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import IntegralityError, StructureViolation
@@ -214,11 +215,11 @@ def _substitute(
     return BivariatePolynomial(out, PS if odd else PC, scale)
 
 
-def _polynomial(g: int, parts: tuple[int, _Pairs, _Pairs], odd: bool) -> BivariatePolynomial:
+def _polynomial(g: int, form: tuple[int, _Terms], odd: bool) -> BivariatePolynomial:
     """D_g in (p, c), or with `odd` the odd-color polynomial in (p, s), by
-    `_substitute` from the integer form of the parts (L, X, Y); D_g must
+    `_substitute` from the integer form (L, N) of `_integer_form`; D_g must
     have total degree exactly 3g - 2."""
-    scale, terms = _integer_form(g, parts)
+    scale, terms = form
     result = _substitute(scale, terms.items(), odd)
     if not odd and result.total_degree != 3 * g - 2:
         raise AssertionError(f"dimension polynomial has total degree {result.total_degree}, "
@@ -229,14 +230,14 @@ def _polynomial(g: int, parts: tuple[int, _Pairs, _Pairs], odd: bool) -> Bivaria
 def verlinde_polynomial(g: int) -> BivariatePolynomial:
     """D_g as an exact polynomial in (p, c), from the integer form by the
     Taylor shift of each p-row; total degree exactly 3g - 2."""
-    return _polynomial(g, _integer_parts(g), odd=False)
+    return _polynomial(g, _integer_form(g, _integer_parts(g)), odd=False)
 
 
 def odd_color_polynomial(g: int) -> BivariatePolynomial:
     """The odd-color dimension polynomial in (p, s): D_g at c = (p-1)/2 - s,
     that is u = p - 2s, from the integer form by the Taylor shift of each
     total-degree group."""
-    return _polynomial(g, _integer_parts(g), odd=True)
+    return _polynomial(g, _integer_form(g, _integer_parts(g)), odd=True)
 
 
 class GenusData(NamedTuple):
@@ -254,9 +255,11 @@ class GenusData(NamedTuple):
 
 
 def genus_data(g: int) -> GenusData:
-    """The GenusData record of genus g, from one `_integer_parts` call."""
+    """The GenusData record of genus g, from one `_integer_parts` call
+    merged into one integer form."""
     parts = _integer_parts(g)
-    even, odd = _polynomial(g, parts, False), _polynomial(g, parts, True)
+    form = _integer_form(g, parts)
+    even, odd = _polynomial(g, form, False), _polynomial(g, form, True)
     split = {"even": even.split_by_first(), "odd": odd.split_by_first()}
     return GenusData(g, *parts, even, odd, split)
 
@@ -313,30 +316,28 @@ def fusion_table(p: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _fusion_walk(g_max: int, p: int) -> Iterator[tuple[int, ...]]:
-    """Yield D_1..D_(g_max) at level p, each the odd-color dimensions at
-    s = 1..d, by one walk of the fusion recursion D_(g+1)[s] =
-    sum_y K[s][y] D_g[y] from D_1 = (1..d); a loop on exact ints, so any
-    genus is reachable, holding one step at a time."""
+def _fusion_walk(p: int) -> Iterator[tuple[int, ...]]:
+    """Yield D_1, D_2, ... at level p without end, each the odd-color
+    dimensions at s = 1..d, by one walk of the fusion recursion
+    D_(g+1)[s] = sum_y K[s][y] D_g[y] from D_1 = (1..d); a loop on exact
+    ints, so any genus is reachable, holding one step at a time.  Callers
+    take the genera they need with `islice`."""
     entries = fusion_table(p)
     vector = tuple(range(1, len(entries) + 1))
-    yield vector
-    for _ in range(g_max - 1):
-        vector = tuple(sum(k * v for k, v in zip(row, vector)) for row in entries)
+    while True:
         yield vector
+        vector = tuple(sum(k * v for k, v in zip(row, vector)) for row in entries)
 
 
 def fusion_dimension(g: int, p: int, s: int) -> int:
-    """Odd-color dimension at genus g, the last step of the fusion walk;
+    """Odd-color dimension at genus g, read off the fusion walk;
     the independent integer route against the residue polynomial."""
     if g < 1:
         raise ValueError("genus must be at least 1")
     d = _check_level(p)
     if not 1 <= s <= d:
         raise ValueError(f"s must lie in 1..{d}, got {s}")
-    for vector in _fusion_walk(g, p):
-        pass
-    return vector[s - 1]
+    return next(islice(_fusion_walk(p), g - 1, None))[s - 1]
 
 
 def level_dimensions(g: int, p: int, colors: Iterable[int]) -> list[int]:

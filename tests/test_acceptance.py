@@ -88,7 +88,7 @@ def test_criterion_02_residue_equals_fusion_every_color():
                 compared += 1
                 if dimension(g, p, m) != fusion_dimension(g, p, s):
                     mismatches += 1
-    direct = check_crosscheck(5, "direct")
+    direct = check_crosscheck(map(odd_color_polynomial, range(1, 6)), "direct")
     elapsed = time.perf_counter() - start
     _report(
         "2 residue formula vs fusion recursion",
@@ -209,7 +209,7 @@ def test_criterion_08_curve_evaluation_consistency():
         prefactor = field.from_rational(Fraction((-p) ** (g - 1)))
         for m in range(1, p - 1, 2):
             # independently resum the p-free part of the odd-color value
-            span_witness = field.zero()
+            span_witness = field.from_rational(0)
             for i in range(1, (m + 1) // 2 + 1):
                 delta = field.gen_power(2 * i - 1) - field.gen_power(-(2 * i - 1))
                 span_witness = span_witness + euclid_inverse(delta ** (2 * g - 2))

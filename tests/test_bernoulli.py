@@ -21,8 +21,11 @@ from skeindim.bernoulli import (
     faulhaber_poly,
 )
 from skeindim.exact import UnivariatePolynomial
+from ring_oracle import RingPolynomial
 from series_oracle import series_inverse, series_mul
 from table_oracle import fraction_bernoulli_numbers
+
+XY = ("x", "y")
 
 
 def test_first_values():
@@ -108,8 +111,9 @@ def test_polynomial_difference_matches_the_composition_route():
     # the Taylor shift against (B_(m+1)(1 + N) - B_(m+1)) / (m + 1) with
     # B_(m+1)(1 + N) by polynomial composition
     for m in range(31):
-        composed = bernoulli_polynomial(m + 1)(UnivariatePolynomial((1, 1)))
-        expected = (composed - bernoulli_number(m + 1)) / (m + 1)
+        composed = list(bernoulli_polynomial(m + 1)(UnivariatePolynomial((1, 1))).coefficients)
+        composed[0] -= bernoulli_number(m + 1)
+        expected = UnivariatePolynomial(c / (m + 1) for c in composed)
         assert bernoulli._faulhaber_via_polynomial_difference(m) == expected, m
 
 
@@ -123,16 +127,19 @@ def test_faulhaber_inconsistency_is_raisable():
 
 
 def test_generating_function_of_polynomials():
-    # coefficients of t e^{tx}/(e^t - 1) through t^12 must equal B_n(x)/n!
+    # coefficients of t e^{tx}/(e^t - 1) through t^12 must equal B_n(x)/n!,
+    # the series coefficients held as ring-oracle polynomials in x
     order = 12
     exp_tx = [
-        UnivariatePolynomial((0,) * k + (Fraction(1, math.factorial(k)),)) for k in range(order + 1)
+        RingPolynomial({(k, 0): Fraction(1, math.factorial(k))}, XY) for k in range(order + 1)
     ]
     forward = [Fraction(1, math.factorial(k + 1)) for k in range(order + 1)]
     series = series_mul(series_inverse(forward), exp_tx)
 
     for n in range(order + 1):
-        assert series[n] == bernoulli_polynomial(n) / math.factorial(n)
+        coefficients = bernoulli_polynomial(n).coefficients
+        expected = {(k, 0): c / math.factorial(n) for k, c in enumerate(coefficients)}
+        assert series[n] == RingPolynomial(expected, XY)
 
 
 @pytest.mark.parametrize("beta", range(0, 9))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim import certify, suites
+from skeindim import certify, suites, verlinde
 from skeindim.certify import (
     POWER_BASIS_ASSUMPTION,
     Certificate,
@@ -17,7 +17,7 @@ from skeindim.certify import (
     lower_bound,
 )
 from skeindim.cli import main
-from skeindim.exact import BivariatePolynomial, _horner, _scaled
+from skeindim.exact import BivariatePolynomial, UnivariatePolynomial, _horner, _scaled
 from skeindim.verlinde import StructureViolation, decompose, genus_data
 import rank_oracle
 from rank_oracle import RANK_COLUMN_SLACK, WITNESS_PRIMES, phi_rank, rank, rank_mod, value_rows
@@ -234,12 +234,12 @@ FAILING_CHECKS = {
         "residue component has odd power of p: 1*p^1*u^0",
     ),
     "flat_curve_unequal": (
-        "flat_curve_check", lambda g, field: (field.one(), field.zero()),
+        "flat_curve_check", lambda g, field: (field.from_rational(1), field.from_rational(0)),
         "skein", "flat_curve_two_forms", "nonseparating_curve_witness",
         "closed forms differ at p=3",
     ),
     "flat_curve_vanishing": (
-        "flat_curve_check", lambda g, field: (field.zero(), field.zero()),
+        "flat_curve_check", lambda g, field: (field.from_rational(0), field.from_rational(0)),
         "skein", "flat_curve_two_forms", "nonseparating_curve_witness",
         "invariant vanishes at p=3",
     ),
@@ -350,9 +350,8 @@ _EVEN_RANK_SHORT = ("phi_rank_even", "rank 2, required 3")
 CERTIFICATE_ONLY_FAILURES = {
     "residue_vs_fusion": (
         "_fusion_walk",
-        lambda real: lambda g_max, p: (
-            (v[0] + 1, *v[1:]) if (g, p) == (1, 3) else v
-            for g, v in enumerate(real(g_max, p), 1)
+        lambda real: lambda p: (
+            (v[0] + 1, *v[1:]) if (g, p) == (1, 3) else v for g, v in enumerate(real(p), 1)
         ),
         1,
         [("residue_vs_fusion", "42 dimension values compared, 1 mismatches (g=1 p=3 s=1)")],
@@ -407,10 +406,17 @@ def test_planted_crosscheck_mismatch_fails_verlinde_suite(monkeypatch, capsys):
 
 def test_planted_oracle_crosscheck_fails_certificate_and_verlinde_suite(monkeypatch, capsys):
     # both report through `check_crosscheck`, which reads the odd-color
-    # polynomial from `certify`; a wrong genus-one polynomial is off at
-    # every value of that genus
-    real = certify.odd_color_polynomial
-    monkeypatch.setattr(certify, "odd_color_polynomial", lambda g: ring(real(g)) + (g == 1))
+    # polynomials each caller passes it in genus order; the plant makes
+    # the genus-one polynomial wrong on the way in, off at every value of
+    # that genus, and leaves the records the other checks read alone
+    real = certify.check_crosscheck
+
+    def planted(odd_polynomials, counted):
+        wrong = (ring(poly) + (g == 1) for g, poly in enumerate(odd_polynomials, 1))
+        return real(wrong, counted)
+
+    monkeypatch.setattr(certify, "check_crosscheck", planted)
+    monkeypatch.setattr(suites, "check_crosscheck", planted)
     named = "21 mismatches (g=1 p=3 s=1; g=1 p=5 s=1; g=1 p=5 s=2)"
 
     cert = build_certificate(2)
@@ -423,13 +429,33 @@ def test_planted_oracle_crosscheck_fails_certificate_and_verlinde_suite(monkeypa
     assert failed == [f"FAIL residue_vs_fusion: 105 values compared, {named}"]
 
 
+def test_each_odd_color_polynomial_is_built_once(monkeypatch):
+    # the certificate's record gives the crosscheck genus g's polynomial,
+    # and the verlinde suite gives it its five records' polynomials
+    real = verlinde._polynomial
+    built = []
+
+    def counted(g, form, odd):
+        if odd:
+            built.append(g)
+        return real(g, form, odd)
+
+    monkeypatch.setattr(verlinde, "_polynomial", counted)
+    assert build_certificate(6).valid
+    assert sorted(built) == [1, 2, 3, 4, 5, 6]
+    built.clear()
+    assert all(check.passed for check in suites.verlinde_suite())
+    assert sorted(built) == [1, 2, 3, 4, 5]
+
+
 def test_wrong_even_leading_coefficient_fails_verlinde_suite(monkeypatch, capsys):
     real = suites._validated
 
     def planted(g, kind, parts):
         parts = real(g, kind, parts)
         if (g, kind) == (2, "even"):
-            parts = {**parts, 3: parts[3] * 2}
+            doubled = [2 * n for n in parts[3].numerators]
+            parts = {**parts, 3: UnivariatePolynomial(doubled, parts[3].denominator)}
         return parts
 
     monkeypatch.setattr(suites, "_validated", planted)

@@ -157,13 +157,19 @@ def test_decompose_structure_violation_is_check_failure(monkeypatch, capsys):
     assert err == json.dumps({"error": "planted violation (genus 3, kind odd)"}) + "\n"
 
 
+def _plus_one(poly):
+    """poly + 1, built from its coefficients."""
+    first, *rest = poly.coefficients
+    return UnivariatePolynomial([first + 1, *rest])
+
+
 # Internal consistency errors raised inside `verify` and `certify`: (argv,
 # module, name, plant applied to the real function, error message).
 INTERNAL_ERRORS = {
     "faulhaber": (
         ["verify", "--suite", "bernoulli"],
         bernoulli, "_faulhaber_via_polynomial_difference",
-        lambda real: lambda m: real(m) + UnivariatePolynomial([1]) if m == 3 else real(m),
+        lambda real: lambda m: _plus_one(real(m)) if m == 3 else real(m),
         "power-sum closed forms disagree at exponent 3: "
         "1/4*N^2 + 1/2*N^3 + 1/4*N^4 vs 1 + 1/4*N^2 + 1/2*N^3 + 1/4*N^4",
     ),

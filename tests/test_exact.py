@@ -461,14 +461,11 @@ def _stored_form_is_canonical(numerators, denominator):
 @settings(max_examples=120, deadline=None)
 @given(small_unipolys, small_unipolys, points)
 def test_univariate_kernels_match_fraction_list_reference(a, b, x):
+    # a univariate polynomial is only evaluated and composed
     fa, fb = list(a.coefficients), list(b.coefficients)
-    assert a + b == UnivariatePolynomial(_reference_add(fa, fb))
-    assert a - b == UnivariatePolynomial(_reference_add(fa, [-c for c in fb]))
-    assert a * b == UnivariatePolynomial(_reference_mul(fa, fb))
-    assert a * x == UnivariatePolynomial([c * x for c in fa])
     assert a(b) == UnivariatePolynomial(_reference_compose(fa, fb))
     assert a(x) == sum((c * x**k for k, c in enumerate(fa)), Fraction(0))
-    for poly in (a + b, a * b, a(b), -a):
+    for poly in (a, b, a(b)):
         assert _stored_form_is_canonical(poly.numerators, poly.denominator)
 
 
@@ -526,12 +523,11 @@ def test_lowest_strips_then_divides_by_the_gcd(numerators, denominator, expected
 
 
 def test_arithmetic_lands_in_lowest_terms():
-    half = UnivariatePolynomial([Fraction(1, 2), Fraction(1, 2)])
+    field = cyclotomic_field(9)
+    half = field.element([Fraction(1, 2), Fraction(1, 2)])
     doubled = half + half
     assert (doubled.numerators, doubled.denominator) == ((1, 1), 1)
-    assert doubled == UnivariatePolynomial([1, 1]) and hash(doubled) == hash(
-        UnivariatePolynomial([1, 1])
-    )
+    assert doubled == field.element([1, 1]) and hash(doubled) == hash(field.element([1, 1]))
     zero = half - half
     assert (zero.numerators, zero.denominator) == ((), 1)
     assert zero == 0 and hash(zero) == hash(0)
@@ -542,12 +538,12 @@ def test_arithmetic_lands_in_lowest_terms():
 
 @pytest.mark.parametrize("value", [Fraction(4, 6), Fraction(-9, 3), -7])
 def test_computed_constants_hash_like_their_value(value):
-    x = UnivariatePolynomial([0, 1])
-    uni = (x + value) - x
+    a = cyclotomic_field(9).gen_power(1)
+    element = (a + value) - a
     p = RingPolynomial.first(PC)
     bi = (p + value) - p
-    assert uni == value and bi == value
-    assert hash(uni) == hash(value) and hash(bi) == hash(value)
+    assert element == value and bi == value
+    assert hash(element) == hash(value) and hash(bi) == hash(value)
 
 
 # ------------------------------------------------ the shared dense format
@@ -573,30 +569,48 @@ nonzero_scalars = st.one_of(st.integers(-5, 5), rationals).filter(bool)
 @settings(max_examples=60, deadline=None)
 @given(a=dense_inputs, b=dense_inputs, scalar=nonzero_scalars)
 def test_dense_kinds_keep_the_stored_form(kind, a, b, scalar):
+    # every kind holds the format; only a field element has ring
+    # arithmetic, and an annulus skein only its product of two skeins
     make = DENSE_KINDS[kind]
     x, y = make(a), make(b)
-    for value in (x + y, x - y, x * y, x * scalar, scalar * x, x / scalar):
+    arithmetic = (
+        lambda: x + y, lambda: x - y, lambda: -x, lambda: x * scalar, lambda: scalar * x,
+        lambda: x**2,
+    )
+    values = [x, y]
+    if kind == "cyclotomic":
+        values += [op() for op in arithmetic] + [x * y]
+    else:
+        for op in arithmetic:
+            with pytest.raises(TypeError):
+                op()
+        if kind == "annulus":
+            values.append(x * y)
+        else:
+            with pytest.raises(TypeError):
+                x * y
+    for value in values:
         assert type(value) is type(x)
         assert value.denominator > 0
         assert math.gcd(value.denominator, *value.numerators) == 1
         assert not value.numerators or value.numerators[-1] != 0
-    for value, twin in ((x, (x + y) - y), (x, x * scalar / scalar), (x * x, x ** 2)):
-        assert value == twin and hash(value) == hash(twin)
-    with pytest.raises(TypeError):
-        x / y
+    if kind == "cyclotomic":
+        twins = ((x, (x + y) - y), (x, x * scalar * (1 / Fraction(scalar))), (x * x, x**2))
+        for value, twin in twins:
+            assert value == twin and hash(value) == hash(twin)
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
+            x ** -1
+    for divisor in (y, scalar):
+        with pytest.raises(TypeError):
+            x / divisor
     with pytest.raises(TypeError):
         3 / x
-    with pytest.raises(ValueError, match="exponent must be nonnegative"):
-        x ** -1
     # every stored form, the sparse one too, refuses a denominator <= 0
     for denominator in (0, -1):
         with pytest.raises(ValueError, match="denominator must be positive"):
             x._like(x.numerators, denominator)
         with pytest.raises(ValueError, match="denominator must be positive"):
             BivariatePolynomial({(0, 0): 1}, PC, denominator)
-    if kind == "annulus":
-        with pytest.raises(TypeError):
-            x + 1
     if kind == "cyclotomic":
         with pytest.raises(ValueError, match="denominator must be positive"):
             CyclotomicElement(DENSE_FIELD, x.numerators, 0)
@@ -606,7 +620,7 @@ def test_dense_kinds_keep_the_stored_form(kind, a, b, scalar):
             x + other
 
 
-@pytest.mark.parametrize("kind", DENSE_KINDS)
+@pytest.mark.parametrize("kind", ["cyclotomic"])  # the one dense kind with powers
 def test_power_counts_its_products(monkeypatch, kind):
     # square-and-multiply from the lowest set bit's power of x: x^n takes
     # bit_length(n) + popcount(n) - 2 products for n >= 1, and x^0 none

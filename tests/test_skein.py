@@ -43,21 +43,21 @@ ODD_P = [3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31]
 
 def test_quantum_integer_base_cases():
     field = cyclotomic_field(7)
-    assert quantum_integer(0, field) == field.zero()
-    assert quantum_integer(1, field) == field.one()
+    assert quantum_integer(0, field) == field.from_rational(0)
+    assert quantum_integer(1, field) == field.from_rational(1)
 
 
 def test_quantum_integer_two():
     field = cyclotomic_field(7)
-    a = field.gen()
-    assert field.gen_power(-2) * a**2 == field.one()
+    a = field.gen_power(1)
+    assert field.gen_power(-2) * a**2 == field.from_rational(1)
     assert quantum_integer(2, field) == a**2 + field.gen_power(-2)
 
 
 @pytest.mark.parametrize("p", ODD_P)
 def test_quantum_p_vanishes(p):
     field = cyclotomic_field(p)
-    assert quantum_integer(p, field) == field.zero()
+    assert quantum_integer(p, field) == field.from_rational(0)
 
 
 @pytest.mark.parametrize("p", ODD_P)
@@ -78,7 +78,7 @@ def test_quantum_negation():
 
 def test_bracket_base_cases():
     field = cyclotomic_field(5)
-    assert bracket_e(0, field) == field.one()
+    assert bracket_e(0, field) == field.from_rational(1)
     assert bracket_e(1, field) == -quantum_integer(2, field)
 
 
@@ -201,7 +201,10 @@ def test_annulus_zero_and_scalar_products():
     assert skein * AnnulusSkein(()) == AnnulusSkein(())
     assert _to_z(AnnulusSkein(())) == ()
     assert _from_z([0, 0, 0]) == AnnulusSkein(())
-    assert skein * Fraction(6, 5) == AnnulusSkein([Fraction(2, 5), 0, -3])
+    # a scalar multiplies as the constant skein, a multiple of e_0 = 1
+    assert skein * AnnulusSkein([Fraction(6, 5)]) == AnnulusSkein([Fraction(2, 5), 0, -3])
+    with pytest.raises(TypeError):
+        skein * Fraction(6, 5)
 
 
 def test_annulus_sum_with_a_scalar_is_a_type_error():
@@ -212,16 +215,6 @@ def test_annulus_sum_with_a_scalar_is_a_type_error():
         1 + skein
     with pytest.raises(TypeError):
         skein + Fraction(1, 2)
-
-
-@settings(max_examples=100, deadline=None)
-@given(skeins, skeins)
-def test_annulus_sum_matches_fraction_route(a, b):
-    a_e, b_e = list(a.e_coefficients), list(b.e_coefficients)
-    width = max(len(a_e), len(b_e))
-    a_e += [0] * (width - len(a_e))
-    b_e += [0] * (width - len(b_e))
-    assert a + b == AnnulusSkein([x + y for x, y in zip(a_e, b_e)])
 
 
 @pytest.mark.parametrize(
@@ -318,7 +311,7 @@ def test_d_squared_numeric_embedding_p5():
 def test_flat_curve_genus_one_both_sides_one():
     for p in [3, 7, 15]:
         field = cyclotomic_field(p)
-        assert flat_curve_check(1, field) == (field.one(), field.one())
+        assert flat_curve_check(1, field) == (field.from_rational(1), field.from_rational(1))
 
 
 def test_flat_curve_genus_two_p3_value():
@@ -464,7 +457,7 @@ def _curve_by_euclid(g, m, field, alternate_form, summand=_summand_by_euclid):
         for i in range(1, m // 2 + 1):
             total = total - summand(g, p, 2 * i, -2 * i)
         return total
-    total = field.zero()
+    total = field.from_rational(0)
     for i in range(1, (m + 1) // 2 + 1):
         low = -(2 * i + 1) if alternate_form else -(2 * i - 1)
         total = total + summand(g, p, 2 * i - 1, low)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from skeindim.bernoulli import bernoulli_half_value, bernoulli_number, bernoulli_numbers
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
-from skeindim import certify, verlinde
+from skeindim import verlinde
 from skeindim.certify import (
     CHECK_LEVELS,
     build_certificate,
@@ -419,32 +420,38 @@ def test_dimension_polynomials_at_negative_and_fractional_points(g):
 # --------------------------------------------------------------- crosscheck
 
 
+def _odd_through(g_max):
+    """The odd-color polynomials of genus 1..g_max, built as they are read."""
+    return map(odd_color_polynomial, range(1, g_max + 1))
+
+
 def test_crosscheck_genus_one():
     assert CHECK_LEVELS == (3, 5, 7, 9, 11, 13)
     assert sum((p - 1) // 2 for p in CHECK_LEVELS) == 21
-    assert check_crosscheck(1, "values") == ("residue_vs_fusion", True, "21 values compared")
+    expected = ("residue_vs_fusion", True, "21 values compared")
+    assert check_crosscheck(_odd_through(1), "values") == expected
 
 
 def test_crosscheck_through_genus_three():
-    assert check_crosscheck(3, "values") == ("residue_vs_fusion", True, "63 values compared")
+    expected = ("residue_vs_fusion", True, "63 values compared")
+    assert check_crosscheck(_odd_through(3), "values") == expected
 
 
-def test_crosscheck_reports_a_wrong_polynomial(monkeypatch):
+def test_crosscheck_reports_a_wrong_polynomial():
     # s + 1/3 against D_1 = s: every value is off, the first three named
     wrong = BivariatePolynomial({(0, 1): 1, (0, 0): Fraction(1, 3)}, PS)
-    monkeypatch.setattr(certify, "odd_color_polynomial", lambda g: wrong)
-    assert check_crosscheck(1, "values") == (
+    assert check_crosscheck([wrong], "values") == (
         "residue_vs_fusion",
         False,
         "21 values compared, 21 mismatches (g=1 p=3 s=1; g=1 p=5 s=1; g=1 p=5 s=2)",
     )
 
 
-def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
+def test_crosscheck_matches_a_reference_loop_over_fusion_dimension():
     # p - 5 added at genus 2 and (s - 1)/2 at genus 3: mismatches at every
     # level but 5, then at every s >= 2, counted and named in (g, p, s)
     # order
-    real = certify.odd_color_polynomial
+    real = odd_color_polynomial
     extra = {
         2: RingPolynomial({(1, 0): 1, (0, 0): -5}, PS),
         3: RingPolynomial({(0, 1): Fraction(1, 2), (0, 0): Fraction(-1, 2)}, PS),
@@ -453,7 +460,6 @@ def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
     def planted(g):
         return real(g) + extra[g] if g in extra else real(g)
 
-    monkeypatch.setattr(certify, "odd_color_polynomial", planted)
     checked, mismatches = 0, []
     for g in range(1, 4):
         for p in CHECK_LEVELS:
@@ -463,7 +469,7 @@ def test_crosscheck_matches_a_reference_loop_over_fusion_dimension(monkeypatch):
                     mismatches.append(f"g={g} p={p} s={s}")
     assert len(mismatches) == 21 - 2 + 21 - 6
     assert mismatches[:3] == ["g=2 p=3 s=1", "g=2 p=7 s=1", "g=2 p=7 s=2"]
-    assert check_crosscheck(3, "values") == (
+    assert check_crosscheck(map(planted, range(1, 4)), "values") == (
         "residue_vs_fusion",
         False,
         f"{checked} values compared, {len(mismatches)} mismatches ({'; '.join(mismatches[:3])})",
@@ -638,7 +644,7 @@ def test_residue_integer_sum_matches_fraction_sum(g):
         lambda g: decompose(g, "odd"),
         lambda g: dimension(g, 5, 0),
         lambda g: level_dimensions(g, 5, [0]),
-        lambda g: check_crosscheck(g, "values"),
+        lambda g: check_crosscheck(_odd_through(g), "values"),
     ],
 )
 @pytest.mark.parametrize("g", [0, -1, -7])
@@ -749,5 +755,5 @@ def test_fusion_deep_genus_matches_matrix_power(g, p):
 
 @pytest.mark.parametrize("p", CHECK_LEVELS)
 def test_fusion_walk_matches_matrix_power_at_every_genus(p):
-    walk = list(_fusion_walk(12, p))
+    walk = list(islice(_fusion_walk(p), 12))
     assert walk == [_fusion_matrix_power_route(g, p) for g in range(1, 13)]
