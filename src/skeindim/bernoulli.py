@@ -81,9 +81,7 @@ def bernoulli_half_value(m: int) -> Fraction:
     Satisfies B_m(1/2) = (2^(1-m) - 1) B_m; the test suite pins this
     identity rather than this function assuming it.
     """
-    value = bernoulli_polynomial(m)(Fraction(1, 2))
-    assert isinstance(value, Fraction)
-    return value
+    return bernoulli_polynomial(m)(Fraction(1, 2))
 
 
 def _faulhaber_via_bernoulli_sum(m: int) -> UnivariatePolynomial:

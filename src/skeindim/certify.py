@@ -169,7 +169,13 @@ def check_crosscheck(odd_polynomials: Iterable[BivariatePolynomial], counted: st
     one fold per (g, p) and one integer Horner evaluation per s.  Each
     polynomial is read as it comes, so a lazy iterable holds one genus at
     a time.  The detail counts the compared values as `counted` and names
-    up to three mismatches; no polynomial at all raises ValueError."""
+    up to three mismatches; no polynomial at all raises ValueError.
+
+    Once `check_parity` passes, the odd-color polynomial of genus g is a
+    combination of the monomials p^(g-1+2i) s^(2j+1), i + j <= g - 1, and
+    for g <= 6 their values at these 21 points are linearly independent,
+    so the compared values determine the polynomial.  Above genus 6 they
+    are a sample."""
     walks = {p: _fusion_walk(p) for p in CHECK_LEVELS}
     checked, mismatches = 0, []
     for g, poly in enumerate(odd_polynomials, 1):

@@ -17,24 +17,24 @@ or a Fraction equal to the constant of its value.  Ring arithmetic lives
 on `cyclotomic.CyclotomicElement` alone, the one kind whose values any
 command adds, subtracts or raises to a power; `skein.AnnulusSkein` has
 only its product of two skeins, and `UnivariatePolynomial` here only
-evaluation and composition.  Dense products of ascending integer lists
-go through one convolution, `_convolve`, and Taylor shifts
-f(x) -> f(x + 1) through one loop of additions, `_shift`.  Powers are
-square-and-multiply (`_power`) started from the power of the exponent's
-lowest set bit, so no product by one is ever made.
+evaluation at a rational point.  Dense products of ascending integer
+lists go through one convolution, `_convolve`, and the one change of
+variable, the Taylor shift f(x) -> f(x + 1), through one loop of
+additions, `_shift`.  Powers are square-and-multiply (`_power`) started
+from the power of the exponent's lowest set bit, so no product by one is
+ever made.
 
 Evaluation is a homogenized Horner rule on the stored ints, with one
 Fraction at the end: fold_first(a/b) fixes the first variable, giving
 the integer polynomial sum_i n_ij a^i b^(n-i) in the second over L b^n,
 which the callers evaluate by `_horner`.  UnivariatePolynomial(a/b) is
-the same rule, and P(Q) runs it on integer lists with Q = q/M in place
-of a/b.
+the same rule.
 
 Representations:
 
-  UnivariatePolynomial  dense numerator tuple, lowest degree first; built,
-                        evaluated, composed and read, with no ring
-                        arithmetic.
+  UnivariatePolynomial  dense numerator tuple, lowest degree first; built
+                        from coefficients, evaluated and read, with no
+                        ring arithmetic.
   BivariatePolynomial   sparse dict {(i, j): numerator} with a named variable
                         pair such as ("p", "c"); many of the polynomials
                         produced downstream are structurally sparse.  The
@@ -221,18 +221,9 @@ class UnivariatePolynomial(_Dense):
     def exponents(self) -> set[int]:
         return {k for k, n in enumerate(self.numerators) if n}
 
-    def __call__(
-        self, point: Union[RationalLike, UnivariatePolynomial]
-    ) -> Union[Fraction, UnivariatePolynomial]:
-        """Evaluate at a rational point, or compose with another polynomial."""
+    def __call__(self, point: RationalLike) -> Fraction:
+        """The value at a rational point; any other argument raises TypeError."""
         nums = self.numerators or (0,)
-        if isinstance(point, UnivariatePolynomial):
-            q, scale = point.numerators, point.denominator
-            acc = []  # sum_k n_k q^k M^(n-k) over L M^n, by Horner
-            for k, n in enumerate(reversed(nums)):
-                acc = _convolve(acc, q) or [0]
-                acc[0] += n * scale**k
-            return UnivariatePolynomial(acc, self.denominator * scale ** (len(nums) - 1))
         x = _q(point)
         return Fraction(
             _horner(nums, x.numerator, x.denominator),

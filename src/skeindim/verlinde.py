@@ -183,17 +183,6 @@ def _integer_parts(g: int) -> tuple[int, _Pairs, _Pairs]:
     )
 
 
-def _integer_form(g: int, parts: tuple[int, _Pairs, _Pairs]) -> tuple[int, _Terms]:
-    """(L, N), ints, with D_g(p, u) = sum N[i, b] p^i u^b / L: the two
-    components of `_integer_parts` shifted by p^(g-1) and p^g."""
-    scale, x_part, y_part = parts
-    terms: _Terms = {}
-    for shift, part in ((g - 1, x_part), (g, y_part)):
-        for (i, b), n in part:
-            terms[i + shift, b] = terms.get((i + shift, b), 0) + n
-    return scale, terms
-
-
 def _substitute(
     scale: int, pairs: Iterable[tuple[tuple[int, int], int]], odd: bool
 ) -> BivariatePolynomial:
@@ -215,12 +204,14 @@ def _substitute(
     return BivariatePolynomial(out, PS if odd else PC, scale)
 
 
-def _polynomial(g: int, form: tuple[int, _Terms], odd: bool) -> BivariatePolynomial:
+def _polynomial(g: int, parts: tuple[int, _Pairs, _Pairs], odd: bool) -> BivariatePolynomial:
     """D_g in (p, c), or with `odd` the odd-color polynomial in (p, s), by
-    `_substitute` from the integer form (L, N) of `_integer_form`; D_g must
-    have total degree exactly 3g - 2."""
-    scale, terms = form
-    result = _substitute(scale, terms.items(), odd)
+    `_substitute` from the parts (L, X, Y) of `_integer_parts`, X placed at
+    p^(g-1) and Y at p^g; D_g must have total degree exactly 3g - 2."""
+    scale, x_part, y_part = parts
+    pairs = (((i + shift, b), n) for shift, part in ((g - 1, x_part), (g, y_part))
+             for (i, b), n in part)
+    result = _substitute(scale, pairs, odd)
     if not odd and result.total_degree != 3 * g - 2:
         raise AssertionError(f"dimension polynomial has total degree {result.total_degree}, "
                              f"expected {3 * g - 2}")
@@ -228,16 +219,16 @@ def _polynomial(g: int, form: tuple[int, _Terms], odd: bool) -> BivariatePolynom
 
 
 def verlinde_polynomial(g: int) -> BivariatePolynomial:
-    """D_g as an exact polynomial in (p, c), from the integer form by the
+    """D_g as an exact polynomial in (p, c), from the integer parts by the
     Taylor shift of each p-row; total degree exactly 3g - 2."""
-    return _polynomial(g, _integer_form(g, _integer_parts(g)), odd=False)
+    return _polynomial(g, _integer_parts(g), odd=False)
 
 
 def odd_color_polynomial(g: int) -> BivariatePolynomial:
     """The odd-color dimension polynomial in (p, s): D_g at c = (p-1)/2 - s,
-    that is u = p - 2s, from the integer form by the Taylor shift of each
+    that is u = p - 2s, from the integer parts by the Taylor shift of each
     total-degree group."""
-    return _polynomial(g, _integer_form(g, _integer_parts(g)), odd=True)
+    return _polynomial(g, _integer_parts(g), odd=True)
 
 
 class GenusData(NamedTuple):
@@ -255,11 +246,9 @@ class GenusData(NamedTuple):
 
 
 def genus_data(g: int) -> GenusData:
-    """The GenusData record of genus g, from one `_integer_parts` call
-    merged into one integer form."""
+    """The GenusData record of genus g, from one `_integer_parts` call."""
     parts = _integer_parts(g)
-    form = _integer_form(g, parts)
-    even, odd = _polynomial(g, form, False), _polynomial(g, form, True)
+    even, odd = _polynomial(g, parts, False), _polynomial(g, parts, True)
     split = {"even": even.split_by_first(), "odd": odd.split_by_first()}
     return GenusData(g, *parts, even, odd, split)
 

@@ -1,15 +1,34 @@
-"""Affine substitution and the binomial part of D_g, for test oracles.
+"""Affine substitution, composition and the binomial part of D_g, for
+test oracles.
 
 The package builds D_g and the odd-color polynomial from one integer
 (p, u) form by Taylor shifts, of each p-row and of each total-degree
 group; these routes reach the same polynomials by substituting into
-bivariate polynomials.
+bivariate polynomials.  It changes the variable of a univariate
+polynomial only by the same shift, and `compose` reaches those results
+by substituting one univariate polynomial into another.
 """
 
 import math
 from fractions import Fraction
 
 from ring_oracle import RingPolynomial
+from skeindim.exact import UnivariatePolynomial
+
+
+def compose(outer, inner):
+    """outer(inner) for two UnivariatePolynomials, by Horner's rule on
+    Fraction lists: acc <- acc * inner + c for the coefficients c of
+    outer, highest first."""
+    acc = []
+    for c in reversed(outer.coefficients):
+        product = [Fraction(0)] * max(len(acc) + len(inner.coefficients) - 1, 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(inner.coefficients):
+                product[i + j] += a * b
+        product[0] += c
+        acc = product
+    return UnivariatePolynomial(acc)
 
 
 def _integer_rows(terms):

@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 
 from euclid_oracle import euclid_inverse
+from substitution_oracle import compose
 
 from skeindim.bernoulli import (
     bernoulli_half_value,
@@ -163,8 +164,8 @@ def test_criterion_06_bernoulli_battery():
                 break
     shift = UnivariatePolynomial([Fraction(1, 2), Fraction(1, 2)])
     for beta in range(0, 9):
-        even_case = bernoulli_polynomial(2 * beta)(shift)
-        odd_case = bernoulli_polynomial(2 * beta + 1)(shift)
+        even_case = compose(bernoulli_polynomial(2 * beta), shift)
+        odd_case = compose(bernoulli_polynomial(2 * beta + 1), shift)
         if not all(e % 2 == 0 for e in even_case.exponents()):
             ok, detail = False, f"even half-shift parity at beta={beta}"
         if not all(e % 2 == 1 for e in odd_case.exponents()):

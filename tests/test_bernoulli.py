@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim import bernoulli
+from skeindim import bernoulli, suites
 from skeindim.bernoulli import (
     FaulhaberInconsistency,
     bernoulli_half_value,
@@ -23,6 +23,7 @@ from skeindim.bernoulli import (
 from skeindim.exact import UnivariatePolynomial
 from ring_oracle import RingPolynomial
 from series_oracle import series_inverse, series_mul
+from substitution_oracle import compose
 from table_oracle import fraction_bernoulli_numbers
 
 XY = ("x", "y")
@@ -109,9 +110,10 @@ def test_faulhaber_against_brute_force():
 
 def test_polynomial_difference_matches_the_composition_route():
     # the Taylor shift against (B_(m+1)(1 + N) - B_(m+1)) / (m + 1) with
-    # B_(m+1)(1 + N) by polynomial composition
+    # B_(m+1)(1 + N) by the composition oracle
     for m in range(31):
-        composed = list(bernoulli_polynomial(m + 1)(UnivariatePolynomial((1, 1))).coefficients)
+        composed = compose(bernoulli_polynomial(m + 1), UnivariatePolynomial((1, 1)))
+        composed = list(composed.coefficients)
         composed[0] -= bernoulli_number(m + 1)
         expected = UnivariatePolynomial(c / (m + 1) for c in composed)
         assert bernoulli._faulhaber_via_polynomial_difference(m) == expected, m
@@ -145,12 +147,29 @@ def test_generating_function_of_polynomials():
 @pytest.mark.parametrize("beta", range(0, 9))
 def test_half_shift_parity(beta):
     # B_{2b}((p+1)/2) contains only even powers of p, B_{2b+1}((p+1)/2)
-    # only odd powers
+    # only odd powers; by the composition oracle, a route independent of
+    # the suite's Taylor shift
     shift = UnivariatePolynomial([Fraction(1, 2), Fraction(1, 2)])  # (p+1)/2
-    even_case = bernoulli_polynomial(2 * beta)(shift)
-    odd_case = bernoulli_polynomial(2 * beta + 1)(shift)
+    even_case = compose(bernoulli_polynomial(2 * beta), shift)
+    odd_case = compose(bernoulli_polynomial(2 * beta + 1), shift)
     assert all(e % 2 == 0 for e in even_case.exponents())
     assert all(e % 2 == 1 for e in odd_case.exponents())
+
+
+def test_half_shift_parity_check_reports_a_planted_term(monkeypatch):
+    # x added to B_2 and to B_5 puts p/2 into B_2((p+1)/2) and 1/2 into
+    # B_5((p+1)/2): one power of the wrong parity each
+    real = suites.bernoulli_polynomial
+
+    def planted(m):
+        coefficients = list(real(m).coefficients)
+        if m in (2, 5):
+            coefficients[1] += 1
+        return UnivariatePolynomial(coefficients)
+
+    monkeypatch.setattr(suites, "bernoulli_polynomial", planted)
+    result = next(c for c in suites.bernoulli_suite() if c.name == "half_shift_parity")
+    assert result == ("half_shift_parity", False, "even case beta=1; odd case beta=2")
 
 
 

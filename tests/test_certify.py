@@ -435,10 +435,10 @@ def test_each_odd_color_polynomial_is_built_once(monkeypatch):
     real = verlinde._polynomial
     built = []
 
-    def counted(g, form, odd):
+    def counted(g, parts, odd):
         if odd:
             built.append(g)
-        return real(g, form, odd)
+        return real(g, parts, odd)
 
     monkeypatch.setattr(verlinde, "_polynomial", counted)
     assert build_certificate(6).valid
@@ -462,6 +462,29 @@ def test_wrong_even_leading_coefficient_fails_verlinde_suite(monkeypatch, capsys
     assert main(["verify", "--suite", "verlinde"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL leading_coefficient_bernoulli_multiples: even g=2 j=3"]
+
+
+def test_missing_part_fails_verlinde_suite_without_aborting(monkeypatch, capsys):
+    # the genus-2 record without its even part at p^3: both checks that
+    # read the parts report it, and the report is still written
+    def planted(g):
+        data = genus_data(g)
+        if g == 2:
+            even = {j: part for j, part in data.parts["even"].items() if j != 3}
+            data = data._replace(parts={**data.parts, "even": even})
+        return data
+
+    monkeypatch.setattr(suites, "genus_data", planted)
+    assert main(["verify", "--suite", "verlinde"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    violation = "g=2: missing part at p^3 (genus 2, kind even)"
+    assert failed == [
+        f"FAIL decomposition_structure: {violation}",
+        f"FAIL leading_coefficient_bernoulli_multiples: {violation}",
+    ]
+    assert out.splitlines()[-1].startswith("CHECK FAILURES PRESENT")
 
 
 def test_certificate_schema_fields():

@@ -163,6 +163,16 @@ def _plus_one(poly):
     return UnivariatePolynomial([first + 1, *rest])
 
 
+def _with_high_y_term(integer_parts):
+    """`_integer_parts` with u^(2g-1) added to Y, which `_polynomial` places
+    at p^g: a term of total degree 3g - 1."""
+    def planted(g):
+        scale, x_part, y_part = integer_parts(g)
+        return scale, x_part, (*y_part, ((0, 2 * g - 1), 1))
+
+    return planted
+
+
 # Internal consistency errors raised inside `verify` and `certify`: (argv,
 # module, name, plant applied to the real function, error message).
 INTERNAL_ERRORS = {
@@ -175,8 +185,7 @@ INTERNAL_ERRORS = {
     ),
     "total_degree": (
         ["certify", "--genus", "3"],
-        verlinde, "_integer_form",
-        lambda real: lambda g, parts: (parts[0], {**real(g, parts)[1], (0, 3 * g - 1): 1}),
+        verlinde, "_integer_parts", _with_high_y_term,
         "dimension polynomial has total degree 8, expected 7",
     ),
     "integrality": (

@@ -28,7 +28,7 @@ from skeindim.skein import AnnulusSkein
 from rank_oracle import rank
 from ring_oracle import RingPolynomial, ring
 from series_oracle import series_inverse, series_mul
-from substitution_oracle import binomial_poly_in_c, substitute_affine, substitute_half
+from substitution_oracle import binomial_poly_in_c, compose, substitute_affine, substitute_half
 
 PC = ("p", "c")
 
@@ -93,10 +93,18 @@ def test_univariate_strips_trailing_zeros():
 
 
 def test_univariate_compose():
-    # (x^2 + 1) at (N + 1) = N^2 + 2N + 2
+    # composition is a test oracle: (x^2 + 1) at (N + 1) = N^2 + 2N + 2,
+    # which the Taylor shift gives too; the library evaluates only
     poly = UnivariatePolynomial([1, 0, 1])
-    shifted = poly(UnivariatePolynomial([1, 1]))
-    assert shifted == UnivariatePolynomial([2, 2, 1])
+    assert compose(poly, UnivariatePolynomial([1, 1])) == UnivariatePolynomial([2, 2, 1])
+    values = list(poly.numerators)
+    _shift(values)
+    assert values == [2, 2, 1]
+    assert compose(poly, UnivariatePolynomial([Fraction(1, 2), 3])) == UnivariatePolynomial(
+        [Fraction(5, 4), 3, 9]
+    )
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        poly(UnivariatePolynomial([1, 1]))
 
 
 def test_bivariate_total_degree_and_parts():
@@ -430,26 +438,6 @@ def test_univariate_call_zero_and_constant_polynomials():
 # lowest terms; the references below work on plain Fraction lists.
 
 
-def _reference_add(a, b):
-    width = max(len(a), len(b))
-    return [sum(c[k] for c in (a, b) if k < len(c)) for k in range(width)]
-
-
-def _reference_mul(a, b):
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _reference_compose(a, b):
-    out = []
-    for c in reversed(a):
-        out = _reference_add(_reference_mul(out, b), [c])
-    return out
-
-
 def _stored_form_is_canonical(numerators, denominator):
     return (
         denominator > 0
@@ -461,11 +449,14 @@ def _stored_form_is_canonical(numerators, denominator):
 @settings(max_examples=120, deadline=None)
 @given(small_unipolys, small_unipolys, points)
 def test_univariate_kernels_match_fraction_list_reference(a, b, x):
-    # a univariate polynomial is only evaluated and composed
-    fa, fb = list(a.coefficients), list(b.coefficients)
-    assert a(b) == UnivariatePolynomial(_reference_compose(fa, fb))
+    # a univariate polynomial is only evaluated; the composition oracle
+    # agrees with evaluating twice, and the library refuses to compose
+    fa = list(a.coefficients)
     assert a(x) == sum((c * x**k for k, c in enumerate(fa)), Fraction(0))
-    for poly in (a, b, a(b)):
+    assert compose(a, b)(x) == a(b(x))
+    with pytest.raises(TypeError):
+        a(b)
+    for poly in (a, b, compose(a, b)):
         assert _stored_form_is_canonical(poly.numerators, poly.denominator)
 
 

@@ -31,8 +31,8 @@ from skeindim.certify import (
 from skeindim.verlinde import (
     _exponential_coefficients,
     _fusion_walk,
-    _integer_form,
     _integer_parts,
+    _polynomial,
     _residue_coefficient,
     _substitute,
     IntegralityError,
@@ -46,6 +46,7 @@ from skeindim.verlinde import (
     odd_color_polynomial,
     verlinde_polynomial,
 )
+from rank_oracle import rank
 from ring_oracle import RingPolynomial, ring
 from series_oracle import series_inverse, series_mul
 from table_oracle import fraction_exponential_coefficients
@@ -476,6 +477,21 @@ def test_crosscheck_matches_a_reference_loop_over_fusion_dimension():
     )
 
 
+@pytest.mark.parametrize("g", range(1, 8))
+def test_crosscheck_points_determine_the_parity_form_through_genus_six(g):
+    # with `check_parity` passed and total degree 3g - 2, the odd-color
+    # polynomial is a combination of p^(g-1+2i) s^(2j+1), i + j <= g - 1.
+    # Their values at the 21 crosscheck points are independent for g <= 6
+    # (1, 3, 6, 10, 15, 21 columns), so the compared values fix the
+    # polynomial; at g = 7 they span 21 of 28, and the check is a sample
+    points = [(p, s) for p in CHECK_LEVELS for s in range(1, (p - 1) // 2 + 1)]
+    monomials = [(g - 1 + 2 * i, 2 * j + 1) for i in range(g) for j in range(g - i)]
+    assert {key for key, _ in odd_color_polynomial(g).terms()} <= set(monomials)
+    rows = [[p**a * s**b for p, s in points] for a, b in monomials]
+    assert len(points) == 21 and len(monomials) == g * (g + 1) // 2
+    assert rank(rows) == (len(monomials) if g <= 6 else 21)
+
+
 # --------------------------------------------------------------- records
 
 
@@ -594,9 +610,16 @@ def test_part_p_exponents_agree_in_u_and_c(g):
 
 @pytest.mark.parametrize("g", range(1, 13))
 def test_integer_form_is_the_polynomial_in_u(g):
-    scale, terms = _integer_form(g, _integer_parts(g))
-    assert scale > 0 and all(terms.values())
-    assert _affine_in_c(scale, terms.items()) == verlinde_polynomial(g)
+    # X at p^(g-1) plus Y at p^g, summed here over Fractions and moved to
+    # (p, c) by the affine substitution, is D_g
+    scale, x_part, y_part = _integer_parts(g)
+    assert scale > 0 and all(n for _, n in x_part + y_part)
+    form = {}
+    for shift, part in ((g - 1, x_part), (g, y_part)):
+        for (i, b), n in part:
+            form[i + shift, b] = form.get((i + shift, b), 0) + Fraction(n, scale)
+    in_u = BivariatePolynomial(form, ("p", "u"))
+    assert substitute_affine(in_u, 0, 1, 2, 1, "c") == verlinde_polynomial(g)
 
 
 @settings(max_examples=80, deadline=None)
@@ -633,9 +656,9 @@ def test_residue_integer_sum_matches_fraction_sum(g):
         verlinde_polynomial,
         odd_color_polynomial,
         _integer_parts,
-        # the integer form, the checks and the rank rows take a genus
-        # through the parts or the record it is built from
-        pytest.param(lambda g: _integer_form(g, _integer_parts(g)), id="_integer_form"),
+        # the shifts, the checks and the rank rows take a genus through
+        # the parts or the record it is built from
+        pytest.param(lambda g: _polynomial(g, _integer_parts(g), False), id="_polynomial"),
         pytest.param(lambda g: check_structure(genus_data(g)), id="check_structure"),
         pytest.param(lambda g: check_parity(genus_data(g)), id="parity_checks"),
         pytest.param(lambda g: check_leading_term(genus_data(g)), id="leading_term_check"),
