@@ -6,9 +6,13 @@ all of them (zero has denominator 1), so equal values have identical
 ints and `__eq__` and `__hash__` compare them directly; `coefficients`,
 `terms()` and evaluation return Fractions.  No zero coefficient is
 stored, so structural predicates such as "degree exactly n" or "only
-even powers of p" are decided exactly.  One helper, `_lowest`,
-normalizes; when the gcd is already 1 it hands back the stripped ints
-and the denominator without a division pass.
+even powers of p" are decided exactly.  Every constructor normalizes
+through one helper, `_normalized`: rationals are scaled by the lcm of
+their denominators, or ints come over a given positive denominator, and
+`_lowest` divides through, handing back the stripped ints and the
+denominator without a division pass when the gcd is already 1.  Text
+comes from one monomial printer, `_power_text`, and one joiner,
+`_format_terms`.
 
 The dense form of that format, a numerator tuple lowest index first,
 lives in one private base, `_Dense`, which holds the format only:
@@ -24,11 +28,11 @@ additions, `_shift`.  Powers are square-and-multiply (`_power`) started
 from the power of the exponent's lowest set bit, so no product by one is
 ever made.
 
-Evaluation is a homogenized Horner rule on the stored ints, with one
-Fraction at the end: fold_first(a/b) fixes the first variable, giving
-the integer polynomial sum_i n_ij a^i b^(n-i) in the second over L b^n,
-which the callers evaluate by `_horner`.  UnivariatePolynomial(a/b) is
-the same rule.
+Evaluation is on the stored ints, with one Fraction at the end:
+UnivariatePolynomial(a/b) is the homogenized Horner rule `_horner`.
+fold_first(level) fixes the first variable at an integer level, giving
+the integer polynomial sum_i n_ij level^i in the second over L, which
+the callers evaluate by `_horner`.
 
 Representations:
 
@@ -46,6 +50,7 @@ Representations:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -70,6 +75,17 @@ def _scaled(values: Sequence[RationalLike]):
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _normalized(values, denominator: int | None):
+    """`_lowest` of `values`: exact rationals scaled by the lcm of their
+    denominators when `denominator` is None, else int numerators over
+    that positive int."""
+    if denominator is None:
+        denominator, values = _scaled([_q(v) for v in values])
+    elif denominator <= 0:
+        raise ValueError("denominator must be positive")
+    return _lowest(values, denominator)
+
+
 def _lowest(numerators, denominator):
     """(tuple, denominator) for the values n / denominator, denominator > 0:
     trailing zeros stripped, then all divided by their gcd, so that equal
@@ -90,23 +106,20 @@ def _format_terms(terms: Sequence[tuple[Fraction, str]]) -> str:
     with " + " or " - ".  A coefficient of magnitude one is dropped in
     front of a nonempty monomial.
     """
-    if not terms:
-        return "0"
     parts: list[str] = []
-    for index, (coeff, mono) in enumerate(terms):
-        negative = coeff < 0
-        magnitude = -coeff if negative else coeff
-        if mono and magnitude == 1:
-            body = mono
-        elif mono:
-            body = f"{magnitude}*{mono}"
+    for coeff, mono in terms:
+        magnitude = abs(coeff)
+        body = f"{magnitude}*{mono}" if mono and magnitude != 1 else mono or str(magnitude)
+        if parts:
+            parts.append(("- " if coeff < 0 else "+ ") + body)
         else:
-            body = str(magnitude)
-        if index == 0:
-            parts.append(("-" if negative else "") + body)
-        else:
-            parts.append(("- " if negative else "+ ") + body)
-    return " ".join(parts)
+            parts.append(("-" if coeff < 0 else "") + body)
+    return " ".join(parts) or "0"
+
+
+def _power_text(var: str, k: int) -> str:
+    """The monomial var^k as text: "" at k = 0 and var at k = 1."""
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:
@@ -153,22 +166,16 @@ def _power(base, exponent: int, one):
 
 class _Dense:
     """A dense exact value: the int `numerators`, lowest index first, over
-    the positive int `denominator`, in lowest terms as `_lowest` leaves
-    them.  Immutable, hashable, and equal to an int or a Fraction when it
-    is that constant; it holds the format and has no arithmetic.  A
-    subclass adds what its kind needs, and its own `_like` and `_coerce`
+    the positive int `denominator`, in lowest terms as `_normalized`
+    leaves them.  Immutable, hashable, and equal to an int or a Fraction
+    when it is that constant; it holds the format and has no arithmetic.
+    A subclass adds what its kind needs, and its own `_like` and `_coerce`
     where its values carry more than the numerators."""
 
     __slots__ = ("numerators", "denominator")
 
     def __init__(self, coefficients: Iterable[RationalLike] = (), denominator: int | None = None):
-        """The values coefficients[k]; with a positive int `denominator`,
-        they are int numerators over it and skip the scaling."""
-        if denominator is None:
-            denominator, coefficients = _scaled([_q(c) for c in coefficients])
-        elif denominator <= 0:
-            raise ValueError("denominator must be positive")
-        self.numerators, self.denominator = _lowest(coefficients, denominator)
+        self.numerators, self.denominator = _normalized(coefficients, denominator)
 
     def _like(self, numerators, denominator: int):
         """The value numerators / denominator, of the same kind as self."""
@@ -223,25 +230,12 @@ class UnivariatePolynomial(_Dense):
 
     def __call__(self, point: RationalLike) -> Fraction:
         """The value at a rational point; any other argument raises TypeError."""
-        nums = self.numerators or (0,)
-        x = _q(point)
-        return Fraction(
-            _horner(nums, x.numerator, x.denominator),
-            self.denominator * x.denominator ** (len(nums) - 1),
-        )
+        nums, x = self.numerators or (0,), _q(point)
+        return Fraction(_horner(nums, x.numerator, x.denominator),
+                        self.denominator * x.denominator ** (len(nums) - 1))
 
     def render(self, var: str = "x") -> str:
-        terms = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = var
-            else:
-                mono = f"{var}^{k}"
-            terms.append((c, mono))
+        terms = [(c, _power_text(var, k)) for k, c in enumerate(self.coefficients) if c]
         return _format_terms(terms)
 
     def __repr__(self) -> str:
@@ -267,14 +261,10 @@ class BivariatePolynomial:
                 raise ValueError("need two distinct variable names")
             if any(i < 0 or j < 0 for i, j in terms):
                 raise ValueError("exponents must be nonnegative")
-            denominator, values = _scaled([_q(v) for v in terms.values()])
-            terms = dict(zip(terms, values))
             variables = tuple(map(str, variables))
-        elif denominator <= 0:
-            raise ValueError("denominator must be positive")
-        terms = {key: n for key, n in terms.items() if n}
-        values, self.denominator = _lowest(terms.values(), denominator)
-        self._terms = dict(zip(terms, values))
+        values, self.denominator = _normalized(terms.values(), denominator)
+        # `_lowest` strips trailing zeros, so zip drops only zero terms
+        self._terms = {key: n for key, n in zip(terms, values) if n}
         self._vars = variables
 
     @property
@@ -283,9 +273,7 @@ class BivariatePolynomial:
 
     @property
     def total_degree(self) -> Union[int, float]:
-        if not self._terms:
-            return NEG_INFINITY
-        return max(i + j for i, j in self._terms)
+        return max((i + j for i, j in self._terms), default=NEG_INFINITY)
 
     def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms in graded order: total degree ascending, then powers of the
@@ -311,34 +299,26 @@ class BivariatePolynomial:
             return hash(Fraction(self._terms.get((0, 0), 0), self.denominator))
         return hash((self._vars, frozenset(self._terms.items()), self.denominator))
 
-    def fold_first(self, first: RationalLike):
-        """(D, values), ints, with value sum_j values[j] y^j / D at (first, y).
-
-        At first = a/b, values[j] = sum_i n_ij a^i b^(n-i) over the stored
-        numerators n_ij, and D = L b^n with L the stored denominator.
-        """
-        x = _q(first)
-        n = max((i for i, _ in self._terms), default=0)
-        weights = [x.numerator**i * x.denominator ** (n - i) for i in range(n + 1)]
+    def fold_first(self, level: int):
+        """(L, values), ints, with value sum_j values[j] y^j / L at (level, y):
+        values[j] = sum_i n_ij level^i over the stored numerators n_ij, and
+        L the stored denominator.  A level that is not an integer raises
+        TypeError."""
+        level = operator.index(level)
+        weights = [level**i for i in range(max((i for i, _ in self._terms), default=0) + 1)]
         values = [0] * (max((j for _, j in self._terms), default=0) + 1)
         for (i, j), value in self._terms.items():
             values[j] += value * weights[i]
-        return self.denominator * x.denominator**n, values
+        return self.denominator, values
 
     def homogeneous_part(self, n: int) -> BivariatePolynomial:
         """Sum of the terms of total degree exactly n."""
-        return BivariatePolynomial(
-            {key: v for key, v in self._terms.items() if key[0] + key[1] == n},
-            self._vars,
-            self.denominator,
-        )
+        terms = {key: v for key, v in self._terms.items() if key[0] + key[1] == n}
+        return BivariatePolynomial(terms, self._vars, self.denominator)
 
     def split_by_first(self) -> dict[int, UnivariatePolynomial]:
-        """Group terms by the power of the first variable.
-
-        Returns {i: q_i} with self == sum_i first^i * q_i(second); only
-        nonzero q_i appear.
-        """
+        """Terms grouped by the power of the first variable: {i: q_i} with
+        self == sum_i first^i * q_i(second), only nonzero q_i appearing."""
         rows: dict = {}
         for (i, j), value in self._terms.items():
             row = rows.setdefault(i, [])
@@ -348,19 +328,10 @@ class BivariatePolynomial:
 
     def render(self) -> str:
         v1, v2 = self._vars
-        rendered = []
-        for (i, j), coeff in self.terms():
-            pieces = []
-            if i == 1:
-                pieces.append(v1)
-            elif i > 1:
-                pieces.append(f"{v1}^{i}")
-            if j == 1:
-                pieces.append(v2)
-            elif j > 1:
-                pieces.append(f"{v2}^{j}")
-            rendered.append((coeff, "*".join(pieces)))
-        return _format_terms(rendered)
+        return _format_terms([
+            (coeff, "*".join(filter(None, (_power_text(v1, i), _power_text(v2, j)))))
+            for (i, j), coeff in self.terms()
+        ])
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.render()}; vars={self._vars})"

@@ -32,7 +32,7 @@ from .certify import (
     lower_bound,
 )
 from .cyclotomic import cyclotomic_field
-from .errors import StructureViolation
+from .errors import FaulhaberInconsistency, IntegralityError, StructureViolation
 from .exact import BivariatePolynomial, UnivariatePolynomial, _horner, _shift
 from .skein import (
     AnnulusSkein,
@@ -95,7 +95,11 @@ def bernoulli_suite() -> list[CheckResult]:
 
     failures = []
     for m in range(1, max_faulhaber + 1):
-        poly = faulhaber_poly(m)  # raises if the two closed forms disagree
+        try:
+            poly = faulhaber_poly(m)
+        except FaulhaberInconsistency as exc:  # the closed forms disagree: reported, not raised
+            failures.append(f"m={m}: {exc}")
+            continue
         total = 0  # brute force: 1^m + ... + n^m, one term per n
         for n in range(1, 51):
             total += n**m
@@ -237,7 +241,12 @@ def verlinde_suite() -> list[CheckResult]:
     walks = {p: list(islice(_fusion_walk(p), g_max)) for p in CHECK_LEVELS}
     for g, data in enumerate(records, 1):
         for p in CHECK_LEVELS:
-            for m, value in enumerate(_level_dimensions(g, p, range(0, p - 1), data.even)):
+            try:
+                values = _level_dimensions(g, p, range(0, p - 1), data.even)
+            except IntegralityError as exc:  # a value that is no count: reported, not raised
+                failures.append(f"g={g} p={p}: {exc}")
+                continue
+            for m, value in enumerate(values):
                 s = (m + 1) // 2 if m % 2 == 1 else (p - 1) // 2 - m // 2
                 if value != walks[p][g - 1][s - 1]:
                     failures.append(f"g={g} p={p} m={m}")

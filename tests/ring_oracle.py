@@ -2,11 +2,12 @@
 
 The package builds each `BivariatePolynomial` from an integer form and
 then only reads it.  The tests build expected polynomials by sums,
-products and powers, and evaluate them at rational points; that
-arithmetic lives here.  `RingPolynomial` is the library class with the
-ring operations added, and `ring(poly)` lifts a library polynomial into
-it.  Equality and hashing are the library's, so a `RingPolynomial` equals
-the `BivariatePolynomial` with the same terms.
+products and powers, and evaluate them at rational points, where the
+library folds only at integer levels; that arithmetic lives here.
+`RingPolynomial` is the library class with the ring operations added,
+and `ring(poly)` lifts a library polynomial into it.  Equality and
+hashing are the library's, so a `RingPolynomial` equals the
+`BivariatePolynomial` with the same terms.
 """
 
 import math
@@ -85,13 +86,18 @@ class RingPolynomial(BivariatePolynomial):
         return _power(self, exponent, lambda: self * 0 + 1)
 
     def __call__(self, first: RationalLike, second: RationalLike) -> Fraction:
-        """Value at (first, c/d): fold_first, then the integer Horner rule
-        at c/d over the denominator D d^m."""
-        denominator, values = self.fold_first(first)
-        y = _q(second)
+        """Value at (a/b, c/d) by the homogenized Horner rule: the fold at
+        a/b, values[j] = sum_i n_ij a^i b^(n-i) over L b^n (the library's
+        `fold_first` takes integer levels only), then the integer Horner
+        rule at c/d over L b^n d^m."""
+        x, y = _q(first), _q(second)
+        n = max((i for i, _ in self._terms), default=0)
+        values = [0] * (max((j for _, j in self._terms), default=0) + 1)
+        for (i, j), value in self._terms.items():
+            values[j] += value * x.numerator**i * x.denominator ** (n - i)
         return Fraction(
             _horner(values, y.numerator, y.denominator),
-            denominator * y.denominator ** (len(values) - 1),
+            self.denominator * x.denominator**n * y.denominator ** (len(values) - 1),
         )
 
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from skeindim import bernoulli, verlinde
+from skeindim import bernoulli, suites, verlinde
 from skeindim.cli import main
+from skeindim.errors import FaulhaberInconsistency
 from skeindim.exact import BivariatePolynomial, UnivariatePolynomial
 from skeindim.verlinde import StructureViolation, verlinde_polynomial
 
@@ -173,25 +174,21 @@ def _with_high_y_term(integer_parts):
     return planted
 
 
-# Internal consistency errors raised inside `verify` and `certify`: (argv,
+def _horner_plus_one(real):
+    return lambda values, x, scale: real(values, x, scale) + 1
+
+
+# Internal consistency errors that end a command outside `verify`: (argv,
 # module, name, plant applied to the real function, error message).
 INTERNAL_ERRORS = {
-    "faulhaber": (
-        ["verify", "--suite", "bernoulli"],
-        bernoulli, "_faulhaber_via_polynomial_difference",
-        lambda real: lambda m: _plus_one(real(m)) if m == 3 else real(m),
-        "power-sum closed forms disagree at exponent 3: "
-        "1/4*N^2 + 1/2*N^3 + 1/4*N^4 vs 1 + 1/4*N^2 + 1/2*N^3 + 1/4*N^4",
-    ),
     "total_degree": (
         ["certify", "--genus", "3"],
         verlinde, "_integer_parts", _with_high_y_term,
         "dimension polynomial has total degree 8, expected 7",
     ),
     "integrality": (
-        ["verify", "--suite", "verlinde"],
-        verlinde, "_horner",
-        lambda real: lambda values, x, scale: real(values, x, scale) + 1,
+        ["dim", "--genus", "1", "--p", "3", "--color", "0"],
+        verlinde, "_horner", _horner_plus_one,
         "dimension at genus 1, p=3, color 0 evaluated to 5/4",
     ),
 }
@@ -205,6 +202,66 @@ def test_internal_consistency_error_is_check_failure(monkeypatch, capsys, case):
     assert code == 1
     assert out == ""
     assert err == json.dumps({"error": message}) + "\n"
+
+
+def _genus_two_plus_a_third(real):
+    """`genus_data` with 1/3 added to the constant term of D_2."""
+    def planted(g):
+        data = real(g)
+        if g != 2:
+            return data
+        terms = dict(data.even.terms())
+        terms[(0, 0)] = terms.get((0, 0), 0) + Fraction(1, 3)
+        return data._replace(even=BivariatePolynomial(terms, data.even.variables))
+
+    return planted
+
+
+def _inconsistent_at_seven(real):
+    def planted(m):
+        if m == 7:
+            raise FaulhaberInconsistency("planted disagreement at exponent 7")
+        return real(m)
+
+    return planted
+
+
+# Internal consistency errors raised inside a `verify` check, each reported
+# as a FAIL of that check while the battery runs on: (suite, module, name,
+# plant applied to the real function, start of the one FAIL line).
+VERIFY_ERRORS = {
+    "faulhaber": (
+        "bernoulli", bernoulli, "_faulhaber_via_polynomial_difference",
+        lambda real: lambda m: _plus_one(real(m)) if m == 3 else real(m),
+        "FAIL power_sum_closed_forms: m=3: power-sum closed forms disagree at exponent 3: "
+        "1/4*N^2 + 1/2*N^3 + 1/4*N^4 vs 1 + 1/4*N^2 + 1/2*N^3 + 1/4*N^4",
+    ),
+    "faulhaber_poly": (
+        "bernoulli", suites, "faulhaber_poly", _inconsistent_at_seven,
+        "FAIL power_sum_closed_forms: m=7: planted disagreement at exponent 7",
+    ),
+    "integrality": (
+        "verlinde", verlinde, "_horner", _horner_plus_one,
+        "FAIL all_colors_integral: g=1 p=3: dimension at genus 1, p=3, color 0 evaluated to 5/4",
+    ),
+    "genus_data": (
+        "verlinde", suites, "genus_data", _genus_two_plus_a_third,
+        "FAIL all_colors_integral: g=2 p=3: dimension at genus 2, p=3, color 0 evaluated to 4/3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_ERRORS)
+def test_verify_reports_internal_consistency_error(monkeypatch, capsys, case):
+    suite, module, name, plant, failure = VERIFY_ERRORS[case]
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 1
+    assert err == ""
+    *checks, summary = out.splitlines()
+    [failed] = [line for line in checks if not line.startswith("PASS ")]
+    assert failed.startswith(failure)
+    assert summary == f"CHECK FAILURES PRESENT ({len(checks) - 1}/{len(checks)})"
 
 
 def test_bernoulli_numbers(capsys):

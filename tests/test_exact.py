@@ -21,6 +21,7 @@ from skeindim.exact import (
     UnivariatePolynomial,
     _convolve,
     _lowest,
+    _power_text,
     _scaled,
     _shift,
 )
@@ -381,16 +382,33 @@ def test_call_at_negative_and_fractional_points(x, y):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_bipolys(), points, points)
-def test_fold_first_gives_integer_coefficients_of_the_value(poly, x, y):
-    denominator, values = poly.fold_first(x)
+@given(small_bipolys(), st.integers(min_value=-20, max_value=20), points)
+def test_fold_first_gives_integer_coefficients_of_the_value(poly, level, y):
+    # the library folds at integer levels; the oracle's call folds at a/b
+    denominator, values = poly.fold_first(level)
     assert all(isinstance(v, int) for v in [denominator, *values]) and denominator > 0
+    assert denominator == poly.denominator
     folded = sum((v * y**j for j, v in enumerate(values)), Fraction(0)) / denominator
-    assert folded == _naive_value(poly, x, y)
+    assert folded == _naive_value(poly, level, y) == poly(level, y)
 
 
 def test_fold_first_zero_polynomial():
-    assert bipoly({}).fold_first(Fraction(-5, 3)) == (1, [0])
+    assert bipoly({}).fold_first(-5) == (1, [0])
+
+
+@pytest.mark.parametrize("level", [Fraction(1, 2), Fraction(4), 3.0, "3", None])
+def test_fold_first_refuses_a_level_that_is_not_an_integer(level):
+    poly = bipoly({(2, 1): Fraction(1, 3), (0, 0): 1})
+    with pytest.raises(TypeError):
+        poly.fold_first(level)
+    assert poly.fold_first(True) == poly.fold_first(1)  # an int subclass is an integer
+
+
+def test_power_text_is_the_one_monomial_printer():
+    assert [_power_text("c", k) for k in range(3)] == ["", "c", "c^2"]
+    poly = bipoly({(0, 0): 1, (1, 0): -1, (0, 1): Fraction(1, 2), (2, 3): 2})
+    assert poly.render() == "1 - p + 1/2*c + 2*p^2*c^3"
+    assert UnivariatePolynomial([1, -1, Fraction(1, 2)]).render("s") == "1 - s + 1/2*s^2"
 
 
 def test_call_zero_and_constant_polynomials():
@@ -609,6 +627,37 @@ def test_dense_kinds_keep_the_stored_form(kind, a, b, scalar):
         assert x != other
         with pytest.raises(ValueError, match="different fields"):
             x + other
+
+
+NONPOSITIVE_DENOMINATOR_KINDS = {
+    "univariate": lambda d: UnivariatePolynomial([1, 2], d),
+    "annulus": lambda d: AnnulusSkein([1, 2], d),
+    "cyclotomic": lambda d: CyclotomicElement(DENSE_FIELD, [1, 2], d),
+    "bivariate": lambda d: BivariatePolynomial({(0, 0): 1, (1, 2): 2}, PC, d),
+}
+
+
+@pytest.mark.parametrize("kind", NONPOSITIVE_DENOMINATOR_KINDS)
+@pytest.mark.parametrize("denominator", [0, -1, -6])
+def test_every_kind_rejects_a_nonpositive_denominator(kind, denominator):
+    # one construction rule: the same message from every constructor
+    with pytest.raises(ValueError, match="^denominator must be positive$"):
+        NONPOSITIVE_DENOMINATOR_KINDS[kind](denominator)
+
+
+def test_both_constructor_inputs_give_one_stored_form():
+    # rationals are scaled by the lcm of their denominators; ints over a
+    # denominator are divided through; zero terms are never stored
+    halves = UnivariatePolynomial([Fraction(1, 2), 0, Fraction(-1, 3)])
+    assert (halves.numerators, halves.denominator) == ((3, 0, -2), 6)
+    assert UnivariatePolynomial([6, 0, -4, 0], 12).numerators == (3, 0, -2)
+    sparse = BivariatePolynomial({(1, 0): Fraction(1, 2), (0, 1): 0, (0, 2): Fraction(-1, 3)}, PC)
+    assert (sparse._terms, sparse.denominator) == ({(1, 0): 3, (0, 2): -2}, 6)
+    again = BivariatePolynomial({(1, 0): 6, (0, 1): 0, (0, 2): -4}, PC, 12)
+    assert (again._terms, again.denominator) == (sparse._terms, 6)
+    for make in (UnivariatePolynomial, lambda values: bipoly({(k, 0): v for k, v in enumerate(values)})):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            make([1, 0.0])
 
 
 @pytest.mark.parametrize("kind", ["cyclotomic"])  # the one dense kind with powers
