@@ -134,7 +134,7 @@ class Certificate(NamedTuple):
 def check_structure(data: GenusData) -> CheckResult:
     try:
         for kind in ("even", "odd"):
-            _validated(data.genus, kind, data.parts[kind])
+            _validated(data.genus, kind, getattr(data, kind))
     except StructureViolation as exc:
         return CheckResult("decomposition_structure", False, str(exc))
     return CheckResult(
@@ -210,9 +210,9 @@ def leading_term_closed_form(g: int) -> BivariatePolynomial:
 
 def check_leading_term(data: GenusData) -> CheckResult:
     """The degree-(3g-2) homogeneous part of the dimension polynomial
-    against its Bernoulli closed form.  No higher part can be nonzero:
-    `genus_data` raises AssertionError unless the total degree is exactly
-    3g - 2."""
+    against its Bernoulli closed form.  A nonzero part of higher degree is
+    not compared here: it breaks the row degrees that `check_structure`
+    proves, and fails that check."""
     g = data.genus
     if data.even.homogeneous_part(3 * g - 2) != leading_term_closed_form(g):
         return CheckResult("leading_term", False, "top homogeneous part mismatch")
@@ -235,7 +235,7 @@ def check_parity(data: GenusData) -> CheckResult:
     invertible, so the p-exponents are those in (p, c).  D_g is built as
     p^(g-1) X + p^g Y, so that sum is not compared again; the leading_term,
     residue_vs_fusion and all_colors_integral checks cover what is built
-    from it.  Part (b) reads the odd-color p-parts.
+    from it.  Part (b) reads the p-rows of the odd-color polynomial.
 
     The first violation fails the check, naming the offending monomial.
     """
@@ -246,15 +246,15 @@ def check_parity(data: GenusData) -> CheckResult:
         what, (i, b), n = bad[0]
         return CheckResult("parity", False, f"{what}: {Fraction(n, scale)}*p^{i}*u^{b}")
 
-    for i, part in sorted(data.parts["odd"].items()):
+    for i, row in data.odd.rows.items():
         shift = i - (g - 1)
         if shift < 0:
             return CheckResult("parity", False, f"odd-color polynomial not divisible by p^{g-1}")
-        bad = [j for j in part.exponents() if shift % 2 or j % 2 == 0]
+        bad = [j for j, n in enumerate(row) if n and (shift % 2 or j % 2 == 0)]
         if bad:
             kind = "odd power of p" if shift % 2 else "even power of s"
-            j = min(bad)
-            coeff = Fraction(part.numerators[j], part.denominator)
+            j = bad[0]
+            coeff = Fraction(row[j], data.odd.denominator)
             what = f"odd-color polynomial / p^{g-1} has {kind}"
             return CheckResult("parity", False, f"{what}: {coeff}*p^{shift}*s^{j}")
     return CheckResult("parity", True, "even-in-p and odd-in-s structure holds")
@@ -272,8 +272,8 @@ def build_certificate(g: int) -> Certificate:
     checks = [check_structure(data)]
     ranks = {}
     for kind, required in (("even", g + 1), ("odd", g)):
-        # parts of distinct exact degrees are independent (each is nonzero)
-        ranks[kind] = len({part.degree for part in data.parts[kind].values()})
+        # rows of distinct exact degrees are independent (each is nonzero)
+        ranks[kind] = len({len(row) for row in getattr(data, kind).rows.values()})
         checks.append(
             CheckResult(
                 f"phi_rank_{kind}",

@@ -4,15 +4,15 @@ No floating point enters any computation.  Exact values store int
 numerators over one positive denominator, divided through by the gcd of
 all of them (zero has denominator 1), so equal values have identical
 ints and `__eq__` and `__hash__` compare them directly; `coefficients`,
-`terms()` and evaluation return Fractions.  No zero coefficient is
-stored, so structural predicates such as "degree exactly n" or "only
-even powers of p" are decided exactly.  Every constructor normalizes
-through one helper, `_normalized`: rationals are scaled by the lcm of
-their denominators, or ints come over a given positive denominator, and
-`_lowest` divides through, handing back the stripped ints and the
-denominator without a division pass when the gcd is already 1.  Text
-comes from one monomial printer, `_power_text`, and one joiner,
-`_format_terms`.
+`terms()` and evaluation return Fractions.  No numerator tuple ends in
+zero and no row is empty, so structural predicates such as "degree
+exactly n" or "only even powers of p" are decided exactly.  Every
+constructor normalizes through one helper, `_normalized`: rationals are
+scaled by the lcm of their denominators, or ints come over a given
+positive denominator, and `_lowest` divides through, handing back the
+stripped ints and the denominator without a division pass when the gcd
+is already 1.  Text comes from one monomial printer, `_power_text`, and
+one joiner, `_format_terms`.
 
 The dense form of that format, a numerator tuple lowest index first,
 lives in one private base, `_Dense`, which holds the format only:
@@ -30,8 +30,8 @@ ever made.
 
 Evaluation is on the stored ints, with one Fraction at the end:
 UnivariatePolynomial(a/b) is the homogenized Horner rule `_horner`.
-fold_first(level) fixes the first variable at an integer level, giving
-the integer polynomial sum_i n_ij level^i in the second over L, which
+fold_first(level) fixes the first variable at an integer level by Horner's
+rule over the rows, giving sum_i n_ij level^i in the second over L, which
 the callers evaluate by `_horner`.
 
 Representations:
@@ -39,10 +39,10 @@ Representations:
   UnivariatePolynomial  dense numerator tuple, lowest degree first; built
                         from coefficients, evaluated and read, with no
                         ring arithmetic.
-  BivariatePolynomial   sparse dict {(i, j): numerator} with a named variable
-                        pair such as ("p", "c"); many of the polynomials
-                        produced downstream are structurally sparse.  The
-                        package builds them from integer forms and only
+  BivariatePolynomial   rows {i: numerator tuple in the second variable},
+                        sorted by the power i of the first, of a named pair
+                        such as ("p", "c"): a dimension polynomial's p-parts.
+                        The package builds them from integer forms and only
                         reads them (fold, split, homogeneous parts,
                         render); their ring arithmetic is a test oracle.
 """
@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int]
@@ -225,9 +226,6 @@ class UnivariatePolynomial(_Dense):
     def leading_coefficient(self) -> Fraction:
         return Fraction(self.numerators[-1] if self.numerators else 0, self.denominator)
 
-    def exponents(self) -> set[int]:
-        return {k for k, n in enumerate(self.numerators) if n}
-
     def __call__(self, point: RationalLike) -> Fraction:
         """The value at a rational point; any other argument raises TypeError."""
         nums, x = self.numerators or (0,), _q(point)
@@ -243,13 +241,15 @@ class UnivariatePolynomial(_Dense):
 
 
 class BivariatePolynomial:
-    """Sparse exact polynomial in two named variables: exponent pairs (i, j)
-    map to nonzero int numerators over the int `denominator`, i the power
-    of the first variable and j of the second.  Built and read, with no
-    ring arithmetic; it equals an int or a Fraction when it is that
-    constant."""
+    """Exact polynomial in two named variables, built from its terms
+    {(i, j): coefficient}, i the power of the first variable and j of the
+    second, and stored as its rows: `rows` maps each i, ascending, to the
+    tuple of int numerators of its coefficients in the second, lowest power
+    first, none empty or ending in zero, over the int `denominator`.  Built
+    and read, with no ring arithmetic; it equals an int or a Fraction when
+    it is that constant."""
 
-    __slots__ = ("_terms", "denominator", "_vars")
+    __slots__ = ("rows", "denominator", "_vars")
 
     def __init__(self, terms: Mapping[tuple[int, int], RationalLike] | None = None,
                  variables: tuple[str, str] = ("p", "c"), denominator: int | None = None):
@@ -263,8 +263,13 @@ class BivariatePolynomial:
                 raise ValueError("exponents must be nonnegative")
             variables = tuple(map(str, variables))
         values, self.denominator = _normalized(terms.values(), denominator)
+        rows: dict[int, dict[int, int]] = {}
         # `_lowest` strips trailing zeros, so zip drops only zero terms
-        self._terms = {key: n for key, n in zip(terms, values) if n}
+        for (i, j), n in zip(terms, values):
+            if n:
+                rows.setdefault(i, {})[j] = n
+        self.rows = {i: tuple(row.get(j, 0) for j in range(max(row) + 1))
+                     for i, row in sorted(rows.items())}
         self._vars = variables
 
     @property
@@ -273,58 +278,57 @@ class BivariatePolynomial:
 
     @property
     def total_degree(self) -> Union[int, float]:
-        return max((i + j for i, j in self._terms), default=NEG_INFINITY)
+        return max((i + len(row) - 1 for i, row in self.rows.items()), default=NEG_INFINITY)
 
     def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms in graded order: total degree ascending, then powers of the
         first variable descending (so p precedes c within a degree)."""
-        for key in sorted(self._terms, key=lambda ij: (ij[0] + ij[1], ij[1])):
-            yield key, Fraction(self._terms[key], self.denominator)
+        keys = [(i + j, j, i) for i, row in self.rows.items() for j, n in enumerate(row) if n]
+        for _, j, i in sorted(keys):
+            yield (i, j), Fraction(self.rows[i][j], self.denominator)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = BivariatePolynomial({(0, 0): other}, self._vars)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return (self._vars, self.denominator, self._terms) == (
-            other._vars, other.denominator, other._terms
+        return (self._vars, self.denominator, self.rows) == (
+            other._vars, other.denominator, other.rows
         )
 
     def __hash__(self) -> int:
-        # A constant polynomial equals its value, so it must hash like it.
-        if self._terms.keys() <= {(0, 0)}:
-            return hash(Fraction(self._terms.get((0, 0), 0), self.denominator))
-        return hash((self._vars, frozenset(self._terms.items()), self.denominator))
+        if self.total_degree <= 0:  # a constant equals its value: hash like it
+            return hash(Fraction(self.rows.get(0, (0,))[0], self.denominator))
+        # the rows are sorted by i, so equal polynomials give equal tuples
+        return hash((self._vars, tuple(self.rows.items()), self.denominator))
 
     def fold_first(self, level: int):
         """(L, values), ints, with value sum_j values[j] y^j / L at (level, y):
-        values[j] = sum_i n_ij level^i over the stored numerators n_ij, and
-        L the stored denominator.  A level that is not an integer raises
-        TypeError."""
-        level = operator.index(level)
-        weights = [level**i for i in range(max((i for i, _ in self._terms), default=0) + 1)]
-        values = [0] * (max((j for _, j in self._terms), default=0) + 1)
-        for (i, j), value in self._terms.items():
-            values[j] += value * weights[i]
-        return self.denominator, values
+        values[j] = sum_i n_ij level^i over the stored numerators n_ij, by
+        Horner's rule over the rows from the highest, a gap of k between two
+        rows a factor level^k; L is the stored denominator.  A level that
+        is not an integer raises TypeError."""
+        level, values = operator.index(level), [0]
+        above = next(reversed(self.rows), 0)
+        for i, row in reversed(self.rows.items()):
+            factor = level ** (above - i)
+            values = [v * factor + n for v, n in zip_longest(values, row, fillvalue=0)]
+            above = i
+        factor = level**above
+        return self.denominator, [v * factor for v in values]
 
     def homogeneous_part(self, n: int) -> BivariatePolynomial:
         """Sum of the terms of total degree exactly n."""
-        terms = {key: v for key, v in self._terms.items() if key[0] + key[1] == n}
+        terms = {(i, n - i): row[n - i] for i, row in self.rows.items() if 0 <= n - i < len(row)}
         return BivariatePolynomial(terms, self._vars, self.denominator)
 
     def split_by_first(self) -> dict[int, UnivariatePolynomial]:
-        """Terms grouped by the power of the first variable: {i: q_i} with
-        self == sum_i first^i * q_i(second), only nonzero q_i appearing."""
-        rows: dict = {}
-        for (i, j), value in self._terms.items():
-            row = rows.setdefault(i, [])
-            row += [0] * (j + 1 - len(row))
-            row[j] = value
-        return {i: UnivariatePolynomial(row, self.denominator) for i, row in rows.items()}
+        """The rows as polynomials: {i: q_i} with self == sum_i first^i *
+        q_i(second), only nonzero q_i appearing."""
+        return {i: UnivariatePolynomial(row, self.denominator) for i, row in self.rows.items()}
 
     def render(self) -> str:
         v1, v2 = self._vars

@@ -62,8 +62,6 @@ PS = ("p", "s")
 #: and the same as a tuple of ((i, j), n) pairs.
 _Terms = dict[tuple[int, int], int]
 _Pairs = tuple[tuple[tuple[int, int], int], ...]
-#: The parts {j: part at p^j} of a dimension polynomial.
-_Parts = dict[int, UnivariatePolynomial]
 
 
 def _sinh_power(alpha: int, count: int) -> list[tuple[int, int]]:
@@ -207,34 +205,30 @@ def _substitute(
 def _polynomial(g: int, parts: tuple[int, _Pairs, _Pairs], odd: bool) -> BivariatePolynomial:
     """D_g in (p, c), or with `odd` the odd-color polynomial in (p, s), by
     `_substitute` from the parts (L, X, Y) of `_integer_parts`, X placed at
-    p^(g-1) and Y at p^g; D_g must have total degree exactly 3g - 2."""
+    p^(g-1) and Y at p^g; not validated."""
     scale, x_part, y_part = parts
     pairs = (((i + shift, b), n) for shift, part in ((g - 1, x_part), (g, y_part))
              for (i, b), n in part)
-    result = _substitute(scale, pairs, odd)
-    if not odd and result.total_degree != 3 * g - 2:
-        raise AssertionError(f"dimension polynomial has total degree {result.total_degree}, "
-                             f"expected {3 * g - 2}")
-    return result
+    return _substitute(scale, pairs, odd)
 
 
 def verlinde_polynomial(g: int) -> BivariatePolynomial:
-    """D_g as an exact polynomial in (p, c), from the integer parts by the
-    Taylor shift of each p-row; total degree exactly 3g - 2."""
-    return _polynomial(g, _integer_parts(g), odd=False)
+    """D_g in (p, c), from the integer parts by the Taylor shift of each
+    p-row, checked by `_validated` (so of total degree exactly 3g - 2)."""
+    return _validated(g, "even", _polynomial(g, _integer_parts(g), odd=False))
 
 
 def odd_color_polynomial(g: int) -> BivariatePolynomial:
     """The odd-color dimension polynomial in (p, s): D_g at c = (p-1)/2 - s,
     that is u = p - 2s, from the integer parts by the Taylor shift of each
-    total-degree group."""
+    total-degree group; not validated."""
     return _polynomial(g, _integer_parts(g), odd=True)
 
 
 class GenusData(NamedTuple):
     """What the certificate checks read about one genus: (L, X, Y), D_g in
-    (p, c), the odd-color polynomial in (p, s) and the p-parts of each, by
-    kind ("even" for D_g, "odd")."""
+    (p, c) and the odd-color polynomial in (p, s), by kind ("even", "odd"),
+    their p-rows the p-parts; unchecked, as `check_structure` reports them."""
 
     genus: int
     scale: int
@@ -242,15 +236,12 @@ class GenusData(NamedTuple):
     y_part: _Pairs
     even: BivariatePolynomial
     odd: BivariatePolynomial
-    parts: dict[str, _Parts]
 
 
 def genus_data(g: int) -> GenusData:
     """The GenusData record of genus g, from one `_integer_parts` call."""
     parts = _integer_parts(g)
-    even, odd = _polynomial(g, parts, False), _polynomial(g, parts, True)
-    split = {"even": even.split_by_first(), "odd": odd.split_by_first()}
-    return GenusData(g, *parts, even, odd, split)
+    return GenusData(g, *parts, _polynomial(g, parts, False), _polynomial(g, parts, True))
 
 
 def exponent_support(g: int, kind: str) -> set[int]:
@@ -260,30 +251,31 @@ def exponent_support(g: int, kind: str) -> set[int]:
     return base | {g} if kind == "even" else base
 
 
-def decompose(g: int, kind: str) -> _Parts:
+def decompose(g: int, kind: str) -> dict[int, UnivariatePolynomial]:
     """{j: part at p^j} of the even- or odd-color dimension polynomial, in
     c or s; `_validated` checks their support and degrees and raises
     StructureViolation.  The parts sum back to the polynomial."""
     if kind not in ("even", "odd"):
         raise ValueError("kind must be 'even' or 'odd'")
-    source = verlinde_polynomial if kind == "even" else odd_color_polynomial
-    return _validated(g, kind, source(g).split_by_first())
+    poly = _polynomial(g, _integer_parts(g), odd=kind == "odd")
+    return _validated(g, kind, poly).split_by_first()
 
 
-def _validated(g: int, kind: str, parts: _Parts) -> _Parts:
-    """The parts {j: part at p^j}, once their support is exactly the expected
-    exponent set and the part at p^j has degree exactly 3g - 2 - j (hence a
-    nonzero leading coefficient); any violation raises StructureViolation."""
+def _validated(g: int, kind: str, poly: BivariatePolynomial) -> BivariatePolynomial:
+    """The polynomial of the kind, once the powers of p among its rows are
+    exactly the expected exponent set and the part at p^j has degree
+    exactly 3g - 2 - j (hence a nonzero leading coefficient, and total
+    degree 3g - 2); any violation raises StructureViolation."""
     expected = exponent_support(g, kind)
-    for j in sorted(set(parts) - expected):
+    for j in sorted(poly.rows.keys() - expected):
         raise StructureViolation(f"unexpected nonzero part at p^{j} (genus {g}, kind {kind})")
-    for j in sorted(expected - set(parts)):
+    for j in sorted(expected - poly.rows.keys()):
         raise StructureViolation(f"missing part at p^{j} (genus {g}, kind {kind})")
-    for j, poly in parts.items():
-        if poly.degree != 3 * g - 2 - j:
-            raise StructureViolation(f"part at p^{j} has degree {poly.degree}, expected "
+    for j, row in poly.rows.items():
+        if len(row) - 1 != 3 * g - 2 - j:
+            raise StructureViolation(f"part at p^{j} has degree {len(row) - 1}, expected "
                                      f"{3 * g - 2 - j} (genus {g}, kind {kind})")
-    return parts
+    return poly
 
 
 # ------------------------------------------------------------------ fusion

@@ -17,7 +17,7 @@ from skeindim.certify import (
     lower_bound,
 )
 from skeindim.cli import main
-from skeindim.exact import BivariatePolynomial, UnivariatePolynomial, _horner, _scaled
+from skeindim.exact import BivariatePolynomial, _horner, _scaled
 from skeindim.verlinde import StructureViolation, decompose, genus_data
 import rank_oracle
 from rank_oracle import RANK_COLUMN_SLACK, WITNESS_PRIMES, phi_rank, rank, rank_mod, value_rows
@@ -128,9 +128,9 @@ def test_value_rows_equal_the_rows_of_the_scaled_coefficients(g, kind):
 @pytest.mark.parametrize("g", range(1, 21))
 def test_certificate_ranks_equal_the_value_matrix_rank(g):
     cert = build_certificate(g)
-    parts = genus_data(g).parts
-    assert cert.dim_00 == rank(value_rows(parts["even"], "even")) == g + 1
-    assert cert.dim_01 == rank(value_rows(parts["odd"], "odd")) == g
+    data = genus_data(g)
+    assert cert.dim_00 == rank(value_rows(data.even.split_by_first(), "even")) == g + 1
+    assert cert.dim_01 == rank(value_rows(data.odd.split_by_first(), "odd")) == g
 
 
 def test_check_records_serialize_in_field_order():
@@ -281,12 +281,19 @@ def _with_monomial(field, key):
 
 
 def _with_odd(change):
-    """A plant for a record: its odd-color parts split from change(odd),
-    odd its odd-color polynomial."""
+    """A plant for a record: its odd-color polynomial odd replaced by
+    change(odd)."""
     def plant(data):
-        return data._replace(parts={**data.parts, "odd": change(data.odd).split_by_first()})
+        return data._replace(odd=change(data.odd))
 
     return plant
+
+
+def _with_rows(poly, rows):
+    """The polynomial with the p-rows {i: numerators} over the denominator
+    and in the variables of poly, built by the public constructor."""
+    terms = {(i, j): n for i, row in rows.items() for j, n in enumerate(row)}
+    return BivariatePolynomial(terms, poly.variables, poly.denominator)
 
 
 # Each parity violation, planted in the genus-2 record that `check_parity`
@@ -321,15 +328,16 @@ def test_parity_violation_is_reported_not_raised(case):
     assert certify.check_parity(plant(genus_data(2))) == ("parity", False, detail)
 
 
-def _with_even_parts(change):
-    """A plant for `genus_data`: the genus-2 record with its even-color
-    parts {j: part at p^j} replaced by change(parts), other genera as built."""
+def _with_even_rows(change):
+    """A plant for `genus_data`: the genus-2 record with the p-rows
+    {j: numerators of the part at p^j} of D_2 replaced by change(rows),
+    other genera as built."""
     def plant(real):
         def planted(g):
             data = real(g)
             if g != 2:
                 return data
-            return data._replace(parts={**data.parts, "even": change(data.parts["even"])})
+            return data._replace(even=_with_rows(data.even, change(data.even.rows)))
 
         return planted
 
@@ -337,6 +345,7 @@ def _with_even_parts(change):
 
 
 _EVEN_RANK_SHORT = ("phi_rank_even", "rank 2, required 3")
+_LEADING_TERM_CHANGED = ("leading_term", "top homogeneous part mismatch")
 
 # Checks that only the certificate runs per genus: (name the certificate
 # reads from `certify`, plant applied to the real function, first genus
@@ -346,7 +355,8 @@ _EVEN_RANK_SHORT = ("phi_rank_even", "rank 2, required 3")
 # and `verify`.  The rank shortfall is a doctored genus-2 record whose
 # even-color parts keep only two distinct exact degrees: the part at p^3
 # dropped, or given the degree of the part at p^2.  The structure check
-# names the defect and the degree count falls short of g + 1.
+# names the defect and the degree count falls short of g + 1; the part at
+# p^3 carries a term of D_2's top degree, so the leading term fails too.
 CERTIFICATE_ONLY_FAILURES = {
     "residue_vs_fusion": (
         "_fusion_walk",
@@ -358,17 +368,22 @@ CERTIFICATE_ONLY_FAILURES = {
     ),
     "phi_rank_even": (
         "genus_data",
-        _with_even_parts(lambda parts: {j: part for j, part in parts.items() if j != 3}),
+        _with_even_rows(lambda rows: {j: row for j, row in rows.items() if j != 3}),
         2,
-        [("decomposition_structure", "missing part at p^3 (genus 2, kind even)"), _EVEN_RANK_SHORT],
+        [
+            ("decomposition_structure", "missing part at p^3 (genus 2, kind even)"),
+            _EVEN_RANK_SHORT,
+            _LEADING_TERM_CHANGED,
+        ],
     ),
     "phi_rank_even_repeated_degree": (
         "genus_data",
-        _with_even_parts(lambda parts: {**parts, 3: parts[2]}),
+        _with_even_rows(lambda rows: {**rows, 3: rows[2]}),
         2,
         [
             ("decomposition_structure", "part at p^3 has degree 2, expected 1 (genus 2, kind even)"),
             _EVEN_RANK_SHORT,
+            _LEADING_TERM_CHANGED,
         ],
     ),
 }
@@ -451,12 +466,11 @@ def test_each_odd_color_polynomial_is_built_once(monkeypatch):
 def test_wrong_even_leading_coefficient_fails_verlinde_suite(monkeypatch, capsys):
     real = suites._validated
 
-    def planted(g, kind, parts):
-        parts = real(g, kind, parts)
+    def planted(g, kind, poly):
+        poly = real(g, kind, poly)
         if (g, kind) == (2, "even"):
-            doubled = [2 * n for n in parts[3].numerators]
-            parts = {**parts, 3: UnivariatePolynomial(doubled, parts[3].denominator)}
-        return parts
+            poly = _with_rows(poly, {**poly.rows, 3: [2 * n for n in poly.rows[3]]})
+        return poly
 
     monkeypatch.setattr(suites, "_validated", planted)
     assert main(["verify", "--suite", "verlinde"]) == 1
@@ -465,13 +479,13 @@ def test_wrong_even_leading_coefficient_fails_verlinde_suite(monkeypatch, capsys
 
 
 def test_missing_part_fails_verlinde_suite_without_aborting(monkeypatch, capsys):
-    # the genus-2 record without its even part at p^3: both checks that
-    # read the parts report it, and the report is still written
+    # the genus-2 record without its even part at p^3: each check that
+    # reads D_2 reports it, and the report is still written
     def planted(g):
         data = genus_data(g)
         if g == 2:
-            even = {j: part for j, part in data.parts["even"].items() if j != 3}
-            data = data._replace(parts={**data.parts, "even": even})
+            rows = {j: row for j, row in data.even.rows.items() if j != 3}
+            data = data._replace(even=_with_rows(data.even, rows))
         return data
 
     monkeypatch.setattr(suites, "genus_data", planted)
@@ -483,6 +497,10 @@ def test_missing_part_fails_verlinde_suite_without_aborting(monkeypatch, capsys)
     assert failed == [
         f"FAIL decomposition_structure: {violation}",
         f"FAIL leading_coefficient_bernoulli_multiples: {violation}",
+        "FAIL leading_term_identity: g=2: top homogeneous part mismatch",
+        "FAIL all_colors_integral: g=2 p=3: dimension at genus 2, p=3, color 0 evaluated to -1/8; "
+        "g=2 p=5: dimension at genus 2, p=5, color 0 evaluated to -5/24; "
+        "g=2 p=7: dimension at genus 2, p=7, color 0 evaluated to -7/24",
     ]
     assert out.splitlines()[-1].startswith("CHECK FAILURES PRESENT")
 

@@ -174,6 +174,52 @@ def _with_high_y_term(integer_parts):
     return planted
 
 
+HIGH_Y_TERM_AT_GENUS_3 = "part at p^3 has degree 5, expected 4 (genus 3, kind even)"
+
+
+@pytest.fixture
+def high_y_term(monkeypatch):
+    """Every D_g built with the extra term of `_with_high_y_term`."""
+    monkeypatch.setattr(verlinde, "_integer_parts", _with_high_y_term(verlinde._integer_parts))
+
+
+def test_broken_polynomial_fails_the_certificate(high_y_term, capsys):
+    # the structure check reports the broken D_g; the certificate is
+    # written, invalid, instead of the command aborting
+    code, out, err = run_cli(capsys, "certify", "--genus", "3", "--format", "text")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:3] == ["genus 3", "lower bound 133", "valid False"]
+    assert f"FAIL decomposition_structure: {HIGH_Y_TERM_AT_GENUS_3}" in lines
+
+
+@pytest.mark.parametrize("suite, failure", [
+    ("verlinde", "FAIL decomposition_structure: g=1: part at p^1 has degree 1, expected 0"),
+    ("certify", "FAIL certificates_valid: g=1: decomposition_structure, phi_rank_even"),
+])
+def test_broken_polynomial_fails_verify(high_y_term, capsys, suite, failure):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert (code, err) == (1, "")
+    *checks, summary = out.splitlines()
+    assert any(line.startswith(failure) for line in checks)
+    passed = sum(line.startswith("PASS ") for line in checks)
+    assert summary == f"CHECK FAILURES PRESENT ({passed}/{len(checks)})"
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--genus", "3"],
+    ["dim", "--genus", "3", "--p", "5", "--color", "0"],
+    ["decompose", "--genus", "3"],
+    ["table", "--genus", "3", "--p", "5", "--color", "0"],
+])
+def test_broken_polynomial_is_a_typed_check_failure(high_y_term, capsys, argv):
+    # D_g is validated as it is built: a StructureViolation, exit 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ("genus,p,color,dimension\n" if argv[0] == "table" else "")
+    assert err == json.dumps({"error": HIGH_Y_TERM_AT_GENUS_3}) + "\n"
+
+
 def _horner_plus_one(real):
     return lambda values, x, scale: real(values, x, scale) + 1
 
@@ -181,11 +227,6 @@ def _horner_plus_one(real):
 # Internal consistency errors that end a command outside `verify`: (argv,
 # module, name, plant applied to the real function, error message).
 INTERNAL_ERRORS = {
-    "total_degree": (
-        ["certify", "--genus", "3"],
-        verlinde, "_integer_parts", _with_high_y_term,
-        "dimension polynomial has total degree 8, expected 7",
-    ),
     "integrality": (
         ["dim", "--genus", "1", "--p", "3", "--color", "0"],
         verlinde, "_horner", _horner_plus_one,
@@ -205,13 +246,14 @@ def test_internal_consistency_error_is_check_failure(monkeypatch, capsys, case):
 
 
 def _genus_two_plus_a_third(real):
-    """`genus_data` with 1/3 added to the constant term of D_2."""
+    """`genus_data` with 1/3 added to the p c^0 term of D_2, inside the
+    proven support, so that no structure check sees it."""
     def planted(g):
         data = real(g)
         if g != 2:
             return data
         terms = dict(data.even.terms())
-        terms[(0, 0)] = terms.get((0, 0), 0) + Fraction(1, 3)
+        terms[(1, 0)] = terms.get((1, 0), 0) + Fraction(1, 3)
         return data._replace(even=BivariatePolynomial(terms, data.even.variables))
 
     return planted
@@ -246,7 +288,8 @@ VERIFY_ERRORS = {
     ),
     "genus_data": (
         "verlinde", suites, "genus_data", _genus_two_plus_a_third,
-        "FAIL all_colors_integral: g=2 p=3: dimension at genus 2, p=3, color 0 evaluated to 4/3",
+        "FAIL all_colors_integral: g=2 p=3 m=0; g=2 p=3 m=1; "
+        "g=2 p=5: dimension at genus 2, p=5, color 0 evaluated to 20/3",
     ),
 }
 

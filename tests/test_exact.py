@@ -491,7 +491,9 @@ def test_bivariate_kernels_match_fraction_dict_reference(a, b):
     assert a + b == bipoly(total)
     assert a * b == bipoly(product)
     for poly in (a + b, a * b, a.homogeneous_part(2)):
-        assert _stored_form_is_canonical(tuple(poly._terms.values()), poly.denominator)
+        numerators = [n for row in poly.rows.values() for n in row]
+        assert _stored_form_is_canonical(numerators, poly.denominator)
+        assert all(row and row[-1] for row in poly.rows.values())
     for part in a.split_by_first().values():
         assert _stored_form_is_canonical(part.numerators, part.denominator)
 
@@ -652,9 +654,9 @@ def test_both_constructor_inputs_give_one_stored_form():
     assert (halves.numerators, halves.denominator) == ((3, 0, -2), 6)
     assert UnivariatePolynomial([6, 0, -4, 0], 12).numerators == (3, 0, -2)
     sparse = BivariatePolynomial({(1, 0): Fraction(1, 2), (0, 1): 0, (0, 2): Fraction(-1, 3)}, PC)
-    assert (sparse._terms, sparse.denominator) == ({(1, 0): 3, (0, 2): -2}, 6)
+    assert (sparse.rows, sparse.denominator) == ({0: (0, 0, -2), 1: (3,)}, 6)
     again = BivariatePolynomial({(1, 0): 6, (0, 1): 0, (0, 2): -4}, PC, 12)
-    assert (again._terms, again.denominator) == (sparse._terms, 6)
+    assert (again.rows, again.denominator) == (sparse.rows, 6)
     for make in (UnivariatePolynomial, lambda values: bipoly({(k, 0): v for k, v in enumerate(values)})):
         with pytest.raises(TypeError, match="expected an exact rational"):
             make([1, 0.0])
@@ -709,6 +711,55 @@ def test_nonconstant_polynomial_hashes_stay_structural():
     b = BivariatePolynomial({(1, 0): 1, (0, 0): 2}, PC)
     assert hash(a) == hash(UnivariatePolynomial((1, 2)))
     assert hash(b) == hash(BivariatePolynomial({(0, 0): 2, (1, 0): 1}, PC))
+
+
+sparse_term_dicts = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_term_dicts, st.integers(min_value=-30, max_value=30))
+@example({(3, 0): 1, (0, 2): Fraction(-1, 2), (1, 1): 0}, 0)
+@example({(0, 0): Fraction(2, 3), (5, 0): 0}, -4)
+def test_row_store_keeps_the_hash_contract_and_the_sparse_reference(terms, level):
+    poly = BivariatePolynomial(terms, PC)
+    # the same terms in the other order, and as ints over one denominator
+    reverse = BivariatePolynomial(dict(reversed(terms.items())), PC)
+    scale = math.lcm(*[v.denominator for v in terms.values()])
+    scaled = BivariatePolynomial({k: v.numerator * (scale // v.denominator) for k, v in terms.items()},
+                                 PC, scale)
+    oracle = RingPolynomial(terms, PC)
+    for other in (reverse, scaled, oracle):
+        assert poly == other and hash(poly) == hash(other)
+
+    # a constant hashes like its value: the degree-0 part is one
+    constant = terms.get((0, 0), 0)
+    assert poly.homogeneous_part(0) == constant and hash(poly.homogeneous_part(0)) == hash(constant)
+
+    nonzero = {k: v for k, v in terms.items() if v}
+    assert list(poly.terms()) == sorted(nonzero.items(), key=lambda kv: (sum(kv[0]), kv[0][1]))
+    for n in range(13):
+        part = {k: v for k, v in nonzero.items() if sum(k) == n}
+        assert poly.homogeneous_part(n) == RingPolynomial(part, PC)
+
+    # the rows sum back to the polynomial, each nonzero
+    total = RingPolynomial.zero(PC)
+    for i, row in poly.split_by_first().items():
+        assert row
+        total = total + RingPolynomial({(i, j): c for j, c in enumerate(row.coefficients)}, PC)
+    assert total == oracle
+
+    # the fold at an integer level is the sparse sum, and the value there
+    denominator, values = poly.fold_first(level)
+    expected = [Fraction(0)] * max([j + 1 for _, j in nonzero], default=1)
+    for (i, j), v in nonzero.items():
+        expected[j] += v * level**i
+    assert [Fraction(v, denominator) for v in values] == expected
+    for y in (0, 1, -2, Fraction(3, 4)):
+        assert sum((c * y**j for j, c in enumerate(expected)), Fraction(0)) == oracle(level, y)
 
 
 # ------------------------------------------------------------ field axioms

@@ -219,8 +219,8 @@ def test_genus_two_reduced_odd_polynomial_structure():
     assert odd_color_polynomial(2) == BivariatePolynomial(
         {(3, 1): Fraction(1, 24), (1, 3): Fraction(-1, 6), (1, 1): Fraction(1, 8)}, PS
     )
-    parts = genus_data(2).parts["odd"]
-    assert {i: part.exponents() for i, part in parts.items()} == {1: {1, 3}, 3: {1}}
+    rows = genus_data(2).odd.rows
+    assert {i: {j for j, n in enumerate(row) if n} for i, row in rows.items()} == {1: {1, 3}, 3: {1}}
 
 
 def test_genus_two_residue_component_p_support():
@@ -502,7 +502,10 @@ def test_record_matches_the_public_builders(g):
     assert data[1:4] == _integer_parts(g)
     assert data.even == verlinde_polynomial(g)
     assert data.odd == odd_color_polynomial(g)
-    assert data.parts == {kind: decompose(g, kind) for kind in ("even", "odd")}
+    # the record keeps each polynomial once: its p-rows are the parts
+    assert data._fields[4:] == ("even", "odd")
+    for kind in ("even", "odd"):
+        assert getattr(data, kind).split_by_first() == decompose(g, kind)
 
 
 def test_certificate_leaves_no_polynomial_behind():
